@@ -8,7 +8,6 @@
 #include <atomic>
 #include <vector>
 
-#include "cluster/coordinator.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/kernel.hpp"
@@ -371,11 +370,11 @@ void BM_RowBatchDispatch(benchmark::State& state) {
 }
 
 void BM_CoordinatorDispatch(benchmark::State& state) {
-  // Per-tile overhead of the elastic multi-node coordinator: one full
-  // tiny matrix-profile run per iteration (8 tiles, 2 devices per node),
-  // items = tiles retired per second.  nodes == 1 is the passthrough
-  // single-node cost; larger node counts add the coordinator's dispatch,
-  // commit arbitration and node lifecycle machinery on top.
+  // Per-tile overhead of the coordinator: one full tiny matrix-profile
+  // run per iteration (8 tiles, 2 devices per node), items = tiles
+  // retired per second.  nodes == 1 is the plain run; larger node counts
+  // add cross-node dispatch, commit arbitration and node lifecycle
+  // machinery on top.
   const int nodes = int(state.range(0));
   SyntheticSpec spec;
   spec.segments = 128;
@@ -387,11 +386,9 @@ void BM_CoordinatorDispatch(benchmark::State& state) {
   config.window = 16;
   config.tiles = 8;
   config.devices = 2;
-  cluster::ElasticClusterConfig elastic;
-  elastic.nodes = nodes;
+  config.nodes = nodes;
   for (auto _ : state) {
-    auto result = cluster::compute_matrix_profile_elastic(
-        data.reference, data.query, config, elastic);
+    auto result = compute_matrix_profile(data.reference, data.query, config);
     benchmark::DoNotOptimize(result.profile.data());
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *

@@ -27,6 +27,13 @@ run_one() {
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
+  # The chaos and cluster legs must be deterministic, not merely pass
+  # once: node faults fire at claims fixed when the tiles are dealt, so a
+  # seeded fault fires the same under any interleaving.  Repeat them 20
+  # times or until one fails.
+  ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
+      --repeat until-fail:20 \
+      -R '^(ElasticCoordinator\.|tool_cli_cluster$|tool_cli_chaos_soak$)'
   # The explicit SIMD kernels do raw intrinsic loads/stores and the
   # diagonal-batched executor claims row chunks across pool workers; run
   # the dispatch bit-equality suite once per MPSIM_SIMD level so the env

@@ -40,41 +40,6 @@ double reduction_merge_seconds(std::size_t n_q, std::size_t dims,
 
 }  // namespace
 
-ClusterResult compute_matrix_profile_cluster(const TimeSeries& reference,
-                                             const TimeSeries& query,
-                                             const ClusterConfig& config) {
-  MPSIM_CHECK(config.nodes >= 1, "need at least one node");
-  MPSIM_CHECK(config.devices_per_node >= 1,
-              "need at least one device per node");
-
-  // Functional execution: the tile scheduler treats the cluster's GPUs as
-  // one flat device list (Round-robin over devices == Round-robin over
-  // nodes when devices are enumerated node-major), and min-merge is
-  // associative, so a single merge is equivalent to the hierarchical one.
-  mp::MatrixProfileConfig run;
-  run.window = config.window;
-  run.mode = config.mode;
-  run.tiles = config.tiles;
-  run.devices = config.nodes * config.devices_per_node;
-  run.machine = config.machine;
-  run.streams_per_device = config.streams_per_device;
-  run.workers = config.workers;
-
-  ClusterResult out;
-  out.result = mp::compute_matrix_profile(reference, query, run);
-
-  // Performance model on top of the executed run's accounting.
-  out.modeled_compute_seconds = out.result.modeled_device_seconds;
-  const std::size_t n_q = out.result.segments;
-  const std::size_t dims = out.result.dims;
-  out.modeled_merge_seconds =
-      out.result.modeled_merge_seconds / double(config.nodes) +
-      reduction_merge_seconds(n_q, dims, config.nodes);
-  out.modeled_network_seconds = network_seconds(
-      config.interconnect, message_bytes(n_q, dims), config.nodes);
-  return out;
-}
-
 ClusterModelReport model_cluster(std::size_t n_r, std::size_t n_q,
                                  std::size_t dims, std::size_t window,
                                  const ClusterConfig& config) {

@@ -1,26 +1,21 @@
-// Multi-node execution of the multi-tile matrix profile — the paper's
+// Performance model of the multi-node matrix profile — the paper's
 // proposed extension "to multiple nodes (e.g., using MPI)" (§VII).
 //
-// The tiling scheme already decouples tiles from devices, so scaling out
-// only needs (a) a two-level tile assignment (node, then device within
-// node) and (b) a reduction of the per-node partial profiles.  This
-// module implements both on the simulator:
-//
-//  * functionally, tiles execute on nodes*devices_per_node simulated
-//    devices and partial profiles min-merge exactly as MPI ranks would —
-//    results are identical to single-node execution (tested);
-//  * the performance model adds the interconnect: per-node makespans from
-//    the roofline model, plus a binomial-tree reduction of the
-//    (n_q * d)-entry profile/index arrays over the network
-//    (ceil(log2 nodes) rounds of latency + bytes/bandwidth), plus the
-//    per-round CPU merge cost.
+// Execution needs no separate path: mp::compute_matrix_profile shards the
+// tile grid across config.nodes simulated nodes (mp/coordinator.cpp) and
+// min-merges the tiles exactly as MPI ranks would, bit-identical to one
+// node.  What the simulator does not execute is the interconnect, so this
+// module models the cluster run analytically: per-node makespans from
+// the roofline model, plus a binomial-tree reduction of the
+// (n_q * d)-entry profile/index arrays over the network
+// (ceil(log2 nodes) rounds of latency + bytes/bandwidth), plus the
+// per-round CPU merge cost.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "mp/matrix_profile.hpp"
+#include "precision/modes.hpp"
 
 namespace mpsim::cluster {
 
@@ -41,27 +36,10 @@ struct ClusterConfig {
   PrecisionMode mode = PrecisionMode::FP64;
   int tiles = 16;                 ///< total tiles across the cluster
   int streams_per_device = 16;
-  std::size_t workers = 0;        ///< host threads for the simulation
 };
-
-struct ClusterResult {
-  mp::MatrixProfileResult result;      ///< the actual computed profile
-  double modeled_compute_seconds = 0;  ///< slowest node's device makespan
-  double modeled_merge_seconds = 0;    ///< local + reduction-round merges
-  double modeled_network_seconds = 0;  ///< binomial-tree profile reduction
-  double modeled_total_seconds() const {
-    return modeled_compute_seconds + modeled_merge_seconds +
-           modeled_network_seconds;
-  }
-};
-
-/// Computes the matrix profile across a simulated multi-node cluster.
-ClusterResult compute_matrix_profile_cluster(const TimeSeries& reference,
-                                             const TimeSeries& query,
-                                             const ClusterConfig& config);
 
 /// Analytic model of the cluster run (no execution) for paper-scale
-/// problem sizes; mirrors compute_matrix_profile_cluster's accounting.
+/// problem sizes.
 struct ClusterModelReport {
   double compute_seconds = 0;
   double merge_seconds = 0;

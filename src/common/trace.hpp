@@ -9,9 +9,6 @@
 // anything, and MetricsRegistry (common/metrics.hpp) records *measured*
 // wall-clock events from real runs — both serialize to the same JSON, so
 // the two can be compared side by side in the same viewer.
-//
-// Historically this lived in gpusim/trace.hpp; that header now aliases
-// these types into mpsim::gpusim for existing call sites.
 #pragma once
 
 #include <cstdint>

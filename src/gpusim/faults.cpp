@@ -227,82 +227,102 @@ bool FaultInjector::rule_fires(const FaultRule& rule, std::uint64_t sequence) {
   return false;
 }
 
+std::optional<FaultRule> FaultInjector::match_locked(int cls, int device,
+                                                    std::uint64_t sequence) {
+  for (const FaultRule& rule : rules_) {
+    if (rule.device >= 0 && rule.device != device) continue;
+    const bool kind_matches =
+        (cls == 0 && (rule.kind == FaultKind::kKernelLaunch ||
+                      rule.kind == FaultKind::kDeviceOffline ||
+                      rule.kind == FaultKind::kHang ||
+                      rule.kind == FaultKind::kSlowdown)) ||
+        (cls == 1 && rule.kind == FaultKind::kCopy) ||
+        (cls == 3 && (rule.kind == FaultKind::kNodeCrash ||
+                      rule.kind == FaultKind::kNodeStall ||
+                      rule.kind == FaultKind::kNodeSlow));
+    if (kind_matches && rule_fires(rule, sequence)) return rule;
+  }
+  return std::nullopt;
+}
+
 void FaultInjector::fire(FaultSite site, int device,
                          const std::string& detail,
                          const CancellationToken* cancel) {
   double stall_ms = -1.0;
   {
-    std::unique_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     if (offline_.count(device) != 0) {
-      if (site == FaultSite::kNodeTile) {
-        throw NodeFailedError("node " + std::to_string(device) +
-                              " is down (injected fault)");
-      }
       throw DeviceFailedError("device " + std::to_string(device) +
                               " is offline (injected fault)");
     }
-    const int cls = site_class(site);
-    auto& per_device = counters_[std::size_t(cls)];
+    auto& per_device = counters_[std::size_t(site_class(site))];
     if (per_device.size() <= std::size_t(device)) {
       per_device.resize(std::size_t(device) + 1, 0);
     }
     const std::uint64_t n = ++per_device[std::size_t(device)];
+    const std::optional<FaultRule> rule =
+        match_locked(site_class(site), device, n);
+    if (!rule) return;
+    stall_ms = record_locked(*rule, device, detail, n);
+  }
+  stall(stall_ms, device, detail, cancel);
+}
 
-    for (const FaultRule& rule : rules_) {
-      if (rule.device >= 0 && rule.device != device) continue;
-      const bool kind_matches =
-          (cls == 0 && (rule.kind == FaultKind::kKernelLaunch ||
-                        rule.kind == FaultKind::kDeviceOffline ||
-                        rule.kind == FaultKind::kHang ||
-                        rule.kind == FaultKind::kSlowdown)) ||
-          (cls == 1 && rule.kind == FaultKind::kCopy) ||
-          (cls == 3 && (rule.kind == FaultKind::kNodeCrash ||
-                        rule.kind == FaultKind::kNodeStall ||
-                        rule.kind == FaultKind::kNodeSlow));
-      if (!kind_matches) continue;
-      if (!rule_fires(rule, n)) continue;
+std::optional<FaultRule> FaultInjector::plan(FaultSite site, int device,
+                                             std::uint64_t sequence) {
+  std::lock_guard lock(mutex_);
+  return match_locked(site_class(site), device, sequence);
+}
 
-      events_.push_back(FaultEvent{rule.kind, device, detail, n, 0});
-      count_fault(rule.kind, 0);
-      if (rule.kind == FaultKind::kDeviceOffline) {
-        offline_.insert(device);
-        throw DeviceFailedError("device " + std::to_string(device) +
-                                " went offline at " + detail + " (event " +
-                                std::to_string(n) + ")");
-      }
-      if (rule.kind == FaultKind::kNodeCrash) {
-        // At the kNodeTile site `device` is a node id.  The node stays
-        // "offline" so every later fire on it crashes too — a dead node
-        // does not come back within a run.
-        offline_.insert(device);
-        throw NodeFailedError("node " + std::to_string(device) +
-                              " crashed at " + detail + " (event " +
-                              std::to_string(n) + ")");
-      }
-      if (rule.kind == FaultKind::kHang ||
-          rule.kind == FaultKind::kSlowdown ||
-          rule.kind == FaultKind::kNodeStall ||
-          rule.kind == FaultKind::kNodeSlow) {
-        // Stall outside the lock: a hang must pin only this attempt, not
-        // every other device's fault points.
-        stall_ms = rule_delay_ms(rule);
-        break;
-      }
+void FaultInjector::inject(const FaultRule& rule, int device,
+                           const std::string& detail, std::uint64_t sequence,
+                           const CancellationToken* cancel) {
+  double stall_ms = -1.0;
+  {
+    std::lock_guard lock(mutex_);
+    stall_ms = record_locked(rule, device, detail, sequence);
+  }
+  stall(stall_ms, device, detail, cancel);
+}
+
+double FaultInjector::record_locked(const FaultRule& rule, int device,
+                                    const std::string& detail,
+                                    std::uint64_t sequence) {
+  events_.push_back(FaultEvent{rule.kind, device, detail, sequence, 0});
+  count_fault(rule.kind, 0);
+  const std::string at =
+      " at " + detail + " (event " + std::to_string(sequence) + ")";
+  switch (rule.kind) {
+    case FaultKind::kDeviceOffline:
+      offline_.insert(device);
+      throw DeviceFailedError("device " + std::to_string(device) +
+                              " went offline" + at);
+    case FaultKind::kNodeCrash:  // `device` is a node id here
+      throw NodeFailedError("node " + std::to_string(device) + " crashed" +
+                            at);
+    case FaultKind::kHang:
+    case FaultKind::kSlowdown:
+    case FaultKind::kNodeStall:
+    case FaultKind::kNodeSlow:
+      return rule_delay_ms(rule);
+    default:
       throw TransientFaultError("injected " + to_string(rule.kind) +
                                 " fault on device " + std::to_string(device) +
-                                " at " + detail + " (event " +
-                                std::to_string(n) + ")");
-    }
+                                at);
   }
-  if (stall_ms < 0.0) return;
+}
 
-  // Cancellable stall: nothing fails here — the launch just takes `ms`
-  // longer, which only a deadline watchdog can notice.  Poll the token so
-  // a cancelled attempt unwinds within one poll period.
+void FaultInjector::stall(double ms, int device, const std::string& detail,
+                          const CancellationToken* cancel) {
+  // Cancellable stall, outside the injector lock (a hang must pin only
+  // this attempt, not every other device's fault points).  Nothing fails
+  // here — the launch just takes `ms` longer, which only a deadline
+  // watchdog can notice.  Poll the token so a cancelled attempt unwinds
+  // within one poll period.
   using clock = std::chrono::steady_clock;
   const auto until =
       clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double, std::milli>(stall_ms));
+                         std::chrono::duration<double, std::milli>(ms));
   constexpr auto kPoll = std::chrono::milliseconds(2);
   for (;;) {
     if (cancel != nullptr && cancel->cancelled()) {

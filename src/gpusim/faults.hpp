@@ -40,17 +40,19 @@
 //   --faults=hang@0:at=3:ms=60000,slow@1:p=0.01:ms=50
 //
 // The node_* kinds fire at the coordinator's per-node kNodeTile site (the
-// "@device" selector addresses a *node* there): node_crash throws
-// NodeFailedError and takes the whole simulated node down, node_stall
-// and node_slow stall the node's tile start in the same cancellable
-// sleep as hang/slow.  They are used with --node-faults=, whose injector
-// is separate from the per-device one.
+// "@device" selector addresses a *node* there, and `at`/`every` count
+// the node's claims in the order fixed when the tiles are dealt out, see
+// plan()): node_crash throws NodeFailedError and takes the whole
+// simulated node down, node_stall and node_slow stall the node's tile
+// start in the same cancellable sleep as hang/slow.  They are used with
+// --node-faults=, whose injector is separate from the per-device one.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -137,6 +139,21 @@ class FaultInjector {
   void fire(FaultSite site, int device, const std::string& detail,
             const CancellationToken* cancel = nullptr);
 
+  /// Decides, without firing anything, which rule (if any) matches the
+  /// `sequence`-th event at `site` on `device` — for callers that fix
+  /// the event order up front instead of counting live events.  The
+  /// coordinator plans node faults this way over each node's claim order,
+  /// so they fire the same under any thread interleaving (probability
+  /// rules draw from the seeded stream in plan order).
+  std::optional<FaultRule> plan(FaultSite site, int device,
+                                std::uint64_t sequence);
+
+  /// Fires `rule` (as returned by plan) for the `sequence`-th event on
+  /// `device`: records it, then throws or stalls exactly as fire() does.
+  void inject(const FaultRule& rule, int device, const std::string& detail,
+              std::uint64_t sequence,
+              const CancellationToken* cancel = nullptr);
+
   /// Applies any matching corruption rule to a staged buffer; returns the
   /// number of elements corrupted.  T must be trivially copyable (all the
   /// storage formats are).
@@ -177,6 +194,16 @@ class FaultInjector {
 
   static int site_class(FaultSite site);
   bool rule_fires(const FaultRule& rule, std::uint64_t sequence);
+  /// First rule of site class `cls` firing at `sequence` (lock held).
+  std::optional<FaultRule> match_locked(int cls, int device,
+                                        std::uint64_t sequence);
+  /// Records a fired rule, then throws its error — or returns the stall
+  /// in milliseconds for the hang/slow kinds (lock held).
+  double record_locked(const FaultRule& rule, int device,
+                       const std::string& detail, std::uint64_t sequence);
+  /// Cancellable sleep of a fired hang/slow rule.
+  static void stall(double ms, int device, const std::string& detail,
+                    const CancellationToken* cancel);
 
   mutable std::mutex mutex_;
   Rng rng_;

@@ -1,34 +1,6 @@
 #include "mp/matrix_profile.hpp"
 
-#include "gpusim/faults.hpp"
-#include "gpusim/spec.hpp"
-#include "mp/resilient.hpp"
-
 namespace mpsim::mp {
-
-namespace {
-
-/// Attaches config.fault_injector to the system's devices for the scope
-/// of one run, detaching on exit so a caller-owned injector cannot
-/// dangle from a longer-lived System.
-class FaultInjectorScope {
- public:
-  FaultInjectorScope(gpusim::System& system, gpusim::FaultInjector* injector)
-      : system_(system), attached_(injector != nullptr) {
-    if (attached_) system_.attach_fault_injector(injector);
-  }
-  ~FaultInjectorScope() {
-    if (attached_) system_.attach_fault_injector(nullptr);
-  }
-  FaultInjectorScope(const FaultInjectorScope&) = delete;
-  FaultInjectorScope& operator=(const FaultInjectorScope&) = delete;
-
- private:
-  gpusim::System& system_;
-  bool attached_;
-};
-
-}  // namespace
 
 void validate_config(const TimeSeries& reference, const TimeSeries& query,
                      const MatrixProfileConfig& config) {
@@ -47,6 +19,11 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   }
   if (config.tiles < 1) throw ConfigError("tiles must be >= 1");
   if (config.devices < 1) throw ConfigError("devices must be >= 1");
+  if (config.nodes < 1) throw ConfigError("nodes must be >= 1");
+  if (config.nodes > 64) {
+    throw ConfigError(
+        "nodes must be <= 64 (resume probes that many side journals)");
+  }
   if (config.streams_per_device < 1 || config.streams_per_device > 16) {
     throw ConfigError("streams_per_device must be in [1, 16]");
   }
@@ -66,27 +43,6 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.checkpoint.interval_tiles < 1) {
     throw ConfigError("checkpoint.interval_tiles must be >= 1");
   }
-}
-
-MatrixProfileResult compute_matrix_profile(gpusim::System& system,
-                                           const TimeSeries& reference,
-                                           const TimeSeries& query,
-                                           const MatrixProfileConfig& config) {
-  validate_config(reference, query, config);
-  FaultInjectorScope scope(system, config.fault_injector);
-  return run_resilient(system, reference, query, config);
-}
-
-MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
-                                           const TimeSeries& query,
-                                           const MatrixProfileConfig& config) {
-  validate_config(reference, query, config);
-  gpusim::MachineSpec spec = gpusim::spec_by_name(config.machine);
-  if (config.device_memory_bytes != 0) {
-    spec.memory_capacity_bytes = config.device_memory_bytes;
-  }
-  gpusim::System system(spec, config.devices, config.workers);
-  return compute_matrix_profile(system, reference, query, config);
 }
 
 MatrixProfileResult compute_self_join(const TimeSeries& series,

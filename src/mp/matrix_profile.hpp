@@ -1,7 +1,7 @@
 // Public façade of the library: compute the multi-dimensional matrix
 // profile of a query series against a reference series on (simulated)
 // GPUs, in any of the paper's five precision modes, with optional
-// multi-tile / multi-device execution.
+// multi-tile / multi-device / multi-node execution.
 //
 // Quick start:
 //
@@ -15,22 +15,19 @@
 //   // result.index_at(j, k): the matching reference segment
 #pragma once
 
-#include "gpusim/device.hpp"
 #include "mp/options.hpp"
 #include "tsdata/time_series.hpp"
 
 namespace mpsim::mp {
 
-/// Computes the matrix profile with a freshly constructed device system
-/// described by `config` (machine, devices, workers).
+/// Computes the matrix profile on `config.nodes` simulated nodes of
+/// `config.devices` devices each (built from config.machine): validate →
+/// plan tiles → restore journals → run the node shards → interrupt flush
+/// / CPU fallback → journal → assemble → health (see mp/coordinator.cpp).
+/// Output bits never depend on the node or device count.  Throws
+/// InterruptedError after flushing the journal when a shutdown request
+/// (or a kill_after_tiles / kill_after_slices chaos kill) stops the run.
 MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
-                                           const TimeSeries& query,
-                                           const MatrixProfileConfig& config);
-
-/// Same, but running on caller-provided devices — lets benches reuse one
-/// System across sweeps and inspect its ledgers afterwards.
-MatrixProfileResult compute_matrix_profile(gpusim::System& system,
-                                           const TimeSeries& reference,
                                            const TimeSeries& query,
                                            const MatrixProfileConfig& config);
 

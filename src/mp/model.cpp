@@ -117,7 +117,7 @@ ModelReport model_matrix_profile(const ModelConfig& config) {
   return report;
 }
 
-gpusim::Timeline model_timeline(const ModelConfig& config) {
+Timeline model_timeline(const ModelConfig& config) {
   auto tiles = compute_tile_list(config.n_r, config.n_q, config.tiles);
   if (config.assignment == TileAssignment::kLpt) {
     assign_tiles_lpt(tiles, config.devices);
@@ -125,7 +125,7 @@ gpusim::Timeline model_timeline(const ModelConfig& config) {
     assign_tiles_round_robin(tiles, config.devices);
   }
 
-  gpusim::Timeline timeline;
+  Timeline timeline;
   for (const auto& tile : tiles) {
     const TileModel tm = dispatch_precision(
         config.mode, [&]<typename Traits>() {

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "gpusim/spec.hpp"
-#include "gpusim/trace.hpp"
+#include "common/trace.hpp"
 #include "mp/options.hpp"
 #include "precision/modes.hpp"
 
@@ -47,7 +47,7 @@ ModelReport model_matrix_profile(const ModelConfig& config);
 /// "copy" lane (H2D/D2H transfers) and a "compute" lane (the per-tile
 /// kernel phases), with stream-overlapped scheduling.  Export with
 /// Timeline::write_chrome_json for chrome://tracing / Perfetto.
-gpusim::Timeline model_timeline(const ModelConfig& config);
+Timeline model_timeline(const ModelConfig& config);
 
 /// Modelled CPU-side merge cost of a tile set (shared with the execution
 /// path in resilient.cpp).

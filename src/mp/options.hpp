@@ -214,8 +214,24 @@ struct MatrixProfileConfig {
   /// paper's reference-vs-query setting).
   std::int64_t exclusion = 0;
 
-  /// Host worker threads backing the simulated devices (0 = all cores).
+  /// Host worker threads backing the simulated devices (0 = all cores),
+  /// split evenly across the nodes.
   std::size_t workers = 0;
+
+  /// Simulated nodes the tile grid is sharded across, each a fleet of
+  /// `devices` devices (1..64; resume probes that many per-node side
+  /// journals).  Output bits never depend on it.
+  int nodes = 1;
+
+  /// Cross-node stealing of unstarted tiles.  Off still leaves the
+  /// recovery pool active (crashed nodes' tiles are always re-dispatched).
+  bool steal = true;
+
+  /// Fault spec of the node-level injector (gpusim::parse_fault_spec;
+  /// node_crash / node_stall / node_slow, "@k" selects the *node*).
+  /// Separate from fault_injector, which addresses devices by their
+  /// global index across every node's fleet.
+  std::string node_faults;
 
   /// Per-row execution path of the tile engine (see RowPath).  Outputs are
   /// bit-identical across paths; this is a performance/debugging knob.
@@ -236,12 +252,11 @@ struct MatrixProfileConfig {
 
   /// Overrides every device's memory capacity in bytes (0 = the machine
   /// spec's capacity).  Exists to exercise memory-pressure tile splitting
-  /// at test scale; only honoured by the entry points that construct the
-  /// System themselves.
+  /// at test scale.
   std::size_t device_memory_bytes = 0;
 
   /// Optional fault injector (not owned; must outlive the computation).
-  /// Attached to every device of the system the run executes on.
+  /// Attached to every device of every node's fleet.
   gpusim::FaultInjector* fault_injector = nullptr;
 
   /// Optional cross-run staging cache (not owned; must outlive the

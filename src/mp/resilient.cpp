@@ -123,14 +123,14 @@ struct SchedulerState {
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<std::deque<TileJob>> queues;  ///< per-device work queues
-  std::vector<TileJob> cpu_jobs;            ///< orphans for the CPU fallback
+  std::vector<char> deferred;  ///< per tile: handed to on_deferred
   std::vector<char> blacklisted;
   std::vector<int> consecutive_failed_tiles;
-  std::size_t outstanding = 0;  ///< jobs neither committed nor sent to CPU
-  RunHealth health;
+  RunHealth health;  ///< counters only; events go to `log`
+  EventLog* log = nullptr;
 
   // ---- Durability & liveness layer. ----
-  std::vector<char> committed;       ///< per tile: result is final
+  std::vector<char> committed;       ///< per tile: done here or elsewhere
   std::vector<int> backups_inflight; ///< per tile: queued/running backups
   std::vector<int> watchdog_strikes; ///< per device: deadline overruns
   std::uint64_t next_attempt_id = 0;
@@ -142,23 +142,35 @@ struct SchedulerState {
   std::size_t commits_since_checkpoint = 0;
   std::mutex checkpoint_mutex;    ///< serialises journal writes (I/O only)
 
-  // ---- Row-slice durability + shard-mode bookkeeping. ----
+  // ---- Row-slice durability + node bookkeeping. ----
   std::vector<CheckpointSlice> partials;  ///< per tile: best snapshot so far
-  std::vector<char> result_valid;  ///< per tile: results[t] holds OUR result
   std::size_t slice_commits_total = 0;
   bool shard_failed = false;       ///< NodeFailedError: shard is going down
   std::string shard_fail_reason;
 };
 
 void log_event(SchedulerState& st, RunEvent event) {
-  st.health.events.push_back(std::move(event));
+  st.log->add(std::move(event));
 }
+
+/// Everything the per-device workers need to execute tiles: the run
+/// shared by every shard plus this node's fleet and coordinator hooks.
+struct RunContext : ShardRun {
+  gpusim::System* system = nullptr;
+  std::vector<gpusim::StreamPool*> pools;
+  const Stopwatch* clock = nullptr;   ///< shard clock (watchdog time base)
+  const ShardHooks* hooks = nullptr;
+  int device_base = 0;                ///< local dev -> global device index
+  int journal_node = -1;              ///< node id journalled with slices
+  std::string journal_path;           ///< "" = not journalling
+};
 
 /// Picks the healthiest destination queue for a requeued job (fewest
 /// pending tiles, skipping blacklisted devices and devices the job has
-/// already exhausted); pushes to the CPU-fallback list when none remain.
-/// Caller holds the lock.
-void requeue_locked(SchedulerState& st, TileJob job, int tile_id) {
+/// already exhausted); defers the tile to the coordinator when none
+/// remain.  Caller holds the lock.
+void requeue_locked(const RunContext& ctx, SchedulerState& st, TileJob job,
+                    int tile_id) {
   if (st.committed[job.index]) return;  // another attempt already won
   if (job.speculative) {
     // A requeued backup becomes an ordinary job; the backup slot frees up
@@ -181,12 +193,10 @@ void requeue_locked(SchedulerState& st, TileJob job, int tile_id) {
   st.health.reassigned_tiles += 1;
   SchedulerMetrics::get().reassigned.add();
   if (target < 0) {
-    for (const TileJob& queued : st.cpu_jobs) {
-      if (queued.index == job.index) return;  // already deferred once
-    }
+    if (st.deferred[job.index]) return;  // already deferred once
     log_event(st, {RunEvent::Kind::kDeferredToCpu, tile_id, -1, ""});
-    st.outstanding -= 1;  // leaves the device scheduler's responsibility
-    st.cpu_jobs.push_back(std::move(job));
+    st.deferred[job.index] = 1;
+    ctx.hooks->on_deferred(job.index);
   } else {
     log_event(st, {RunEvent::Kind::kReassigned, tile_id, target, ""});
     st.queues[std::size_t(target)].push_back(std::move(job));
@@ -206,31 +216,6 @@ void blacklist_locked(SchedulerState& st, int dev, bool offline,
   status.offline = offline;
   log_event(st, {RunEvent::Kind::kBlacklisted, -1, dev, why});
 }
-
-/// Everything the per-device workers need to execute tiles.
-struct RunContext {
-  gpusim::System* system = nullptr;
-  const TimeSeries* reference = nullptr;
-  const TimeSeries* query = nullptr;
-  const MatrixProfileConfig* config = nullptr;
-  std::vector<gpusim::StreamPool*> pools;
-  const std::vector<Tile>* tiles = nullptr;
-  std::vector<TileResult>* results = nullptr;
-  std::vector<int>* executed_device = nullptr;  ///< -1 = CPU fallback
-  std::vector<PrecisionMode>* final_mode = nullptr;
-  StagingCache* staging = nullptr;
-  const Stopwatch* clock = nullptr;   ///< run clock (watchdog time base)
-  std::uint64_t fingerprint = 0;      ///< checkpoint identity of this run
-  std::size_t dims = 0;               ///< d (journalled with every slice)
-
-  // ---- Shard mode (multi-node coordinator present). ----
-  const ShardHooks* hooks = nullptr;  ///< nullptr = classic single-node run
-  int node_id = -1;                   ///< journalled with every slice
-  int device_base = 0;                ///< local dev -> global device index
-  /// Per-tile restored row-slice prefixes (r_count == 0 = none); attempts
-  /// at the prefix's mode resume from its last journalled row.
-  const std::vector<CheckpointSlice>* prefixes = nullptr;
-};
 
 /// Runs one attempt of a tile on `dev` as a single stream task and
 /// synchronizes that stream, so any failure is attributed to this tile.
@@ -349,61 +334,25 @@ void execute_with_split(const RunContext& ctx, SchedulerState& st, int dev,
   }
 }
 
-/// Snapshot of every committed tile (as a complete row slice) plus the
-/// best partial row-slice of every in-flight tile + the event history,
-/// written as an mpsim-ckpt-v3 journal.  The copy is taken under the
+/// Journals the committed tiles the coordinator's journal hook hands out
+/// (as complete row slices) plus the best partial row-slice of every
+/// in-flight tile and the event history.  The copy is taken under the
 /// scheduler lock; the file I/O runs outside it (serialised by
 /// checkpoint_mutex so concurrent committers cannot interleave temp
-/// files).  In shard mode only tiles this node committed are journalled
-/// (result_valid); the coordinator's base journal covers the rest.
+/// files).
 void write_checkpoint_now(const RunContext& ctx, SchedulerState& st) {
-  const std::string& path = ctx.config->checkpoint.write_path;
-  if (path.empty()) return;
+  if (ctx.journal_path.empty()) return;
   std::lock_guard io(st.checkpoint_mutex);
   CheckpointData data;
-  data.fingerprint = ctx.fingerprint;
-  data.tile_count = ctx.tiles->size();
-  std::size_t complete = 0;
   {
     std::lock_guard lock(st.mutex);
-    for (std::size_t t = 0; t < ctx.tiles->size(); ++t) {
-      const Tile& tile = (*ctx.tiles)[t];
-      if (st.committed[t] && st.result_valid[t] != 0) {
-        CheckpointSlice entry;
-        entry.tile_index = t;
-        entry.tile_id = std::int32_t(tile.id);
-        entry.device = std::int32_t((*ctx.executed_device)[t]);
-        entry.node = std::int32_t(ctx.node_id);
-        entry.complete = 1;
-        entry.mode = (*ctx.final_mode)[t];
-        entry.r_begin = tile.r_begin;
-        entry.r_count = tile.r_count;
-        entry.q_begin = tile.q_begin;
-        entry.q_count = tile.q_count;
-        entry.dims = ctx.dims;
-        entry.profile = (*ctx.results)[t].profile;
-        entry.index = (*ctx.results)[t].index;
-        entry.prefilter = (*ctx.results)[t].prefilter;
-        data.slices.push_back(std::move(entry));
-        complete += 1;
-      } else if (!st.committed[t] && st.partials[t].r_count > 0) {
-        data.slices.push_back(st.partials[t]);
-      }
-    }
-    data.events = st.health.events;
+    data = ctx.hooks->journal(st.partials);
+    data.events = st.log->snapshot();
     st.commits_since_checkpoint = 0;
   }
-  write_checkpoint(path, data);
-  {
-    std::lock_guard lock(st.mutex);
-    st.health.checkpoint_writes += 1;
-    SchedulerMetrics::get().checkpoint_writes.add();
-    log_event(st, {RunEvent::Kind::kCheckpointWritten, -1, -1,
-                   std::to_string(complete) + "/" +
-                       std::to_string(data.tile_count) + " tiles (" +
-                       std::to_string(data.slices.size() - complete) +
-                       " partial slices) -> " + path});
-  }
+  write_journal(ctx.journal_path, data, *st.log);
+  std::lock_guard lock(st.mutex);
+  st.health.checkpoint_writes += 1;
 }
 
 /// SliceProgress::on_slice sink: records the snapshot of rows
@@ -430,14 +379,14 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
     slot.tile_index = t;
     slot.tile_id = std::int32_t(tile.id);
     slot.device = std::int32_t(ctx.device_base + dev);
-    slot.node = std::int32_t(ctx.node_id);
+    slot.node = std::int32_t(ctx.journal_node);
     slot.complete = 0;
     slot.mode = ctx.config->mode;
     slot.r_begin = tile.r_begin;
     slot.r_count = rows_done;
     slot.q_begin = tile.q_begin;
     slot.q_count = tile.q_count;
-    slot.dims = ctx.dims;
+    slot.dims = ctx.reference->dims();
     slot.profile = std::move(profile);
     slot.index = std::move(index);
     st.health.slice_commits += 1;
@@ -476,24 +425,21 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
       st.cv.notify_all();
     }
 
-    // Shard mode: withdraw local attempts of tiles another node already
-    // committed (the cross-node analogue of the commit block's
-    // first-finisher-wins cancellation).  Runs with or without the
-    // watchdog — it is a liveness mechanism, not a performance one.
-    if (ctx.hooks != nullptr && ctx.hooks->committed_elsewhere) {
-      bool swept = false;
-      for (auto& [id, attempt] : st.inflight) {
-        const std::size_t t = attempt.job_index;
-        if (!st.committed[t]) {
-          if (!ctx.hooks->committed_elsewhere(t)) continue;
-          st.committed[t] = 1;
-          st.outstanding -= 1;
-        }
-        attempt.token->cancel();
-        swept = true;
+    // Withdraw local attempts of tiles another node already committed
+    // (the cross-node analogue of the commit block's first-finisher-wins
+    // cancellation).  Runs with or without the watchdog — it is a
+    // liveness mechanism, not a performance one.
+    bool swept = false;
+    for (auto& [id, attempt] : st.inflight) {
+      const std::size_t t = attempt.job_index;
+      if (!st.committed[t]) {
+        if (!ctx.hooks->committed_elsewhere(t)) continue;
+        st.committed[t] = 1;
       }
-      if (swept) st.cv.notify_all();
+      attempt.token->cancel();
+      swept = true;
     }
+    if (swept) st.cv.notify_all();
     if (!rc.watchdog || st.interrupted) continue;
     if (st.wall_per_modeled <= 0.0) continue;  // no calibration yet
 
@@ -587,61 +533,37 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
     bool stolen = false;
     {
       std::unique_lock lock(st.mutex);
-      if (ctx.hooks == nullptr) {
-        st.cv.wait(lock, [&] {
-          if (st.blacklisted[std::size_t(dev)] != 0) return true;
-          if (st.outstanding == 0 || st.interrupted) return true;
-          if (!st.queues[std::size_t(dev)].empty()) return true;
-          for (int other = 0; other < int(st.queues.size()); ++other) {
-            if (st.blacklisted[std::size_t(other)] != 0 &&
-                !st.queues[std::size_t(other)].empty()) {
-              return true;
-            }
+      // An empty local backlog is not the end: tiles may still arrive
+      // from the coordinator (released by a crashed node, duplicated from
+      // a straggler, stolen from a loaded peer), so idle workers poll
+      // acquire_more() and only exit once no tile needs device work any
+      // more (all_done).
+      for (;;) {
+        if (st.blacklisted[std::size_t(dev)] != 0 || st.interrupted) return;
+        if (!st.queues[std::size_t(dev)].empty()) break;
+        bool orphan = false;
+        for (int other = 0; other < int(st.queues.size()); ++other) {
+          if (st.blacklisted[std::size_t(other)] != 0 &&
+              !st.queues[std::size_t(other)].empty()) {
+            orphan = true;
+            break;
           }
-          return false;
-        });
-        if (st.blacklisted[std::size_t(dev)] != 0 || st.outstanding == 0 ||
-            st.interrupted) {
-          return;
         }
-      } else {
-        // Elastic shard wait: an empty local backlog is not the end —
-        // tiles may still arrive from the coordinator (released by a
-        // crashed node, duplicated from a straggler, stolen from a
-        // loaded peer), so idle workers poll acquire_more() and only
-        // exit once every tile is committed globally (all_done).
-        for (;;) {
-          if (st.blacklisted[std::size_t(dev)] != 0 || st.interrupted) {
-            return;
-          }
-          if (!st.queues[std::size_t(dev)].empty()) break;
-          bool orphan = false;
-          for (int other = 0; other < int(st.queues.size()); ++other) {
-            if (st.blacklisted[std::size_t(other)] != 0 &&
-                !st.queues[std::size_t(other)].empty()) {
-              orphan = true;
-              break;
-            }
-          }
-          if (orphan) break;
-          if (ctx.hooks->all_done && ctx.hooks->all_done()) return;
-          if (ctx.hooks->acquire_more) {
-            if (std::optional<std::size_t> extra = ctx.hooks->acquire_more()) {
-              TileJob fetched;
-              fetched.index = *extra;
-              fetched.mode = ctx.config->mode;
-              // The coordinator only hands out globally uncommitted
-              // tiles, so a local committed marker here is a stale
-              // revoked-claim tombstone (should_run said no earlier) —
-              // clear it or the fetched job would be silently dropped.
-              st.committed[*extra] = 0;
-              st.queues[std::size_t(dev)].push_back(std::move(fetched));
-              st.outstanding += 1;
-              continue;
-            }
-          }
-          st.cv.wait_for(lock, std::chrono::milliseconds(25));
+        if (orphan) break;
+        if (ctx.hooks->all_done()) return;
+        if (std::optional<std::size_t> extra = ctx.hooks->acquire_more()) {
+          TileJob fetched;
+          fetched.index = *extra;
+          fetched.mode = ctx.config->mode;
+          // The coordinator only hands out globally uncommitted tiles, so
+          // a local committed marker here is a stale revoked-claim
+          // tombstone (should_run said no earlier) — clear it or the
+          // fetched job would be silently dropped.
+          st.committed[*extra] = 0;
+          st.queues[std::size_t(dev)].push_back(std::move(fetched));
+          continue;
         }
+        st.cv.wait_for(lock, std::chrono::milliseconds(25));
       }
       if (!st.queues[std::size_t(dev)].empty()) {
         job = std::move(st.queues[std::size_t(dev)].front());
@@ -663,14 +585,12 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
         if (job.speculative) st.backups_inflight[job.index] -= 1;
         continue;
       }
-      // Shard mode: the coordinator gets the final say — the tile may
-      // have committed on another node (or this node's duplicate claim
-      // lapsed) while the job sat queued here.
-      if (ctx.hooks != nullptr && ctx.hooks->should_run &&
-          !ctx.hooks->should_run(job.index)) {
+      // The coordinator gets the final say — the tile may have committed
+      // on another node (or this node's duplicate claim lapsed) while the
+      // job sat queued here.
+      if (!ctx.hooks->should_run(job.index)) {
         if (job.speculative) st.backups_inflight[job.index] -= 1;
         st.committed[job.index] = 1;
-        st.outstanding -= 1;
         continue;
       }
     }
@@ -755,7 +675,7 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
         // Node-level fault hook, once per popped job, registered in
         // inflight first so an injected node stall stays cancellable
         // (watchdog, cross-node commit sweep, shutdown).
-        if (!announced && ctx.hooks != nullptr && ctx.hooks->on_tile_start) {
+        if (!announced) {
           announced = true;
           ctx.hooks->on_tile_start(job.index, &token);
         }
@@ -789,12 +709,10 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
           }
           break;  // tile done elsewhere; fetch the next job
         }
-        if (ctx.hooks != nullptr && ctx.hooks->committed_elsewhere &&
-            ctx.hooks->committed_elsewhere(job.index)) {
+        if (ctx.hooks->committed_elsewhere(job.index)) {
           // Cancelled because another *node* committed the tile (the
           // monitor sweep may not have marked it locally yet).
           st.committed[job.index] = 1;
-          st.outstanding -= 1;
           if (job.speculative) st.backups_inflight[job.index] -= 1;
           break;
         }
@@ -803,7 +721,7 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
           break;  // run is unwinding; the wait predicate exits the worker
         }
         if (st.blacklisted[std::size_t(dev)] != 0) {
-          requeue_locked(st, std::move(job), tile.id);
+          requeue_locked(ctx, st, std::move(job), tile.id);
           st.cv.notify_all();
           return;  // this worker is done for good
         }
@@ -813,7 +731,7 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
         st.inflight.erase(attempt_id);
         st.health.devices[std::size_t(dev)].faults += 1;
         blacklist_locked(st, dev, /*offline=*/true, e.what());
-        requeue_locked(st, std::move(job), tile.id);
+        requeue_locked(ctx, st, std::move(job), tile.id);
         st.cv.notify_all();
         return;  // this worker is done for good
       } catch (const std::exception& e) {
@@ -848,7 +766,7 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
                            std::to_string(rc.blacklist_after) +
                                " consecutive failed tiles");
         }
-        requeue_locked(st, std::move(job), tile.id);
+        requeue_locked(ctx, st, std::move(job), tile.id);
         st.cv.notify_all();
         if (drop) return;
         break;  // fetch the next job
@@ -900,25 +818,12 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
           break;
         }
         st.committed[job.index] = 1;
-        // Shard mode: first-commit-wins arbitration across nodes.  The
-        // winning hook copies the result into the coordinator's global
-        // arrays; a lost race drops the local result (the tile is done,
-        // just not by us).
-        bool won = true;
-        if (ctx.hooks != nullptr && ctx.hooks->on_commit) {
-          won = ctx.hooks->on_commit(job.index, attempt,
-                                     ctx.device_base + dev, job.mode);
-        }
+        // First-commit-wins arbitration across nodes: the winning hook
+        // takes the result into the coordinator's global arrays; a lost
+        // race drops it (the tile is done, just not by us).
+        const bool won = ctx.hooks->on_commit(
+            job.index, attempt, ctx.device_base + dev, job.mode, kill_due);
         if (won) {
-          TileResult& slot = (*ctx.results)[job.index];
-          slot.profile = std::move(attempt.profile);
-          slot.index = std::move(attempt.index);
-          slot.ledger.reset();
-          slot.ledger.merge_from(attempt.ledger);
-          slot.prefilter = attempt.prefilter;
-          (*ctx.executed_device)[job.index] = ctx.device_base + dev;
-          (*ctx.final_mode)[job.index] = job.mode;
-          st.result_valid[job.index] = 1;
           st.partials[job.index] = CheckpointSlice{};  // superseded
           st.health.devices[std::size_t(dev)].tiles_completed += 1;
           SchedulerMetrics::get().tiles_completed.add();
@@ -943,7 +848,6 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
                                     ? rate
                                     : 0.7 * st.wall_per_modeled + 0.3 * rate;
         }
-        st.outstanding -= 1;
         if (won) {
           st.total_commits += 1;
           st.commits_since_checkpoint += 1;
@@ -951,10 +855,6 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
               ctx.config->checkpoint.enabled() &&
               st.commits_since_checkpoint >=
                   std::size_t(ctx.config->checkpoint.interval_tiles);
-          kill_due =
-              ctx.config->checkpoint.kill_after_tiles > 0 &&
-              st.total_commits ==
-                  std::size_t(ctx.config->checkpoint.kill_after_tiles);
         }
         st.cv.notify_all();
       }
@@ -969,32 +869,14 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
 /// (one per node id); restore probes this many of them.
 constexpr int kMaxNodeJournals = 64;
 
-/// Computes one orphaned tile on the CPU reference path.  In FP64 this is
-/// bit-identical to the GPU engine (same precalculation, recurrence and
-/// merge arithmetic over the same tile-local seeds).
-void cpu_fallback_tile(const TimeSeries& reference, const TimeSeries& query,
-                       std::size_t m, const Tile& tile,
-                       std::int64_t exclusion, TileResult& result) {
-  const TimeSeries sub_ref = reference.slice(tile.r_begin,
-                                             tile.r_count + m - 1);
-  const TimeSeries sub_query = query.slice(tile.q_begin,
-                                           tile.q_count + m - 1);
-  CpuReferenceConfig cc;
-  cc.window = m;
-  cc.exclusion = exclusion;
-  cc.r_offset = std::int64_t(tile.r_begin);
-  cc.q_offset = std::int64_t(tile.q_begin);
-  const CpuReferenceResult cpu =
-      compute_matrix_profile_cpu(sub_ref, sub_query, cc);
-  result.profile = cpu.profile;
-  result.ledger.reset();
-  result.prefilter = {};  // the CPU fallback always runs every column exact
-  result.index.resize(cpu.index.size());
-  for (std::size_t e = 0; e < cpu.index.size(); ++e) {
-    // Local reference rows become global segment indices.
-    result.index[e] =
-        cpu.index[e] < 0 ? -1 : cpu.index[e] + std::int64_t(tile.r_begin);
-  }
+/// Where node `node` of a run journals: `write_path` itself for a
+/// one-node run, the side journal `write_path + ".node<k>"` otherwise
+/// (the coordinator writes the run's journal to write_path).  "" = no
+/// journal.
+std::string shard_journal_path(const MatrixProfileConfig& config, int node) {
+  const std::string& path = config.checkpoint.write_path;
+  if (path.empty() || config.nodes == 1) return path;
+  return path + ".node" + std::to_string(node);
 }
 
 }  // namespace
@@ -1105,10 +987,7 @@ RestoredState restore_from_journals(const std::string& resume_path,
                                     std::size_t dims,
                                     const MatrixProfileConfig& config) {
   RestoredState out;
-  out.committed.assign(tiles.size(), 0);
-  out.results = std::vector<TileResult>(tiles.size());
-  out.executed_device.assign(tiles.size(), -1);
-  out.final_mode.assign(tiles.size(), config.mode);
+  out.reset(tiles.size(), config.mode);
   out.prefixes.assign(tiles.size(), CheckpointSlice{});
   if (resume_path.empty()) return out;
 
@@ -1240,214 +1119,6 @@ RestoredState restore_from_journals(const std::string& resume_path,
   return out;
 }
 
-MatrixProfileResult run_resilient(gpusim::System& system,
-                                  const TimeSeries& reference,
-                                  const TimeSeries& query,
-                                  const MatrixProfileConfig& config) {
-  const std::size_t m = config.window;
-  const std::size_t d = reference.dims();
-  const std::size_t n_r = reference.segment_count(m);
-  const std::size_t n_q = query.segment_count(m);
-  MPSIM_CHECK(n_r >= 1 && n_q >= 1,
-              "window " << m << " longer than the input series");
-
-  Stopwatch wall;
-  ScopedEvent run_span(MetricsRegistry::global(), "run_resilient", -1, "cpu");
-
-  auto tiles = compute_tile_list(n_r, n_q, config.tiles);
-  if (config.assignment == TileAssignment::kLpt) {
-    assign_tiles_lpt(tiles, system.device_count());
-  } else {
-    assign_tiles_round_robin(tiles, system.device_count());
-  }
-
-  // One stream pool per device; a tile occupies one stream per attempt so
-  // the stream's error capture isolates failures per tile.
-  std::vector<std::unique_ptr<gpusim::StreamPool>> pools;
-  for (int dev = 0; dev < system.device_count(); ++dev) {
-    pools.push_back(std::make_unique<gpusim::StreamPool>(
-        system.device(dev), config.streams_per_device));
-  }
-
-  std::vector<TileResult> results(tiles.size());
-  std::vector<int> executed_device(tiles.size(), -1);
-  std::vector<PrecisionMode> final_mode(tiles.size(), config.mode);
-
-  SchedulerState st;
-  st.queues.resize(std::size_t(system.device_count()));
-  st.blacklisted.assign(std::size_t(system.device_count()), 0);
-  st.consecutive_failed_tiles.assign(std::size_t(system.device_count()), 0);
-  st.watchdog_strikes.assign(std::size_t(system.device_count()), 0);
-  st.committed.assign(tiles.size(), 0);
-  st.backups_inflight.assign(tiles.size(), 0);
-  st.partials.assign(tiles.size(), CheckpointSlice{});
-  st.result_valid.assign(tiles.size(), 0);
-  for (int dev = 0; dev < system.device_count(); ++dev) {
-    RunHealth::DeviceStatus status;
-    status.device = dev;
-    st.health.devices.push_back(status);
-  }
-
-  // Shared across devices and attempts: series conversion happens once per
-  // storage format for the whole run (retries/escalations reuse it too).
-  // A caller-provided cache (config.staging_cache, e.g. the serve daemon's
-  // per-input cache) extends the reuse across whole runs.
-  StagingCache local_staging(reference, query);
-
-  RunContext ctx;
-  ctx.system = &system;
-  ctx.reference = &reference;
-  ctx.query = &query;
-  ctx.config = &config;
-  ctx.staging = config.staging_cache != nullptr ? config.staging_cache
-                                                : &local_staging;
-  for (auto& pool : pools) ctx.pools.push_back(pool.get());
-  ctx.tiles = &tiles;
-  ctx.results = &results;
-  ctx.executed_device = &executed_device;
-  ctx.final_mode = &final_mode;
-  ctx.clock = &wall;
-  ctx.fingerprint = checkpoint_fingerprint(reference, query, config);
-  ctx.dims = d;
-  std::vector<CheckpointSlice> prefixes(tiles.size());
-  ctx.prefixes = &prefixes;
-
-  // ---- Resume: re-key journalled slices onto this run's grid. ----
-  // A bad journal must never take the run down (every rejection is a
-  // structured kResumeFallback event), and a journal written under a
-  // different tile grid restores whatever still fits: exact-cover slices
-  // whole, row prefixes partially (the tail replays QT-only), the rest
-  // is discarded and recomputed.
-  std::size_t resumed = 0;
-  if (!config.checkpoint.resume_path.empty()) {
-    RestoredState restored = restore_from_journals(
-        config.checkpoint.resume_path, ctx.fingerprint, tiles, d, config);
-    st.health.events = std::move(restored.events);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      if (!restored.committed[t]) continue;
-      st.committed[t] = 1;
-      st.result_valid[t] = 1;
-      results[t].profile = std::move(restored.results[t].profile);
-      results[t].index = std::move(restored.results[t].index);
-      results[t].prefilter = restored.results[t].prefilter;
-      executed_device[t] = restored.executed_device[t];
-      final_mode[t] = restored.final_mode[t];
-    }
-    prefixes = std::move(restored.prefixes);
-    resumed = restored.resumed;
-    st.health.resumed_tiles = int(resumed);
-    st.health.partial_slices = int(restored.partial);
-    st.health.resume_fallbacks = int(restored.fallbacks);
-    st.health.slices_discarded = int(restored.discarded);
-    st.total_commits = resumed;
-    SchedulerMetrics::get().tiles_resumed.add(resumed);
-    SchedulerMetrics::get().slices_partial.add(restored.partial);
-    SchedulerMetrics::get().resume_fallback.add(restored.fallbacks);
-    SchedulerMetrics::get().slices_discarded.add(restored.discarded);
-    for (RunEvent& event : restored.log) log_event(st, std::move(event));
-    if (resumed > 0 || restored.partial > 0) {
-      log_event(st, {RunEvent::Kind::kResumed, -1, -1,
-                     std::to_string(resumed) + "/" +
-                         std::to_string(tiles.size()) + " tiles (+" +
-                         std::to_string(restored.partial) +
-                         " partial) from " +
-                         config.checkpoint.resume_path});
-    }
-  }
-
-  st.outstanding = tiles.size() - resumed;
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (st.committed[t]) continue;
-    TileJob job;
-    job.index = t;
-    job.mode = config.mode;
-    st.queues[std::size_t(tiles[t].device)].push_back(std::move(job));
-  }
-
-  if (st.outstanding > 0) {
-    std::vector<std::thread> workers;
-    workers.reserve(std::size_t(system.device_count()));
-    for (int dev = 0; dev < system.device_count(); ++dev) {
-      workers.emplace_back(
-          [&ctx, &st, dev] { device_worker(ctx, st, dev); });
-    }
-    std::thread monitor([&ctx, &st] { monitor_thread(ctx, st); });
-    for (auto& w : workers) w.join();
-    {
-      std::lock_guard lock(st.mutex);
-      st.stop_monitor = true;
-    }
-    st.cv.notify_all();
-    monitor.join();
-  }
-
-  // ---- Interruption: flush the journal and unwind. ----
-  if (st.interrupted) {
-    write_checkpoint_now(ctx, st);
-    std::string what = "run interrupted: " +
-                       std::to_string(st.total_commits) + "/" +
-                       std::to_string(tiles.size()) + " tiles committed";
-    if (config.checkpoint.enabled()) {
-      what += "; checkpoint flushed to " + config.checkpoint.write_path +
-              " (resume with --resume=" + config.checkpoint.write_path + ")";
-    }
-    throw InterruptedError(what);
-  }
-
-  // ---- Graceful degradation: finish orphans on the CPU reference. ----
-  std::vector<TileJob> leftovers = std::move(st.cpu_jobs);
-  for (auto& queue : st.queues) {
-    for (auto& job : queue) leftovers.push_back(std::move(job));
-    queue.clear();
-  }
-  if (!leftovers.empty() && !config.resilience.cpu_fallback) {
-    throw Error("all devices failed and the CPU fallback is disabled (" +
-                std::to_string(leftovers.size()) + " tiles incomplete)");
-  }
-  for (auto& job : leftovers) {
-    if (st.committed[job.index]) continue;  // stale queue remnant
-    const Tile& tile = tiles[job.index];
-    {
-      ScopedEvent span(MetricsRegistry::global(),
-                       "tile " + std::to_string(tile.id) + " cpu-fallback",
-                       -1, "cpu",
-                       &SchedulerMetrics::get().tile_seconds);
-      cpu_fallback_tile(reference, query, m, tile, config.exclusion,
-                        results[job.index]);
-    }
-    st.committed[job.index] = 1;
-    st.result_valid[job.index] = 1;
-    st.total_commits += 1;
-    executed_device[job.index] = -1;
-    final_mode[job.index] = PrecisionMode::FP64;
-    st.health.cpu_fallback_tiles += 1;
-    SchedulerMetrics::get().cpu_fallback.add();
-    log_event(st, {RunEvent::Kind::kCpuFallback, tile.id, -1, ""});
-  }
-
-  // ---- Final journal: a complete run leaves a complete checkpoint. ----
-  if (config.checkpoint.enabled()) write_checkpoint_now(ctx, st);
-
-  MatrixProfileResult out = assemble_tile_results(
-      tiles, results, executed_device, n_q, d, config.streams_per_device);
-
-  // ---- Health report. ----
-  out.health = std::move(st.health);
-  if (gpusim::FaultInjector* injector =
-          system.device(0).fault_injector()) {
-    out.health.faults_injected = int(injector->fault_count());
-  }
-  out.health.degraded = out.health.blacklist_events > 0 ||
-                        out.health.cpu_fallback_tiles > 0 ||
-                        out.health.retries > 0 ||
-                        out.health.reassigned_tiles > 0 ||
-                        out.health.watchdog_fires > 0 ||
-                        out.health.tile_splits > 0;
-
-  out.wall_seconds = wall.seconds();
-  return out;
-}
-
 MatrixProfileResult assemble_tile_results(
     const std::vector<Tile>& tiles, std::vector<TileResult>& results,
     const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
@@ -1544,86 +1215,180 @@ MatrixProfileResult assemble_tile_results(
 void compute_tile_on_cpu(const TimeSeries& reference, const TimeSeries& query,
                          std::size_t window, const Tile& tile,
                          std::int64_t exclusion, TileResult& result) {
-  cpu_fallback_tile(reference, query, window, tile, exclusion, result);
+  const TimeSeries sub_ref = reference.slice(tile.r_begin,
+                                             tile.r_count + window - 1);
+  const TimeSeries sub_query = query.slice(tile.q_begin,
+                                           tile.q_count + window - 1);
+  CpuReferenceConfig cc;
+  cc.window = window;
+  cc.exclusion = exclusion;
+  cc.r_offset = std::int64_t(tile.r_begin);
+  cc.q_offset = std::int64_t(tile.q_begin);
+  const CpuReferenceResult cpu =
+      compute_matrix_profile_cpu(sub_ref, sub_query, cc);
+  result.profile = cpu.profile;
+  result.ledger.reset();
+  result.prefilter = {};  // the CPU fallback always runs every column exact
+  result.index.resize(cpu.index.size());
+  for (std::size_t e = 0; e < cpu.index.size(); ++e) {
+    // Local reference rows become global segment indices.
+    result.index[e] =
+        cpu.index[e] < 0 ? -1 : cpu.index[e] + std::int64_t(tile.r_begin);
+  }
 }
 
-ShardOutcome run_resilient_shard(gpusim::System& system,
-                                 const TimeSeries& reference,
-                                 const TimeSeries& query,
-                                 const MatrixProfileConfig& config,
-                                 const std::vector<Tile>& tiles,
-                                 const std::vector<std::size_t>& initial,
-                                 int node_id, int device_base,
-                                 const ShardHooks& hooks,
-                                 const std::vector<CheckpointSlice>* prefixes,
-                                 std::uint64_t fingerprint) {
+void CommittedTiles::reset(std::size_t tiles, PrecisionMode mode) {
+  committed.assign(tiles, 0);
+  results = std::vector<TileResult>(tiles);
+  executed_device.assign(tiles, -1);
+  final_mode.assign(tiles, mode);
+}
+
+void CommittedTiles::commit(std::size_t t, TileResult& result, int device,
+                            PrecisionMode mode) {
+  TileResult& slot = results[t];
+  slot.profile = std::move(result.profile);
+  slot.index = std::move(result.index);
+  slot.ledger.reset();
+  slot.ledger.merge_from(result.ledger);
+  slot.prefilter = result.prefilter;
+  committed[t] = 1;
+  executed_device[t] = device;
+  final_mode[t] = mode;
+}
+
+void EventLog::add(RunEvent event) {
+  std::lock_guard lock(mutex_);
+  events_.push_back(std::move(event));
+}
+
+std::vector<RunEvent> EventLog::snapshot() const {
+  std::lock_guard lock(mutex_);
+  return events_;
+}
+
+CheckpointData journal_data(const ShardRun& run, const CommittedTiles& done,
+                            const std::vector<CheckpointSlice>& partials,
+                            int node) {
+  const std::vector<Tile>& tiles = *run.tiles;
+  const int devices = run.config->devices;
+  CheckpointData data;
+  data.fingerprint = run.fingerprint;
+  data.tile_count = tiles.size();
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    if (!done.committed[t]) {
+      if (partials[t].r_count > 0) data.slices.push_back(partials[t]);
+      continue;
+    }
+    const Tile& tile = tiles[t];
+    const int device = done.executed_device[t];
+    if (node >= 0 && (device < 0 || device / devices != node)) continue;
+    CheckpointSlice entry;
+    entry.tile_index = t;
+    entry.tile_id = std::int32_t(tile.id);
+    entry.device = std::int32_t(device);
+    entry.node = run.config->nodes > 1 && device >= 0
+                     ? std::int32_t(device / devices)
+                     : -1;
+    entry.complete = 1;
+    entry.mode = done.final_mode[t];
+    entry.r_begin = tile.r_begin;
+    entry.r_count = tile.r_count;
+    entry.q_begin = tile.q_begin;
+    entry.q_count = tile.q_count;
+    entry.dims = run.reference->dims();
+    entry.profile = done.results[t].profile;
+    entry.index = done.results[t].index;
+    entry.prefilter = done.results[t].prefilter;
+    data.slices.push_back(std::move(entry));
+  }
+  return data;
+}
+
+void write_journal(const std::string& path, const CheckpointData& data,
+                   EventLog& log) {
+  write_checkpoint(path, data);
+  std::size_t complete = 0;
+  for (const CheckpointSlice& slice : data.slices) complete += slice.complete;
+  SchedulerMetrics::get().checkpoint_writes.add();
+  log.add({RunEvent::Kind::kCheckpointWritten, -1, -1,
+           std::to_string(complete) + "/" + std::to_string(data.tile_count) +
+               " tiles (" + std::to_string(data.slices.size() - complete) +
+               " partial slices) -> " + path});
+}
+
+ShardOutcome run_resilient_shard(gpusim::System& system, const ShardRun& run,
+                                 int node,
+                                 const std::vector<std::size_t>& share,
+                                 const ShardHooks& hooks) {
+  const MatrixProfileConfig& config = *run.config;
+  const std::vector<Tile>& tiles = *run.tiles;
+  const int devices = system.device_count();
   Stopwatch wall;
 
+  // One stream pool per device; a tile occupies one stream per attempt so
+  // the stream's error capture isolates failures per tile.
   std::vector<std::unique_ptr<gpusim::StreamPool>> pools;
-  for (int dev = 0; dev < system.device_count(); ++dev) {
+  for (int dev = 0; dev < devices; ++dev) {
     pools.push_back(std::make_unique<gpusim::StreamPool>(
         system.device(dev), config.streams_per_device));
   }
 
-  // Node-local result slots: the coordinator's on_commit hook copies the
-  // winning results into its global arrays; the local copies back this
-  // shard's journal (write_path is the coordinator-assigned per-node
-  // side journal).
-  std::vector<TileResult> results(tiles.size());
-  std::vector<int> executed_device(tiles.size(), -1);
-  std::vector<PrecisionMode> final_mode(tiles.size(), config.mode);
+  RunContext ctx;
+  static_cast<ShardRun&>(ctx) = run;
+  ctx.system = &system;
+  for (auto& pool : pools) ctx.pools.push_back(pool.get());
+  ctx.clock = &wall;
+  ctx.hooks = &hooks;
+  ctx.device_base = node * devices;
+  ctx.journal_node = config.nodes > 1 ? node : -1;
+  ctx.journal_path = shard_journal_path(config, node);
 
   SchedulerState st;
-  st.queues.resize(std::size_t(system.device_count()));
-  st.blacklisted.assign(std::size_t(system.device_count()), 0);
-  st.consecutive_failed_tiles.assign(std::size_t(system.device_count()), 0);
-  st.watchdog_strikes.assign(std::size_t(system.device_count()), 0);
+  st.log = run.events;
+  st.queues.resize(std::size_t(devices));
+  st.deferred.assign(tiles.size(), 0);
+  st.blacklisted.assign(std::size_t(devices), 0);
+  st.consecutive_failed_tiles.assign(std::size_t(devices), 0);
+  st.watchdog_strikes.assign(std::size_t(devices), 0);
   st.committed.assign(tiles.size(), 0);
   st.backups_inflight.assign(tiles.size(), 0);
   st.partials.assign(tiles.size(), CheckpointSlice{});
-  st.result_valid.assign(tiles.size(), 0);
-  for (int dev = 0; dev < system.device_count(); ++dev) {
+  for (int dev = 0; dev < devices; ++dev) {
     RunHealth::DeviceStatus status;
-    status.device = device_base + dev;
+    status.device = ctx.device_base + dev;
     st.health.devices.push_back(status);
   }
 
-  StagingCache local_staging(reference, query);
-
-  RunContext ctx;
-  ctx.system = &system;
-  ctx.reference = &reference;
-  ctx.query = &query;
-  ctx.config = &config;
-  ctx.staging = config.staging_cache != nullptr ? config.staging_cache
-                                                : &local_staging;
-  for (auto& pool : pools) ctx.pools.push_back(pool.get());
-  ctx.tiles = &tiles;
-  ctx.results = &results;
-  ctx.executed_device = &executed_device;
-  ctx.final_mode = &final_mode;
-  ctx.clock = &wall;
-  ctx.fingerprint = fingerprint;
-  ctx.dims = reference.dims();
-  ctx.hooks = &hooks;
-  ctx.node_id = node_id;
-  ctx.device_base = device_base;
-  ctx.prefixes = prefixes;
-
-  st.outstanding = initial.size();
-  for (std::size_t k = 0; k < initial.size(); ++k) {
+  // Spread the node's share over its devices.  The rule runs over the
+  // whole share, tiles restored from a journal included, so a resumed
+  // run places its remaining tiles where the fresh run did.
+  std::vector<Tile> placed;
+  placed.reserve(share.size());
+  for (const std::size_t t : share) placed.push_back(tiles[t]);
+  if (config.assignment == TileAssignment::kLpt) {
+    assign_tiles_lpt(placed, devices);
+  } else {
+    assign_tiles_round_robin(placed, devices);
+  }
+  for (std::size_t k = 0; k < share.size(); ++k) {
+    const std::size_t t = share[k];
+    if (hooks.committed_elsewhere(t)) {  // restored from a journal
+      st.total_commits += 1;
+      continue;
+    }
     TileJob job;
-    job.index = initial[k];
+    job.index = t;
     job.mode = config.mode;
-    st.queues[k % st.queues.size()].push_back(std::move(job));
+    st.queues[std::size_t(placed[k].device)].push_back(std::move(job));
   }
 
-  // Workers always start, even with an empty initial backlog: an elastic
-  // shard may receive all of its work via acquire_more (steals, released
-  // tiles of crashed peers) and only retires at global completion.
+  // Workers always start, even with an empty initial backlog: a shard may
+  // receive all of its work via acquire_more (steals, released tiles of
+  // crashed peers) and only retires at global completion.
   std::vector<std::thread> workers;
-  workers.reserve(std::size_t(system.device_count()));
-  for (int dev = 0; dev < system.device_count(); ++dev) {
+  workers.reserve(std::size_t(devices));
+  for (int dev = 0; dev < devices; ++dev) {
     workers.emplace_back([&ctx, &st, dev] { device_worker(ctx, st, dev); });
   }
   std::thread monitor([&ctx, &st] { monitor_thread(ctx, st); });
@@ -1639,23 +1404,9 @@ ShardOutcome run_resilient_shard(gpusim::System& system,
   outcome.crashed = st.shard_failed;
   outcome.crash_reason = st.shard_fail_reason;
   outcome.interrupted = st.interrupted && !st.shard_failed;
-
-  // A crashed node does not get a last orderly journal write (its
-  // in-memory slices die with it — exactly what elastic resume has to
-  // survive).  An interrupted or completed shard flushes everything,
-  // partial row-slices included.
-  if (!st.shard_failed && config.checkpoint.enabled()) {
-    write_checkpoint_now(ctx, st);
-  }
-
-  for (const TileJob& job : st.cpu_jobs) {
-    if (!st.committed[job.index]) outcome.incomplete.push_back(job.index);
-  }
-  for (const auto& queue : st.queues) {
-    for (const TileJob& job : queue) {
-      if (!st.committed[job.index]) outcome.incomplete.push_back(job.index);
-    }
-  }
+  // A crashed node's in-memory slices die with it — exactly what elastic
+  // resume has to survive.
+  if (!st.shard_failed) outcome.partials = std::move(st.partials);
   outcome.health = std::move(st.health);
   return outcome;
 }

@@ -1,10 +1,12 @@
-// Resilient multi-tile scheduler — the fault-tolerant rework of the
-// paper's Pseudocode 2 execution layer (it replaces the old all-or-nothing
-// run_multi_tile).
+// Resilient shard scheduler — the fault-tolerant execution layer of the
+// paper's Pseudocode 2 below the coordinator (mp/coordinator.cpp).
 //
-// Tiles are partitioned and statically assigned exactly as before (static
-// Round-robin or LPT, preserving the paper's scaling behaviour and the
-// modelled makespan), but execution is supervised per tile:
+// Every run is a coordinator run over config.nodes simulated nodes (one
+// by default); each node executes its share of the tile grid as one
+// *shard* of this scheduler over its own device fleet.  Tiles are spread
+// over the node's devices with config.assignment (static Round-robin or
+// LPT, preserving the paper's scaling behaviour and modelled makespan),
+// and execution is supervised per tile:
 //
 //  * per-tile failure isolation — each tile runs as one stream task and is
 //    synchronized individually, so the stream's error capture attributes
@@ -14,32 +16,28 @@
 //  * device blacklisting after K consecutive failed tiles, with
 //    work-stealing reassignment of the blacklisted device's orphaned
 //    tiles to healthy devices (the run completes on N-1 devices);
-//  * graceful degradation — when every device has failed, the remaining
-//    tiles finish on the CPU reference path (bit-identical in FP64);
+//  * graceful degradation — a tile no device can finish is deferred; the
+//    coordinator finishes it on the CPU reference path (bit-identical in
+//    FP64) unless another node picks it up first;
 //  * numerical self-healing — a completed tile whose profile has too many
 //    non-finite entries is re-run one precision rung up
-//    (FP16 → Mixed → FP32 → FP64), per-tile, recording the escalation.
+//    (FP16 → Mixed → FP32 → FP64), per-tile, recording the escalation;
+//  * a hung-tile watchdog with speculative backups, memory-pressure row
+//    splits and row-slice journalling (see ResilienceConfig and
+//    CheckpointConfig).
 //
-// Everything that happened is reported in MatrixProfileResult::health.
-// Invariant (tested): an FP64 run under injected transient faults and
-// device loss produces a bit-identical profile/index to the fault-free
-// run, because per-tile results do not depend on where or how often a
-// tile was (re)computed.
-//
-// The same scheduler also runs as one *shard* of a multi-node cluster
-// (run_resilient_shard): the coordinator in src/cluster owns the global
-// tile grid and per-tile commit state, and each node runs the full
-// retry/blacklist/watchdog machinery over its own device fleet, reporting
-// commits upward through ShardHooks.  Cross-node work stealing, straggler
-// duplication and node-crash recovery live one level up in the
-// coordinator; the bit-identity invariant extends across that layer
-// because a tile's bits depend only on its seed origin, never on which
-// node (or how many nodes) computed it.
+// The coordinator owns the global tile grid and per-tile commit state
+// and talks to the shard only through ShardHooks (dispatch gate,
+// first-commit-wins arbitration, cross-node stealing, node faults).
+// Invariant (tested): output bits do not depend on where, how often or on
+// how many nodes a tile was (re)computed — an FP64 run under injected
+// faults and device loss is bit-identical to the fault-free run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,26 +55,32 @@ class CancellationToken;
 
 namespace mpsim::mp {
 
-/// Runs the resilient multi-tile computation on `system`.  Precision is
-/// dispatched per tile (escalation can raise individual tiles above
-/// config.mode).  A FaultInjector already attached to the system's
-/// devices is honoured and its events are folded into the health report.
-MatrixProfileResult run_resilient(gpusim::System& system,
-                                  const TimeSeries& reference,
-                                  const TimeSeries& query,
-                                  const MatrixProfileConfig& config);
+class StagingCache;
+
+/// Final per-tile results: what assemble_tile_results merges and a
+/// journal records as complete slices.
+struct CommittedTiles {
+  std::vector<char> committed;        ///< per tile: results[t] is final
+  std::vector<TileResult> results;
+  std::vector<int> executed_device;   ///< global index (-1 = CPU)
+  std::vector<PrecisionMode> final_mode;
+
+  /// `tiles` empty slots at precision `mode`.
+  void reset(std::size_t tiles, PrecisionMode mode);
+
+  /// Marks tile `t` final, taking `result`'s vectors (its ledger is
+  /// merged, its prefilter tallies copied).
+  void commit(std::size_t t, TileResult& result, int device,
+              PrecisionMode mode);
+};
 
 /// Journal state restored against the *current* tile grid.  v3 journals
 /// key slices by absolute row/column ranges, so a journal written under a
 /// different grid (or node count) re-keys here: slices that exactly cover
-/// a current tile restore it whole; row-prefix slices seed a partial
-/// restore (the tail rows re-execute after a QT-only replay); everything
-/// else is discarded with a kSliceDiscarded record.
-struct RestoredState {
-  std::vector<char> committed;        ///< per tile: fully restored
-  std::vector<TileResult> results;    ///< filled where committed
-  std::vector<int> executed_device;   ///< journalled device (-1 = CPU)
-  std::vector<PrecisionMode> final_mode;
+/// a current tile restore it whole (CommittedTiles); row-prefix slices
+/// seed a partial restore (the tail rows re-execute after a QT-only
+/// replay); everything else is discarded with a kSliceDiscarded record.
+struct RestoredState : CommittedTiles {
   std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
   std::vector<RunEvent> events;       ///< prior run's event history
   std::vector<RunEvent> log;          ///< restore-time events to append
@@ -98,35 +102,90 @@ RestoredState restore_from_journals(const std::string& resume_path,
                                     std::size_t dims,
                                     const MatrixProfileConfig& config);
 
-/// Callbacks a cluster coordinator installs into one node's shard
-/// scheduler.  Every hook except on_tile_start is invoked with the
-/// shard's scheduler mutex held, so a hook may take the coordinator's
-/// lock (the lock order is always shard → coordinator) but must never
-/// call back into the shard.  on_tile_start runs unlocked (it may stall
-/// for a long time) after the attempt registered its cancellation token.
+/// The run's chronological event history, shared by the coordinator and
+/// every shard.  Its mutex is a leaf: nothing is called while it is held.
+class EventLog {
+ public:
+  void add(RunEvent event);
+  std::vector<RunEvent> snapshot() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<RunEvent> events_;
+};
+
+/// What every shard of one run shares (owned by the coordinator).
+struct ShardRun {
+  const TimeSeries* reference = nullptr;
+  const TimeSeries* query = nullptr;
+  const MatrixProfileConfig* config = nullptr;
+  const std::vector<Tile>* tiles = nullptr;  ///< the global grid
+  /// Per-tile restored row-slice prefixes (r_count == 0 = none).
+  const std::vector<CheckpointSlice>* prefixes = nullptr;
+  StagingCache* staging = nullptr;  ///< reduced-precision conversions
+  EventLog* events = nullptr;
+  std::uint64_t fingerprint = 0;    ///< checkpoint identity of the run
+};
+
+/// The journal of one run state: every committed tile of `done` as a
+/// complete slice tagged with its executing node (-1 in a one-node run or
+/// for the CPU), plus the row-slice snapshot in `partials` (r_count == 0
+/// = none) of every uncommitted tile.  `node` >= 0 keeps only the
+/// committed tiles executed on that node (a side journal).  The caller
+/// adds the events.
+CheckpointData journal_data(const ShardRun& run,
+                            const CommittedTiles& done,
+                            const std::vector<CheckpointSlice>& partials,
+                            int node = -1);
+
+/// Writes `data` to `path` and records it: the resilient.checkpoint_writes
+/// counter and a kCheckpointWritten event in `log`.
+void write_journal(const std::string& path, const CheckpointData& data,
+                   EventLog& log);
+
+/// Callbacks of the coordinator a shard scheduler runs under.  Every hook
+/// except on_tile_start is invoked with the shard's scheduler mutex held,
+/// so a hook may take the coordinator's lock (the lock order is always
+/// shard → coordinator → event log) but must never call back into the
+/// shard.  on_tile_start runs unlocked (it may stall for a long time)
+/// after the attempt registered its cancellation token.
 struct ShardHooks {
   /// Final gate before a popped tile executes: false when the tile was
   /// committed elsewhere (or this node's claim was revoked) while queued.
   std::function<bool(std::size_t tile)> should_run;
 
-  /// First-commit-wins arbitration.  The winner's hook copies `result`
+  /// First-commit-wins arbitration.  The winner's hook takes `result`
   /// into the coordinator's global arrays and returns true; false means
   /// another node got there first (the shard drops the result).
-  /// `device` is the executing device's *global* index.
+  /// `device` is the executing device's *global* index.  `kill` is set
+  /// when this is the run's checkpoint.kill_after_tiles-th commit: the
+  /// shard journals it, then requests the shutdown.
   std::function<bool(std::size_t tile, TileResult& result, int device,
-                     PrecisionMode mode)>
+                     PrecisionMode mode, bool& kill)>
       on_commit;
 
-  /// Liveness sweep: true when `tile` is already committed globally, so
-  /// in-flight local attempts of it should be cancelled.
+  /// No device of the shard can finish `tile` (every healthy one spent
+  /// its retry budget on it): it leaves the device schedule, for another
+  /// node or the coordinator's CPU fallback.
+  std::function<void(std::size_t tile)> on_deferred;
+
+  /// Liveness sweep: true when `tile` is already committed globally
+  /// (restored from a journal, or won by any node), so in-flight local
+  /// attempts of it should be cancelled.
   std::function<bool(std::size_t tile)> committed_elsewhere;
+
+  /// The shard's periodic journal: journal_data over the coordinator's
+  /// committed tiles (a side journal keeps this node's) and `partials`.
+  std::function<CheckpointData(const std::vector<CheckpointSlice>& partials)>
+      journal;
 
   /// Work stealing: asks the coordinator for one more tile (released by
   /// a crashed node, duplicated from a straggler, or stolen from a
   /// loaded peer).  nullopt = nothing to hand out right now.
   std::function<std::optional<std::size_t>()> acquire_more;
 
-  /// Global completion: every tile committed; idle workers may exit.
+  /// Global completion: no tile needs device work any more; idle workers
+  /// exit.
   std::function<bool()> all_done;
 
   /// Node-level fault hook, fired once per popped tile before its first
@@ -142,46 +201,41 @@ struct ShardOutcome {
   bool interrupted = false;  ///< global shutdown observed mid-run
   bool crashed = false;      ///< NodeFailedError took the node down
   std::string crash_reason;
-  RunHealth health;          ///< this shard's counters + event log
-  std::vector<std::size_t> incomplete;  ///< tiles left uncommitted here
+  RunHealth health;          ///< this shard's counters (events: EventLog)
+  /// Furthest row-slice snapshot per tile (r_count == 0 = none); empty
+  /// for a crashed shard, whose in-memory state dies with it.
+  std::vector<CheckpointSlice> partials;
 };
 
-/// Runs one node's shard of a multi-node computation: the full resilient
-/// scheduler (retry, blacklist, watchdog, speculation, row-slice
-/// journalling to config.checkpoint.write_path) over `system`'s devices,
-/// seeded with the `initial` tile indices and coordinated through
-/// `hooks`.  `tiles` is the *global* tile list (shared with every other
-/// shard); `device_base` offsets local device indices into the global
-/// numbering; `prefixes` (optional, per global tile) seeds restored
-/// row-slice prefixes.  A crashed shard (`ShardOutcome::crashed`) does
-/// not flush its journal — crash realism the resume tests rely on.
-/// Never throws InterruptedError; shutdown is reported in the outcome.
-ShardOutcome run_resilient_shard(gpusim::System& system,
-                                 const TimeSeries& reference,
-                                 const TimeSeries& query,
-                                 const MatrixProfileConfig& config,
-                                 const std::vector<Tile>& tiles,
-                                 const std::vector<std::size_t>& initial,
-                                 int node_id, int device_base,
-                                 const ShardHooks& hooks,
-                                 const std::vector<CheckpointSlice>* prefixes,
-                                 std::uint64_t fingerprint);
+/// Runs node `node`'s shard over `system`'s devices: the full resilient
+/// scheduler seeded with `share` (the node's tiles in grid order, spread
+/// over its devices by config.assignment; tiles already committed are
+/// skipped) and coordinated through `hooks`.  Device indices are global
+/// (node * config.devices + local).  Every checkpoint.interval_tiles
+/// commits it journals what hooks.journal returns — to write_path in a
+/// one-node run, to `write_path + ".node<k>"` otherwise; the coordinator
+/// writes the run's journal at interruption and completion.  Never
+/// throws InterruptedError; shutdown and node crashes are reported in
+/// the outcome.
+ShardOutcome run_resilient_shard(gpusim::System& system, const ShardRun& run,
+                                 int node,
+                                 const std::vector<std::size_t>& share,
+                                 const ShardHooks& hooks);
 
 /// Assembles committed per-tile results into the final profile: the CPU
 /// column merge (Pseudocode 2, lines 6-8), the modelled makespan grouped
 /// by executing device (global indices; -1 = CPU fallback, no device
 /// time), the per-kernel breakdown (+ registry gauges) and the
 /// aggregated prefilter accounting.  health/wall_seconds are left for
-/// the caller.  Shared by run_resilient and the cluster coordinator so
-/// both produce byte-identical assemblies.
+/// the caller.
 MatrixProfileResult assemble_tile_results(
     const std::vector<Tile>& tiles, std::vector<TileResult>& results,
     const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
     int streams_per_device);
 
 /// Computes one tile on the CPU reference path (bit-identical to the FP64
-/// GPU engine).  Public for the coordinator's last-resort fallback when
-/// every node has crashed.
+/// GPU engine) — the coordinator's last resort for tiles no node could
+/// finish.
 void compute_tile_on_cpu(const TimeSeries& reference, const TimeSeries& query,
                          std::size_t window, const Tile& tile,
                          std::int64_t exclusion, TileResult& result);

@@ -60,6 +60,14 @@ std::size_t tile_working_set_bytes(std::size_t tile_rows,
   return inputs + coefficients + rows + outputs;
 }
 
+std::size_t fused_tile_working_set_bytes(std::size_t tile_rows,
+                                         std::size_t tile_cols,
+                                         std::size_t dims, std::size_t window,
+                                         PrecisionMode mode) {
+  return tile_working_set_bytes(tile_rows, tile_cols, dims, window, mode) -
+         2 * tile_cols * dims * storage_bytes(mode);
+}
+
 TileTuningResult suggest_tiles(const TileTuningRequest& request,
                                const gpusim::MachineSpec& spec) {
   MPSIM_CHECK(request.n_r >= 1 && request.n_q >= 1,

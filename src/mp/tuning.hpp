@@ -60,6 +60,13 @@ std::size_t tile_working_set_bytes(std::size_t tile_rows,
                                    std::size_t tile_cols, std::size_t dims,
                                    std::size_t window, PrecisionMode mode);
 
+/// Working-set bytes of one tile on the fused row path, which allocates
+/// no distance / scan row buffers.
+std::size_t fused_tile_working_set_bytes(std::size_t tile_rows,
+                                         std::size_t tile_cols,
+                                         std::size_t dims, std::size_t window,
+                                         PrecisionMode mode);
+
 /// Path-selection heuristic of the per-row pipeline: the fused path wins
 /// whenever it supports the dimensionality (its column block and network
 /// specialisations cap out at kMaxFusedRowDims), so kAuto resolves to

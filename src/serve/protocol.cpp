@@ -32,6 +32,24 @@ CliArgs args_from_tokens(const std::vector<std::string>& tokens) {
 
 }  // namespace
 
+mp::MatrixProfileConfig config_from_args(const CliArgs& args,
+                                         bool self_join) {
+  mp::MatrixProfileConfig config;
+  config.window = std::size_t(args.get_int("window", 64));
+  config.mode = parse_precision_mode(args.get_string("mode", "FP64"));
+  config.tiles = int(args.get_int("tiles", 1));
+  config.devices = int(args.get_int("devices", 1));
+  config.machine = args.get_string("machine", "A100");
+  config.exclusion = args.get_int(
+      "exclusion", self_join ? std::int64_t(config.window / 2) : 0);
+  config.row_path = mp::parse_row_path(args.get_string("row-path", "auto"));
+  config.prefilter.mode =
+      mp::parse_prefilter_mode(args.get_string("prefilter", "off"));
+  config.prefilter.budget =
+      args.get_double("prefilter-budget", config.prefilter.budget);
+  return config;
+}
+
 Request parse_request(const std::string& line) {
   const auto tokens = tokenize(line);
   MPSIM_CHECK(!tokens.empty(), "empty request line");
@@ -64,21 +82,7 @@ Request parse_request(const std::string& line) {
   MPSIM_CHECK(req.self_join || !req.query_path.empty(),
               "--query is required unless --self-join is given");
 
-  // Mirrors mpsim_cli's config construction exactly — the byte-diff
-  // contract (serve response == one-shot CLI output) depends on it.
-  mp::MatrixProfileConfig& config = req.config;
-  config.window = std::size_t(args.get_int("window", 64));
-  config.mode = parse_precision_mode(args.get_string("mode", "FP64"));
-  config.tiles = int(args.get_int("tiles", 1));
-  config.devices = int(args.get_int("devices", 1));
-  config.machine = args.get_string("machine", "A100");
-  config.exclusion = args.get_int(
-      "exclusion", req.self_join ? std::int64_t(config.window / 2) : 0);
-  config.row_path = mp::parse_row_path(args.get_string("row-path", "auto"));
-  config.prefilter.mode =
-      mp::parse_prefilter_mode(args.get_string("prefilter", "off"));
-  config.prefilter.budget =
-      args.get_double("prefilter-budget", config.prefilter.budget);
+  req.config = config_from_args(args, req.self_join);
   return req;
 }
 

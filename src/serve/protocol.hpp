@@ -25,10 +25,10 @@
 // exactly N payload bytes follow the header's newline.  Error responses
 // carry the message in "error" (JSON-escaped) and no payload.
 //
-// Parsing reuses the CLI flag machinery — including the strict numeric
-// validation, so `query --window=64garbage` is an error response, not a
-// silent window of 64.  Paths may not contain whitespace (the request
-// line is whitespace-tokenised).
+// Parsing reuses the CLI flag machinery (config_from_args below) —
+// including the strict numeric validation, so `query --window=64garbage`
+// is an error response, not a silent window of 64.  Paths may not
+// contain whitespace (the request line is whitespace-tokenised).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +36,19 @@
 
 #include "mp/options.hpp"
 
+namespace mpsim {
+class CliArgs;
+}
+
 namespace mpsim::serve {
+
+/// The one translation of the output-shaping flags — window, mode,
+/// tiles, devices, machine, exclusion (default window/2 for self-joins),
+/// row-path, prefilter and prefilter-budget — into a run configuration.
+/// mpsim_cli and the query verb both use it, so a served response
+/// byte-matches the one-shot CLI output for the same flags by
+/// construction.
+mp::MatrixProfileConfig config_from_args(const CliArgs& args, bool self_join);
 
 struct Request {
   enum class Verb { kQuery, kPing, kStats, kShutdown };

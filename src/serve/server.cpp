@@ -11,7 +11,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "cluster/coordinator.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
@@ -300,12 +299,10 @@ Response Server::execute_query(const Request& request) {
     // both knobs).
     config.staging_cache = &input->staging;
     config.resilience.honor_shutdown = false;
-    cluster::ElasticClusterConfig elastic;
-    elastic.nodes = options_.nodes;
+    config.nodes = options_.nodes;
     auto computed = std::make_shared<const mp::MatrixProfileResult>(
-        cluster::compute_matrix_profile_elastic(*input->reference,
-                                                *input->query, config,
-                                                elastic));
+        mp::compute_matrix_profile(*input->reference, *input->query,
+                                   config));
     cache_.store_profile(cache_key, computed);
     result = std::move(computed);
   }

@@ -50,9 +50,8 @@ struct ServerOptions {
   std::size_t executors = 2;
   /// Admission cap: queued-but-unstarted jobs beyond this are rejected.
   std::size_t max_queue = 64;
-  /// Simulated nodes each query executes across (>1 routes queries
-  /// through the elastic multi-node coordinator; results are
-  /// byte-identical to nodes=1, see cluster/coordinator.hpp).
+  /// Simulated nodes each query executes across (results are
+  /// byte-identical to nodes=1, see mp/coordinator.cpp).
   int nodes = 1;
   ServeCache::Limits cache_limits;
 };

@@ -90,7 +90,7 @@ for ev in trace:
         assert key in ev, (key, ev)
     assert ev["dur"] >= 0, ev
 names = [ev["name"] for ev in trace]
-assert "run_resilient" in names, names
+assert "coordinator" in names, names
 assert "merge_tile_results" in names, names
 assert sum(n.startswith("tile ") for n in names) == 5, names
 print(f"metrics JSON OK ({len(c)} counters, {len(h)} histograms, "

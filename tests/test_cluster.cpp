@@ -1,6 +1,6 @@
-// Tests for the multi-node cluster extension: functional equivalence with
+// Tests for the multi-node extension: functional equivalence with
 // single-node execution, the scaling behaviour of the model, and the
-// elastic coordinator (sharded execution, cross-node recovery, and
+// coordinator (sharded execution, cross-node recovery, and
 // grid/node-count-changing resume — all bit-identical to one node).
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "cluster/cluster.hpp"
-#include "cluster/coordinator.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
 #include "mp/matrix_profile.hpp"
@@ -28,39 +27,50 @@ SyntheticDataset small_dataset() {
 
 TEST(Cluster, MultiNodeMatchesSingleNodeResults) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
   config.tiles = 16;
-  config.devices_per_node = 2;
+  config.devices = 2;
 
   config.nodes = 1;
-  const auto one = compute_matrix_profile_cluster(data.reference, data.query,
-                                                  config);
+  const auto one =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   config.nodes = 4;
-  const auto four = compute_matrix_profile_cluster(data.reference, data.query,
-                                                   config);
-  EXPECT_EQ(one.result.profile, four.result.profile);
-  EXPECT_EQ(one.result.index, four.result.index);
+  const auto four =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(one.profile, four.profile);
+  EXPECT_EQ(one.index, four.index);
 }
 
 TEST(Cluster, ComputeTimeShrinksWithNodes) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
   config.tiles = 16;
-  config.devices_per_node = 2;
+  config.devices = 2;
+  config.steal = false;  // static shards: the makespan is deterministic
 
   config.nodes = 1;
-  const auto one = compute_matrix_profile_cluster(data.reference, data.query,
-                                                  config);
+  const auto one =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   config.nodes = 4;
-  const auto four = compute_matrix_profile_cluster(data.reference, data.query,
-                                                   config);
-  EXPECT_LT(four.modeled_compute_seconds,
-            one.modeled_compute_seconds * 0.5);
+  const auto four =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_LT(four.modeled_device_seconds, one.modeled_device_seconds * 0.5);
+
   // ...but only multi-node runs pay network time.
-  EXPECT_DOUBLE_EQ(one.modeled_network_seconds, 0.0);
-  EXPECT_GT(four.modeled_network_seconds, 0.0);
+  ClusterConfig cluster;
+  cluster.tiles = config.tiles;
+  cluster.devices_per_node = config.devices;
+  const std::size_t n = data.reference.segment_count(config.window);
+  cluster.nodes = 1;
+  EXPECT_DOUBLE_EQ(
+      model_cluster(n, n, one.dims, config.window, cluster).network_seconds,
+      0.0);
+  cluster.nodes = 4;
+  EXPECT_GT(
+      model_cluster(n, n, four.dims, config.window, cluster).network_seconds,
+      0.0);
 }
 
 TEST(ClusterModel, NearLinearScalingAtPaperScale) {
@@ -111,16 +121,15 @@ TEST(ClusterModel, InterconnectBandwidthMatters) {
 
 TEST(Cluster, ValidatesConfiguration) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
   config.nodes = 0;
-  EXPECT_THROW(
-      compute_matrix_profile_cluster(data.reference, data.query, config),
-      Error);
+  EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
+               Error);
 }
 
 // ---------------------------------------------------------------------
-// Elastic coordinator: simulated *nodes* running real shard schedulers.
+// Coordinator: simulated *nodes* running real shard schedulers.
 // The hard invariant everywhere: bits identical to the single-node run.
 // ---------------------------------------------------------------------
 
@@ -139,10 +148,9 @@ TEST(ElasticCoordinator, MatchesSingleNodeBitsAllModesBothPaths) {
       const auto one =
           mp::compute_matrix_profile(data.reference, data.query, config);
 
-      ElasticClusterConfig elastic;
-      elastic.nodes = 3;  // uneven split across the 4x2 grid
-      const auto three = compute_matrix_profile_elastic(
-          data.reference, data.query, config, elastic);
+      config.nodes = 3;  // uneven split across the 4x2 grid
+      const auto three =
+          mp::compute_matrix_profile(data.reference, data.query, config);
       EXPECT_EQ(three.profile, one.profile)
           << to_string(mode) << " " << to_string(path);
       EXPECT_EQ(three.index, one.index)
@@ -160,11 +168,10 @@ TEST(ElasticCoordinator, StealOffStillMatchesSingleNode) {
   const auto one =
       mp::compute_matrix_profile(data.reference, data.query, config);
 
-  ElasticClusterConfig elastic;
-  elastic.nodes = 2;
-  elastic.steal = false;
-  const auto result = compute_matrix_profile_elastic(
-      data.reference, data.query, config, elastic);
+  config.nodes = 2;
+  config.steal = false;
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_EQ(result.profile, one.profile);
   EXPECT_EQ(result.index, one.index);
   EXPECT_EQ(result.health.node_steals, 0);
@@ -179,11 +186,10 @@ TEST(ElasticCoordinator, NodeCrashRecoversBitIdentically) {
   const auto one =
       mp::compute_matrix_profile(data.reference, data.query, config);
 
-  ElasticClusterConfig elastic;
-  elastic.nodes = 3;
-  elastic.node_faults = "seed=11,node_crash@1:at=1";
-  const auto result = compute_matrix_profile_elastic(
-      data.reference, data.query, config, elastic);
+  config.nodes = 3;
+  config.node_faults = "seed=11,node_crash@1:at=1";
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_EQ(result.profile, one.profile);
   EXPECT_EQ(result.index, one.index);
   EXPECT_EQ(result.health.node_crashes, 1);
@@ -207,11 +213,10 @@ TEST(ElasticCoordinator, SlowNodeIsCoveredByStealOrDuplicate) {
   const auto one =
       mp::compute_matrix_profile(data.reference, data.query, config);
 
-  ElasticClusterConfig elastic;
-  elastic.nodes = 2;
-  elastic.node_faults = "seed=13,node_slow@0:every=1:ms=20";
-  const auto result = compute_matrix_profile_elastic(
-      data.reference, data.query, config, elastic);
+  config.nodes = 2;
+  config.node_faults = "seed=13,node_slow@0:every=1:ms=20";
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_EQ(result.profile, one.profile);
   EXPECT_EQ(result.index, one.index);
 }
@@ -228,12 +233,11 @@ TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
   const std::string ckpt = testing::TempDir() + "mpsim_elastic_resume.ckpt";
   config.checkpoint.write_path = ckpt;
   config.checkpoint.kill_after_tiles = 3;
-  ElasticClusterConfig elastic;
-  elastic.nodes = 4;
+  config.nodes = 4;
   clear_shutdown();
   try {
-    const auto raced = compute_matrix_profile_elastic(
-        data.reference, data.query, config, elastic);
+    const auto raced =
+        mp::compute_matrix_profile(data.reference, data.query, config);
     // The kill raced completion — acceptable, the journal is complete.
     EXPECT_EQ(raced.profile, one.profile);
   } catch (const InterruptedError& e) {
@@ -246,9 +250,9 @@ TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
   config.checkpoint.kill_after_tiles = 0;
   config.checkpoint.write_path.clear();
   config.checkpoint.resume_path = ckpt;
-  elastic.nodes = 2;
-  const auto resumed = compute_matrix_profile_elastic(
-      data.reference, data.query, config, elastic);
+  config.nodes = 2;
+  const auto resumed =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_EQ(resumed.profile, one.profile);
   EXPECT_EQ(resumed.index, one.index);
 
@@ -260,11 +264,12 @@ TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
   regrid.checkpoint.resume_path = ckpt;
   mp::MatrixProfileConfig regrid_clean = regrid;
   regrid_clean.checkpoint.resume_path.clear();
+  regrid_clean.nodes = 1;
   const auto clean4 = mp::compute_matrix_profile(data.reference, data.query,
                                                  regrid_clean);
-  elastic.nodes = 3;
-  const auto regridded = compute_matrix_profile_elastic(
-      data.reference, data.query, regrid, elastic);
+  regrid.nodes = 3;
+  const auto regridded =
+      mp::compute_matrix_profile(data.reference, data.query, regrid);
   EXPECT_EQ(regridded.profile, clean4.profile);
   EXPECT_EQ(regridded.index, clean4.index);
 
@@ -285,11 +290,10 @@ TEST(ElasticCoordinator, CountersAreAdditiveOnTheMetricsSchema) {
   registry.reset();
   registry.set_enabled(true);
 
-  ElasticClusterConfig elastic;
-  elastic.nodes = 2;
-  elastic.steal = false;
-  const auto result = compute_matrix_profile_elastic(
-      data.reference, data.query, config, elastic);
+  config.nodes = 2;
+  config.steal = false;
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_FALSE(result.profile.empty());
 
   // Fault-free, steal off, watchdog off: the schedule is deterministic,
@@ -314,10 +318,8 @@ TEST(ElasticCoordinator, NodeLifecycleSpansAppearInTheTimeline) {
   auto& registry = MetricsRegistry::global();
   registry.reset();
   registry.set_enabled(true);
-  ElasticClusterConfig elastic;
-  elastic.nodes = 2;
-  compute_matrix_profile_elastic(data.reference, data.query, config,
-                                 elastic);
+  config.nodes = 2;
+  mp::compute_matrix_profile(data.reference, data.query, config);
   const std::string trace =
       testing::TempDir() + "mpsim_elastic_trace.json";
   registry.timeline().write_chrome_json(trace);
@@ -336,14 +338,11 @@ TEST(ElasticCoordinator, ValidatesNodeCount) {
   const auto data = small_dataset();
   mp::MatrixProfileConfig config;
   config.window = 16;
-  ElasticClusterConfig elastic;
-  elastic.nodes = 0;
-  EXPECT_THROW(compute_matrix_profile_elastic(data.reference, data.query,
-                                              config, elastic),
+  config.nodes = 0;
+  EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
                ConfigError);
-  elastic.nodes = 65;  // > the journal suffix scan bound
-  EXPECT_THROW(compute_matrix_profile_elastic(data.reference, data.query,
-                                              config, elastic),
+  config.nodes = 65;  // > the journal suffix scan bound
+  EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
                ConfigError);
 }
 

@@ -14,9 +14,9 @@
 #include "common/stopwatch.hpp"
 #include "gpusim/cancel.hpp"
 #include "gpusim/faults.hpp"
-#include "gpusim/spec.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/tile_merge.hpp"
+#include "mp/tuning.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::mp {
@@ -442,56 +442,74 @@ TEST(ResilientScheduler, RepeatedHangsBlacklistTheDevice) {
 
 TEST(ResilientScheduler, MemoryPressureSplitsTileBitIdentically) {
   const auto data = small_dataset(200, 2, 16, 13);
-  MatrixProfileConfig config;
-  config.window = 16;
-  config.mode = PrecisionMode::FP64;
-  config.tiles = 1;
+  const std::size_t window = 16;
+  const std::size_t n_r = data.reference.segment_count(window);
+  const std::size_t n_q = data.query.segment_count(window);
+  const std::size_t dims = data.reference.dims();
 
-  // Measure the single-tile working set on an unconstrained device, then
-  // rerun with the capacity one byte short of it: the tile cannot fit and
-  // must split along the row axis instead of failing.
-  gpusim::MachineSpec spec = gpusim::spec_by_name("A100");
-  spec.memory_capacity_bytes = 0;
-  gpusim::System unlimited(spec, 1, 2);
-  const auto one_tile = compute_matrix_profile(unlimited, data.reference,
-                                               data.query, config);
-  const std::size_t peak = unlimited.device(0).peak_bytes();
-  ASSERT_GT(peak, 0u);
+  for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
+    SCOPED_TRACE(path == RowPath::kFused ? "fused" : "cooperative");
+    MatrixProfileConfig config;
+    config.window = window;
+    config.mode = PrecisionMode::FP64;
+    config.tiles = 1;
+    config.row_path = path;
 
-  // The splitter halves the row range on the planner's split_range
-  // boundaries (first half takes the extra row), so one forced split of
-  // the single tile is the planner's tiles=2 run (a 2x1 grid): each row
-  // sub-tile restarts the QT recurrence from its own precalculation
-  // exactly like a planner tile does.  That run is the bit-identity
-  // baseline; the unsplit single-tile run legitimately differs, because
-  // row partitioning changes where the recurrence restarts.
-  MatrixProfileConfig two_tiles = config;
-  two_tiles.tiles = 2;
-  gpusim::System half_system(spec, 1, 2);
-  const auto planner = compute_matrix_profile(half_system, data.reference,
-                                              data.query, two_tiles);
-  const std::size_t half_peak = half_system.device(0).peak_bytes();
-  ASSERT_LT(half_peak, peak);
+    // The single tile's device working set, from the tuner's mirror of
+    // the engine's allocations (the fused path skips the distance / scan
+    // row buffers).  It fits at exactly that capacity; one byte short it
+    // cannot, and must split along the row axis instead of failing.
+    const auto working_set = [&](std::size_t rows) {
+      return path == RowPath::kFused
+                 ? fused_tile_working_set_bytes(rows, n_q, dims, window,
+                                                config.mode)
+                 : tile_working_set_bytes(rows, n_q, dims, window,
+                                          config.mode);
+    };
+    const std::size_t peak = working_set(n_r);
+    const auto one_tile = compute_matrix_profile(data.reference, data.query,
+                                                 config);
+    MatrixProfileConfig exact = config;
+    exact.device_memory_bytes = peak;
+    const auto fits = compute_matrix_profile(data.reference, data.query,
+                                             exact);
+    EXPECT_EQ(fits.health.tile_splits, 0);
+    EXPECT_EQ(fits.profile, one_tile.profile);
 
-  // Capacity between the half-tile and full-tile working sets: the full
-  // tile must split exactly once, and both halves must then fit.
-  config.device_memory_bytes = half_peak + (peak - half_peak) / 2;
-  const auto squeezed = compute_matrix_profile(data.reference, data.query,
-                                               config);
-  EXPECT_GE(squeezed.health.tile_splits, 1);
-  EXPECT_TRUE(squeezed.health.degraded);
-  EXPECT_EQ(squeezed.profile, planner.profile);
-  EXPECT_EQ(squeezed.index, planner.index);
-  EXPECT_EQ(squeezed.segments, one_tile.segments);
-  bool saw_split = false;
-  for (const auto& event : squeezed.health.events) {
-    if (event.kind == RunEvent::Kind::kTileSplit) {
-      saw_split = true;
-      EXPECT_NE(event.to_string().find("memory pressure"),
-                std::string::npos);
+    // The splitter halves the row range on the planner's split_range
+    // boundaries (first half takes the extra row), so one forced split of
+    // the single tile is the planner's tiles=2 run (a 2x1 grid): each row
+    // sub-tile restarts the QT recurrence from its own precalculation
+    // exactly like a planner tile does.  That run is the bit-identity
+    // baseline; the unsplit single-tile run legitimately differs, because
+    // row partitioning changes where the recurrence restarts.
+    MatrixProfileConfig two_tiles = config;
+    two_tiles.tiles = 2;
+    const auto planner = compute_matrix_profile(data.reference, data.query,
+                                                two_tiles);
+    const std::size_t half_peak = working_set(n_r - n_r / 2);
+    ASSERT_LT(half_peak, peak - 1);
+
+    // One byte short of the full tile: it must split exactly once, and
+    // both halves must then fit.
+    config.device_memory_bytes = peak - 1;
+    const auto squeezed = compute_matrix_profile(data.reference, data.query,
+                                                 config);
+    EXPECT_EQ(squeezed.health.tile_splits, 1);
+    EXPECT_TRUE(squeezed.health.degraded);
+    EXPECT_EQ(squeezed.profile, planner.profile);
+    EXPECT_EQ(squeezed.index, planner.index);
+    EXPECT_EQ(squeezed.segments, one_tile.segments);
+    bool saw_split = false;
+    for (const auto& event : squeezed.health.events) {
+      if (event.kind == RunEvent::Kind::kTileSplit) {
+        saw_split = true;
+        EXPECT_NE(event.to_string().find("memory pressure"),
+                  std::string::npos);
+      }
     }
+    EXPECT_TRUE(saw_split);
   }
-  EXPECT_TRUE(saw_split);
 }
 
 TEST(ResilientScheduler, HopelessMemoryPressureFallsBackToCpu) {

@@ -6,14 +6,14 @@
 #include <filesystem>
 #include <fstream>
 
-#include "gpusim/trace.hpp"
+#include "common/trace.hpp"
 #include "mp/model.hpp"
 
 namespace mpsim {
 namespace {
 
 TEST(Timeline, TracksLaneEndsAndMakespan) {
-  gpusim::Timeline timeline;
+  Timeline timeline;
   timeline.add({"a", 0, "compute", 0.0, 1.0});
   timeline.add({"b", 0, "compute", 1.0, 0.5});
   timeline.add({"c", 1, "copy", 0.2, 2.0});
@@ -24,7 +24,7 @@ TEST(Timeline, TracksLaneEndsAndMakespan) {
 }
 
 TEST(Timeline, ChromeJsonIsWellFormed) {
-  gpusim::Timeline timeline;
+  Timeline timeline;
   timeline.add({"kernel", 2, "compute", 0.001, 0.002});
   const auto json = timeline.to_chrome_json();
   EXPECT_NE(json.find("\"name\": \"kernel\""), std::string::npos);
@@ -37,7 +37,7 @@ TEST(Timeline, ChromeJsonIsWellFormed) {
 TEST(Timeline, EscapesQuotesBackslashesAndControlCharsInNames) {
   // Regression: event names/lanes used to be interpolated verbatim, so a
   // quote or backslash produced an invalid Chrome-trace document.
-  gpusim::Timeline timeline;
+  Timeline timeline;
   timeline.add({"tile \"3\" dist\\calc\nline", 0, "lane\"q", 0.0, 1.0});
   const auto json = timeline.to_chrome_json();
   EXPECT_NE(json.find("tile \\\"3\\\" dist\\\\calc\\nline"),
@@ -52,7 +52,7 @@ TEST(Timeline, QuoteBearingNamesRoundTripThroughPythonJson) {
   if (std::system("python3 -c 'pass' >/dev/null 2>&1") != 0) {
     GTEST_SKIP() << "python3 not available";
   }
-  gpusim::Timeline timeline;
+  Timeline timeline;
   timeline.add({"evil \"name\" with \\ and \t tab", 1, "copy\\lane", 0.5,
                 0.25});
   timeline.add({std::string("nul\x01byte"), 0, "compute", 0.0, 1.0});
@@ -70,7 +70,7 @@ TEST(Timeline, QuoteBearingNamesRoundTripThroughPythonJson) {
 }
 
 TEST(Timeline, WritesToFile) {
-  gpusim::Timeline timeline;
+  Timeline timeline;
   timeline.add({"x", 0, "compute", 0.0, 1.0});
   const auto path =
       (std::filesystem::temp_directory_path() / "mpsim_trace.json").string();

@@ -17,13 +17,13 @@
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
-#include "cluster/coordinator.hpp"
 #include "gpusim/faults.hpp"
 #include "mp/analysis.hpp"
 #include "mp/chains.hpp"
 #include "mp/simd/dispatch.hpp"
 #include "mp/tuning.hpp"
 #include "mp/matrix_profile.hpp"
+#include "serve/protocol.hpp"
 #include "serve/render.hpp"
 #include "tsdata/io.hpp"
 #include "tsdata/repair.hpp"
@@ -114,23 +114,12 @@ int run(int argc, char** argv) {
     }
   }
 
-  mp::MatrixProfileConfig config;
-  config.window = std::size_t(args.get_int("window", 64));
-  config.mode = parse_precision_mode(args.get_string("mode", "FP64"));
-  config.tiles = int(args.get_int("tiles", 1));
-  config.devices = int(args.get_int("devices", 1));
-  config.machine = args.get_string("machine", "A100");
-  config.exclusion = args.get_int(
-      "exclusion", self_join ? std::int64_t(config.window / 2) : 0);
+  // Shared with the serve daemon's query verb (byte-diff contract).
+  mp::MatrixProfileConfig config = serve::config_from_args(args, self_join);
   config.resilience.max_retries =
       int(args.get_int("max-retries", config.resilience.max_retries));
   config.resilience.escalate_precision =
       args.get_bool("escalate-precision", false);
-  config.row_path = mp::parse_row_path(args.get_string("row-path", "auto"));
-  config.prefilter.mode =
-      mp::parse_prefilter_mode(args.get_string("prefilter", "off"));
-  config.prefilter.budget =
-      args.get_double("prefilter-budget", config.prefilter.budget);
   // SIMD kernel dispatch is a process-wide executor knob, not a per-run
   // config field: every mode/path produces bit-identical output under any
   // level, so it never changes results — only throughput.
@@ -144,13 +133,12 @@ int run(int argc, char** argv) {
   config.checkpoint.slice_rows = int(args.get_int("slice-rows", 0));
   config.checkpoint.kill_after_slices =
       int(args.get_int("kill-after-slices", 0));
-  cluster::ElasticClusterConfig elastic;
-  elastic.nodes = int(args.get_int("nodes", 1));
-  elastic.node_faults = args.get_string("node-faults", "");
+  config.nodes = int(args.get_int("nodes", 1));
+  config.node_faults = args.get_string("node-faults", "");
   const std::string steal = args.get_string("steal", "on");
   MPSIM_CHECK(steal == "on" || steal == "off",
               "--steal must be on or off, got '" << steal << "'");
-  elastic.steal = steal == "on";
+  config.steal = steal == "on";
   config.resilience.watchdog = args.get_bool("watchdog", false);
   config.resilience.watchdog_slack = args.get_double(
       "watchdog-slack", config.resilience.watchdog_slack);
@@ -228,10 +216,7 @@ int run(int argc, char** argv) {
   install_signal_handlers();
   mp::MatrixProfileResult result;
   try {
-    // --nodes=1 without node faults routes straight to the single-node
-    // scheduler inside compute_matrix_profile_elastic.
-    result = cluster::compute_matrix_profile_elastic(reference, query,
-                                                     config, elastic);
+    result = mp::compute_matrix_profile(reference, query, config);
   } catch (const InterruptedError& e) {
     std::printf("%s\n", e.what());
     flush_observability();
