@@ -15,6 +15,7 @@
 #include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/sketch.hpp"
+#include "mp/tuning.hpp"
 #include "precision/modes.hpp"
 #include "tsdata/synthetic.hpp"
 
@@ -318,6 +319,54 @@ void BM_Float16EncodeFast(benchmark::State& state) {
   state.SetItemsProcessed(std::int64_t(state.iterations()) * 4096);
 }
 
+void BM_BlockedRows(benchmark::State& state) {
+  // The engine's temporal-blocked row executor on one 4096-column FP16
+  // d=4 tile over a real pool: 64 rows per iteration, as 64 / bt
+  // dispatches of fused_rows_blocked (bt = 1 is one dispatch per row).
+  // items/s counts cells (row x column x dimension) retired.
+  using Traits = PrecisionTraits<PrecisionMode::FP16>;
+  using ST = Traits::Storage;
+  const std::size_t w = 4096, d = 4, nr = 4096, m = 64, rows = 64;
+  const std::size_t bt = std::size_t(state.range(0));
+  Rng rng(1);
+  auto fill = [&](std::vector<ST>& v, double scale) {
+    for (auto& x : v) x = ST(rng.normal(0.0, scale));
+  };
+  std::vector<ST> qt_row(w * d), qt_col(nr * d), df_r(nr * d), dg_r(nr * d),
+      inv_r(nr * d), df_q(w * d), dg_q(w * d), inv_q(w * d), prev(w * d),
+      next(w * d), profile(w * d, std::numeric_limits<ST>::infinity());
+  std::vector<std::int64_t> index(w * d, -1);
+  fill(qt_row, 1.0);
+  fill(qt_col, 1.0);
+  fill(df_r, 0.05);
+  fill(dg_r, 0.05);
+  fill(inv_r, 0.2);
+  fill(df_q, 0.05);
+  fill(dg_q, 0.05);
+  fill(inv_q, 0.2);
+  fill(prev, 1.0);
+
+  ThreadPool pool;
+  const std::size_t chunk = row_block_shape(w, pool.worker_count()).chunk_cols;
+  std::size_t i = 1;
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < rows; r += bt) {
+      pool.parallel_for_grained(w, chunk, [&](std::size_t c0, std::size_t c1) {
+        fused_rows_blocked<Traits>(
+            std::int64_t(c0), std::int64_t(c1), bt, i, w, m, d, qt_row.data(),
+            qt_col.data(), nr, df_r.data(), dg_r.data(), inv_r.data(),
+            df_q.data(), dg_q.data(), inv_q.data(), prev.data(), next.data(),
+            0, 0, 0, profile.data(), index.data());
+      });
+      std::swap(prev, next);
+      i = i + bt < nr - rows ? i + bt : 1;
+    }
+    benchmark::DoNotOptimize(profile.data());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(rows * w * d));
+}
+
 void BM_Float16Decode(benchmark::State& state) {
   // half -> double via the 65536-entry decode table (operator double).
   Rng rng(6);
@@ -430,6 +479,7 @@ BENCHMARK(BM_FusedSortScan<F16>)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_FusedRow<F64>)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FusedRow<F32>)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FusedRow<F16>)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BlockedRows)->Arg(1)->Arg(16)->Arg(64)->UseRealTime();
 BENCHMARK(BM_Precalc<F64>);
 BENCHMARK(BM_Precalc<F32>);
 BENCHMARK(BM_Precalc<F16>);

@@ -8,10 +8,11 @@
 //                      This mirrors how a grid-stride kernel covers an index
 //                      space with a bounded number of hardware threads.
 //
-// parallel_for is the hot dispatch path (it runs three times per tile row),
-// so it is allocation-free: the job descriptor lives on the caller's stack,
-// is linked into an intrusive list under the pool mutex, and workers claim
-// over-decomposed chunks from it with a single atomic fetch_add each.  The
+// parallel_for is the hot dispatch path (the cooperative row path runs it
+// three times per tile row), so it is allocation-free: the job descriptor
+// lives on the caller's stack, is linked into an intrusive list under the
+// pool mutex, and workers claim over-decomposed chunks from it with a
+// single atomic fetch_add each.  The
 // caller participates in chunk execution (so a busy pool can never deadlock
 // a waiting caller) and blocks on the job's own latch-style completion
 // condition variable.  Chunks are over-decomposed ~4x beyond the worker
@@ -64,10 +65,10 @@ class ThreadPool {
 
   /// parallel_for with a minimum chunk granularity: every chunk spans at
   /// least `min_grain` consecutive indices (the last one may be shorter).
-  /// Used by callers whose items carry per-chunk setup cost (the
-  /// diagonal-batched row executor re-derives its band geometry per
-  /// chunk), and to keep an index space from being split finer than a
-  /// correctness-relevant unit.  min_grain == 1 is exactly parallel_for.
+  /// Used by callers whose items carry per-chunk setup cost (a
+  /// temporal-blocked row chunk recomputes its QT halo), and to keep an
+  /// index space from being split finer than a correctness-relevant
+  /// unit.  min_grain == 1 is exactly parallel_for.
   void parallel_for_grained(
       std::size_t n, std::size_t min_grain,
       const std::function<void(std::size_t, std::size_t)>& body);

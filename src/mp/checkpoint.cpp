@@ -34,17 +34,73 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes,
 struct Writer {
   std::string buf;
 
+  void put_bytes(const void* data, std::size_t bytes) {
+    buf.append(static_cast<const char*>(data), bytes);
+  }
   template <typename T>
   void put(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    buf.append(reinterpret_cast<const char*>(&value), sizeof(T));
+    put_bytes(&value, sizeof(T));
   }
   template <typename T>
   void put_span(const T* data, std::size_t count) {
     put(std::uint64_t(count));
-    buf.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+    put_bytes(data, count * sizeof(T));
   }
 };
+
+/// Writer's interface, counting bytes instead of storing them: sizes the
+/// journal buffer exactly before it is filled.
+struct ByteCount {
+  std::size_t bytes = 0;
+
+  void put_bytes(const void*, std::size_t n) { bytes += n; }
+  template <typename T>
+  void put(T) {
+    bytes += sizeof(T);
+  }
+  template <typename T>
+  void put_span(const T*, std::size_t count) {
+    bytes += sizeof(std::uint64_t) + count * sizeof(T);
+  }
+};
+
+/// The journal payload, everything but the trailing checksum.
+template <typename Sink>
+void serialize(Sink& w, const CheckpointData& data) {
+  w.put_bytes(kMagic, kMagicLen);
+  w.put(data.fingerprint);
+  w.put(data.tile_count);
+  w.put(std::uint64_t(data.slices.size()));
+  for (const CheckpointSlice& slice : data.slices) {
+    w.put(slice.tile_index);
+    w.put(slice.tile_id);
+    w.put(slice.device);
+    w.put(slice.node);
+    w.put(slice.complete);
+    w.put(std::int32_t(slice.mode));
+    w.put(slice.r_begin);
+    w.put(slice.r_count);
+    w.put(slice.q_begin);
+    w.put(slice.q_count);
+    w.put(slice.dims);
+    w.put_span(slice.profile.data(), slice.profile.size());
+    w.put_span(slice.index.data(), slice.index.size());
+    w.put(slice.prefilter.blocks_total);
+    w.put(slice.prefilter.blocks_skipped);
+    w.put(slice.prefilter.blocks_verified);
+    w.put(slice.prefilter.cols_skipped);
+    w.put(slice.prefilter.cols_verified);
+    w.put(slice.prefilter.cols_missed);
+  }
+  w.put(std::uint64_t(data.events.size()));
+  for (const RunEvent& event : data.events) {
+    w.put(std::int32_t(event.kind));
+    w.put(std::int32_t(event.tile_id));
+    w.put(std::int32_t(event.device));
+    w.put_span(event.detail.data(), event.detail.size());
+  }
+}
 
 /// Bounds-checked reader; every short read is a truncation error.
 struct Reader {
@@ -138,39 +194,13 @@ std::uint64_t profile_cache_key(const TimeSeries& reference,
 }
 
 void write_checkpoint(const std::string& path, const CheckpointData& data) {
+  // Reserve the exact size up front: a journal of many slices would
+  // otherwise grow the buffer by doubling, peaking near twice its size.
+  ByteCount size;
+  serialize(size, data);
   Writer w;
-  w.buf.append(kMagic, kMagicLen);
-  w.put(data.fingerprint);
-  w.put(data.tile_count);
-  w.put(std::uint64_t(data.slices.size()));
-  for (const CheckpointSlice& slice : data.slices) {
-    w.put(slice.tile_index);
-    w.put(slice.tile_id);
-    w.put(slice.device);
-    w.put(slice.node);
-    w.put(slice.complete);
-    w.put(std::int32_t(slice.mode));
-    w.put(slice.r_begin);
-    w.put(slice.r_count);
-    w.put(slice.q_begin);
-    w.put(slice.q_count);
-    w.put(slice.dims);
-    w.put_span(slice.profile.data(), slice.profile.size());
-    w.put_span(slice.index.data(), slice.index.size());
-    w.put(slice.prefilter.blocks_total);
-    w.put(slice.prefilter.blocks_skipped);
-    w.put(slice.prefilter.blocks_verified);
-    w.put(slice.prefilter.cols_skipped);
-    w.put(slice.prefilter.cols_verified);
-    w.put(slice.prefilter.cols_missed);
-  }
-  w.put(std::uint64_t(data.events.size()));
-  for (const RunEvent& event : data.events) {
-    w.put(std::int32_t(event.kind));
-    w.put(std::int32_t(event.tile_id));
-    w.put(std::int32_t(event.device));
-    w.put_span(event.detail.data(), event.detail.size());
-  }
+  w.buf.reserve(size.bytes + sizeof(std::uint64_t));
+  serialize(w, data);
   w.put(fnv1a(w.buf.data(), w.buf.size()));
 
   // Durable atomic replace: write the temp file, fsync it *before* the

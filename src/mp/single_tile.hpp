@@ -54,9 +54,9 @@ struct TileResult {
 /// [start_row, nr); the caller min-merges its stored prefix back in (the
 /// merge rule is associative, so prefix ⊕ tail ≡ the uninterrupted run).
 ///
-/// `on_slice` (with `slice_rows > 0`) is invoked at row-batch boundaries
-/// whenever at least slice_rows new rows completed since the last
-/// snapshot, with a widened copy of the tile's current profile/index —
+/// `on_slice` (with `slice_rows > 0`) is invoked every slice_rows rows
+/// past start_row (row batches end at those boundaries), except at the
+/// tile's last row, with a widened copy of the tile's current profile/index —
 /// the contribution of rows [start_row, rows_done).  Snapshots are
 /// pure reads: they cannot move output bits.  The engine suppresses
 /// snapshots when the staged inputs were fault-corrupted (a poisoned
@@ -344,9 +344,9 @@ class SingleTileEngine {
       const double msum = std::max(md + ms + mu, 1e-300);
 
       // Per-row fault/cancel/accounting prologue and epilogue, shared by
-      // the unbatched and batched loops so fault-injection schedules,
-      // cancellation poll counts and ledger records stay identical to the
-      // original per-row cadence regardless of batching.
+      // the blocked and prefiltered loops so fault-injection schedules,
+      // cancellation poll counts and ledger records keep the per-row
+      // cadence regardless of batching.
       const auto row_prologue = [&] {
         if (cancel != nullptr) cancel->poll("fused row");
         device.fault_point(gpusim::FaultSite::kKernelLaunch, "dist_calc",
@@ -369,22 +369,6 @@ class SingleTileEngine {
         gpusim::record_fused_launch(device, "update_mat_prof", config,
                                     upd_cost, tl, measured * mu / msum);
       };
-      const auto run_single_row = [&](std::size_t i, ST* qp, ST* qn) {
-        row_prologue();
-        Stopwatch watch;
-        device.pool().parallel_for(
-            nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
-              fused_row_body<Traits>(
-                  std::int64_t(begin), std::int64_t(end), i, nq, m, d,
-                  qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
-                  inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
-                  qp, qn, std::int64_t(tile.r_begin + i),
-                  std::int64_t(tile.q_begin), exclusion, profile.data(),
-                  index.data());
-            });
-        row_records(watch.seconds());
-      };
-
       // Approximate sketch prefilter (opt-in, fused path only): builds
       // per-segment FP16 sketches once, scores column groups per row
       // batch, and runs the QT-only recurrence where the score says no
@@ -434,56 +418,43 @@ class SingleTileEngine {
         }
       };
 
-      // Diagonal batching: BT >= 2 consecutive rows per dispatch round
-      // amortise the parallel_for dispatch overhead over small-nq tiles
-      // (see kernels.hpp, batched_rows_phase_a).  The scan rows of a batch
-      // live in a HOST-side buffer on purpose: it is dispatch scratch of
-      // the executor, not part of the modelled device working set, so the
-      // tuner's tile_working_set_bytes stays an exact mirror of the
-      // DeviceBuffer allocations.
-      const std::size_t bt_cfg = row_batch_rows(nq, nr);
-      std::vector<ST> batch_scan;
-      if (bt_cfg >= 2) batch_scan.resize(bt_cfg * lanes * nq);
-
+      // Temporal-blocked rows (see kernels.hpp, fused_rows_blocked): one
+      // dispatch per batch of bt rows; each column chunk runs the whole
+      // batch, recomputing its QT halo instead of synchronising.  A batch
+      // ends at the next slice boundary, so snapshots land on the same
+      // rows as a per-row loop's.
+      const RowBlockShape shape =
+          row_block_shape(nq, device.pool().worker_count());
       for (std::size_t i0 = start_row; i0 < nr;) {
         if (prefiltered) {
           // The prefilter scores and dispatches per column group within
           // each row, so it supplies its own batching (row batches share
-          // one scoring pass); diagonal batching stays off.
+          // one scoring pass); temporal blocking stays off.
           run_prefiltered_row(i0, qt_prev, qt_next);
           std::swap(qt_prev, qt_next);
           ++i0;
           continue;
         }
-        const std::size_t bt = std::min(bt_cfg, nr - i0);
-        if (bt < 2) {
-          run_single_row(i0, qt_prev, qt_next);
-          std::swap(qt_prev, qt_next);
-          ++i0;
-          maybe_slice(i0);
-          continue;
+        std::size_t bt = std::min(shape.rows, nr - i0);
+        if (emit_slices) {
+          bt = std::min(bt, last_emitted + slice->slice_rows - i0);
         }
         // The whole batch's per-row fault points fire first, in the exact
-        // unbatched order; a triggered fault unwinds the attempt before
-        // any batched work ran (the scheduler discards the attempt's
-        // partial state either way).
+        // per-row order; a triggered fault unwinds the attempt before any
+        // batched work ran (the scheduler discards the attempt's partial
+        // state either way).
         for (std::size_t r = 0; r < bt; ++r) row_prologue();
         Stopwatch watch;
         device.pool().parallel_for_grained(
-            nq + bt - 1, bt,
-            [&, i0, bt, qt_prev, qt_next](std::size_t vb, std::size_t ve) {
-              batched_rows_phase_a<Traits>(
-                  std::int64_t(vb), std::int64_t(ve), bt, i0, nq, m, d,
+            nq, shape.chunk_cols,
+            [&, i0, bt, qt_prev, qt_next](std::size_t c0, std::size_t c1) {
+              fused_rows_blocked<Traits>(
+                  std::int64_t(c0), std::int64_t(c1), bt, i0, nq, m, d,
                   qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
                   inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
-                  qt_prev, qt_next, batch_scan.data());
-            });
-        device.pool().parallel_for(
-            nq, [&, i0, bt](std::size_t begin, std::size_t end) {
-              batched_rows_merge<Traits>(
-                  std::int64_t(begin), std::int64_t(end), bt, i0, nq, d,
-                  std::int64_t(tile.r_begin), std::int64_t(tile.q_begin),
-                  exclusion, batch_scan.data(), profile.data(), index.data());
+                  qt_prev, qt_next, std::int64_t(tile.r_begin),
+                  std::int64_t(tile.q_begin), exclusion, profile.data(),
+                  index.data());
             });
         const double per_row = watch.seconds() / double(bt);
         for (std::size_t r = 0; r < bt; ++r) row_records(per_row);

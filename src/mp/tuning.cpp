@@ -11,13 +11,25 @@
 namespace mpsim::mp {
 
 namespace {
-/// Diagonal-batching knobs: target work items per dispatch round (matches
-/// the over-decomposition sweet spot of ThreadPool::parallel_for) and the
-/// row cap bounding the per-batch scan buffer.
-constexpr std::size_t kBatchTargetItems = 4096;
+/// Row cap of one batch: bounds the halo triangle a blocked chunk
+/// recomputes (and the diagonal executor's scan buffer).
 constexpr std::size_t kMaxBatchRows = 64;
+/// Diagonal-batching target work items per dispatch round.
+constexpr std::size_t kBatchTargetItems = 4096;
 std::atomic<std::size_t> g_row_batch_override{0};
 }  // namespace
+
+RowBlockShape row_block_shape(std::size_t tile_cols, std::size_t workers) {
+  RowBlockShape shape;
+  const std::size_t chunks = 2 * std::max<std::size_t>(1, workers);
+  shape.chunk_cols =
+      std::max<std::size_t>(1, (tile_cols + chunks - 1) / chunks);
+  const std::size_t ov = g_row_batch_override.load(std::memory_order_relaxed);
+  shape.rows = ov != 0 ? ov
+                       : std::clamp<std::size_t>(shape.chunk_cols / 4, 1,
+                                                 kMaxBatchRows);
+  return shape;
+}
 
 std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows) {
   const std::size_t ov = g_row_batch_override.load(std::memory_order_relaxed);
@@ -99,6 +111,13 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
   // The scheduler runs up to streams_per_device tiles concurrently; be
   // conservative and require that many working sets plus 20% headroom.
   const std::size_t capacity = spec.memory_capacity_bytes;
+  const auto working_set = [&](std::size_t rows, std::size_t cols) {
+    return request.fused_rows
+               ? fused_tile_working_set_bytes(rows, cols, request.dims,
+                                              request.window, request.mode)
+               : tile_working_set_bytes(rows, cols, request.dims,
+                                        request.window, request.mode);
+  };
 
   auto feasible = [&](int tiles) {
     const TileGrid grid = choose_tile_grid(tiles);
@@ -108,8 +127,7 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
         (request.n_q + std::size_t(grid.cols) - 1) / std::size_t(grid.cols);
     if (out.accuracy_limited && rows > max_rows) return false;
     if (capacity != 0) {
-      const std::size_t ws = tile_working_set_bytes(
-          rows, cols, request.dims, request.window, request.mode);
+      const std::size_t ws = working_set(rows, cols);
       const std::size_t concurrent =
           std::min<std::size_t>(std::size_t(request.streams_per_device),
                                 (std::size_t(tiles) +
@@ -141,9 +159,9 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
                              std::size_t(grid.rows);
     const std::size_t cols = (request.n_q + std::size_t(grid.cols) - 1) /
                              std::size_t(grid.cols);
-    const std::size_t ws = tile_working_set_bytes(
-        rows, cols, request.dims, request.window, request.mode);
-    if (double(ws) > 0.8 * double(capacity)) out.memory_limited = true;
+    if (double(working_set(rows, cols)) > 0.8 * double(capacity)) {
+      out.memory_limited = true;
+    }
   }
 
   const TileGrid grid = choose_tile_grid(tiles);
@@ -152,9 +170,7 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
       (request.n_r + std::size_t(grid.rows) - 1) / std::size_t(grid.rows);
   out.tile_cols =
       (request.n_q + std::size_t(grid.cols) - 1) / std::size_t(grid.cols);
-  out.tile_bytes = tile_working_set_bytes(out.tile_rows, out.tile_cols,
-                                          request.dims, request.window,
-                                          request.mode);
+  out.tile_bytes = working_set(out.tile_rows, out.tile_cols);
   return out;
 }
 

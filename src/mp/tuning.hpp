@@ -34,6 +34,10 @@ struct TileTuningRequest {
   PrecisionMode mode = PrecisionMode::FP64;
   int devices = 1;
   int streams_per_device = 16;
+  /// The resolved row path (use_fused_row_path): fused tiles allocate no
+  /// distance / scan row buffers, so they are sized with
+  /// fused_tile_working_set_bytes instead of tile_working_set_bytes.
+  bool fused_rows = false;
   /// Acceptable rounding error of the Pearson correlation (dimensionless).
   /// The default of 3% keeps FP16 index recall near 95% in the stress
   /// tests; ignored for FP64/FP32, whose recurrence error is negligible
@@ -76,16 +80,31 @@ std::size_t fused_tile_working_set_bytes(std::size_t tile_rows,
 /// bit-identical output.
 bool use_fused_row_path(RowPath requested, std::size_t dims);
 
-/// Rows per diagonal-batched dispatch round of the fused path.  Small
-/// tiles pay the parallel_for dispatch ceiling once per row; batching BT
-/// rows into one dispatch (work items = diagonals of the BT-row
-/// parallelogram) amortises it.  Auto-tuning targets ~4096 work items per
-/// dispatch round, capped at 64 rows and at the tile's row count; 1 means
-/// unbatched (large tiles keep the cache-friendly per-row sweep).
+/// Dispatch shape of the fused path's temporal-blocked rows
+/// (fused_rows_blocked): one parallel_for_grained per batch of `rows`
+/// tile rows, over column chunks of `chunk_cols`.
+struct RowBlockShape {
+  std::size_t chunk_cols = 1;  ///< ~tile_cols / (2 * workers)
+  std::size_t rows = 1;        ///< bt: chunk_cols / 4, in [1, 64]
+};
+
+/// Block shape for a tile of `tile_cols` columns on a pool of `workers`.
+/// Two chunks per worker balance the load; a chunk recomputes up to
+/// rows - 1 halo columns per row, so rows stays at a quarter of the chunk
+/// width (halo work <= 1/8 of the QT work).  The engine clips `rows` to
+/// the tile's remaining rows and to the next slice boundary.
+RowBlockShape row_block_shape(std::size_t tile_cols, std::size_t workers);
+
+/// Rows per round of the diagonal-batched executor
+/// (batched_rows_phase_a / batched_rows_merge), which the engine no
+/// longer runs; the repository benchmark's probe still times it.
+/// Targets ~4096 work items per round, capped at 64 rows and at the
+/// tile's row count; 1 means unbatched.
 std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows);
 
-/// Test/bench override of row_batch_rows (0 = auto).  Applies
-/// process-wide; values above 64 are clamped.
+/// Test/bench override of the batch rows of row_block_shape and
+/// row_batch_rows (0 = auto).  Applies process-wide; values above 64 are
+/// clamped.
 void set_row_batch_override(std::size_t rows);
 
 }  // namespace mpsim::mp

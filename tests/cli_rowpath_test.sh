@@ -3,7 +3,8 @@
 # per-row execution path forced and diff the profiles byte-for-byte — the
 # fused path's bit-identity contract, checked end-to-end through the CLI.
 # Covers a multi-dimensional padded case (d=3), the d=1 skip-sort path,
-# reduced precision, and a NaN fault-injected run.  $1 = build dir.
+# reduced precision, a NaN fault-injected run, and a wide tile that runs
+# temporal-blocked rows with QT halos.  $1 = build dir.
 set -euo pipefail
 BUILD=$1
 WORK=$(mktemp -d)
@@ -94,6 +95,32 @@ for level in scalar auto; do
       --faults="seed=9,nan@0:at=1:frac=0.05"
 done
 cmp "$WORK/s_auto_nan.csv" "$WORK/s_scalar_nan.csv"
+
+# Temporal-blocked rows with halos: an FP16 d=4 AB-join whose one tile
+# is 2100 columns wide.  On a host with two or more cores the column
+# chunks are at least 256 wide, so every full batch runs 64 rows and each
+# chunk recomputes a 63-column QT halo.  Byte-diffed against the
+# cooperative path and against --simd=scalar.
+four_sensors() {  # four_sensors <seed> <samples> <phase>
+  awk -v seed="$1" -v n="$2" -v phase="$3" 'BEGIN {
+    srand(seed); print "a,b,c,d";
+    for (t = 0; t < n; ++t) {
+      u = t + phase;
+      printf "%.6f,%.6f,%.6f,%.6f\n", sin(u / 9.0) + (rand() - 0.5) * 0.4,
+          cos(u / 13.0) + (rand() - 0.5) * 0.4,
+          sin(u / 5.0) * 0.7 + (rand() - 0.5) * 0.3, (rand() - 0.5) * 2.0;
+    }
+  }'
+}
+four_sensors 21 331 0 > "$WORK/ref4.csv"
+four_sensors 22 2131 40 > "$WORK/qry4.csv"
+blocked=(--reference="$WORK/ref4.csv" --query="$WORK/qry4.csv" --window=32
+         --mode=FP16 --tiles=1 --devices=1)
+run fused "$WORK/b_fused.csv" "${blocked[@]}"
+run cooperative "$WORK/b_cooperative.csv" "${blocked[@]}"
+run fused "$WORK/b_scalar.csv" "${blocked[@]}" --simd=scalar
+cmp "$WORK/b_fused.csv" "$WORK/b_cooperative.csv"
+cmp "$WORK/b_fused.csv" "$WORK/b_scalar.csv"
 
 # The metrics JSON reports the dispatch variant each stage ran with.
 run fused "$WORK/m.csv" --reference="$WORK/ref3.csv" --self-join \

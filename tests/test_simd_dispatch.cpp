@@ -3,26 +3,33 @@
 // Every kernel variant in src/mp/simd/ claims bit-identity with the
 // templated scalar bodies; this suite enforces it by running the SAME
 // end-to-end computation at every dispatch level (scalar / f16c / avx2,
-// clamped to what the host supports) and across the diagonal-batched and
-// unbatched row executions, then comparing FNV checksums of the full
-// profile + index output.  NaN-poisoned runs (fault-injector staging
-// corruption) are included: they drive the kernels' NaN fallbacks, where
-// operand-order-dependent hardware NaN propagation would diverge from the
-// emulated operators if the screens were wrong.
+// clamped to what the host supports) and across temporal-blocked batch
+// sizes, then comparing FNV checksums of the full profile + index output.
+// NaN-poisoned runs (fault-injector staging corruption) are included:
+// they drive the kernels' NaN fallbacks, where operand-order-dependent
+// hardware NaN propagation would diverge from the emulated operators if
+// the screens were wrong.
 //
 // The dispatch plumbing itself (parse/clamp/env) and the grained
-// parallel_for the batched executor relies on are covered at the bottom.
+// parallel_for the blocked executor relies on are covered at the bottom.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/faults.hpp"
+#include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/simd/dispatch.hpp"
+#include "mp/single_tile.hpp"
 #include "mp/tuning.hpp"
 #include "precision/modes.hpp"
 #include "tsdata/synthetic.hpp"
@@ -57,9 +64,10 @@ struct DispatchGuard {
 
 std::uint64_t run_once(const TimeSeries& reference, const TimeSeries& query,
                        PrecisionMode mode, mp::RowPath path,
-                       const char* fault_spec) {
+                       const char* fault_spec, std::int64_t exclusion = 0) {
   mp::MatrixProfileConfig config;
   config.window = 32;
+  config.exclusion = exclusion;
   config.mode = mode;
   config.tiles = 1;  // single stream: deterministic fault-injection order
   config.devices = 1;
@@ -133,9 +141,9 @@ TEST(SimdDispatchEquality, KernelFaultRetrySequence) {
   check_levels_equal(kAllPrecisionModes, 4, "seed=3,kernel@0:at=2");
 }
 
-// The diagonal-batched executor (row batches over parallel_for_grained)
-// against forced bt=1, at the top dispatch level and scalar, clean and
-// poisoned: batching is pure scheduling, so the bits cannot move.
+// The temporal-blocked executor at a forced bt=16 against forced bt=1, at
+// the top dispatch level and scalar, clean and poisoned: batching is pure
+// scheduling, so the bits cannot move.
 TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
   DispatchGuard guard;
   SyntheticSpec spec;
@@ -166,6 +174,224 @@ TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
   }
 }
 
+// --- Temporal-blocked rows against the cooperative reference -------------
+
+constexpr std::size_t kBlockRows[] = {1, 2, 3, 7, 16, 64};
+
+// End to end: all seven modes at both ends of the dispatch range, byte-
+// equal to --row-path=cooperative.  Clean runs sweep every batch size
+// with exclusion off (AB-join) and on; NaN-poisoned and kernel-faulted
+// runs take the smallest and largest batches.  A 200-column tile on the
+// engine's pool splits into chunks narrower than the bt=64 halo, with a
+// ragged last chunk.
+TEST(BlockedRows, MatchCooperativeEndToEnd) {
+  DispatchGuard guard;
+  SyntheticSpec spec;
+  spec.segments = 200;
+  spec.dims = 4;
+  spec.window = 32;
+  spec.injections_per_dim = 2;
+  spec.seed = 321;
+  const auto data = make_synthetic_dataset(spec);
+  struct Case {
+    const char* faults;
+    std::int64_t exclusion;
+    std::vector<std::size_t> rows;
+  };
+  const std::vector<std::size_t> all(std::begin(kBlockRows),
+                                     std::end(kBlockRows));
+  const Case cases[] = {{nullptr, 0, all},
+                        {nullptr, 8, all},
+                        {"seed=9,nan@0:at=1:frac=0.05", 8, {2, 64}},
+                        {"seed=3,kernel@0:at=2", 0, {3, 64}}};
+  for (const mp::simd::Level lv :
+       {mp::simd::kScalar, mp::simd::detected_level()}) {
+    mp::simd::set_override(lv);
+    for (const PrecisionMode mode : kExtendedPrecisionModes) {
+      for (const Case& c : cases) {
+        const std::uint64_t cooperative =
+            run_once(data.reference, data.reference, mode,
+                     mp::RowPath::kCooperative, c.faults, c.exclusion);
+        for (const std::size_t bt : c.rows) {
+          mp::set_row_batch_override(bt);
+          EXPECT_EQ(run_once(data.reference, data.reference, mode,
+                             mp::RowPath::kFused, c.faults, c.exclusion),
+                    cooperative)
+              << to_string(mode) << " level=" << mp::simd::to_string(lv)
+              << " bt=" << bt << " exclusion=" << c.exclusion << " "
+              << (c.faults ? c.faults : "clean");
+        }
+        mp::set_row_batch_override(0);
+      }
+    }
+  }
+}
+
+// Kernel level, independent of the host's core count: fused_rows_blocked
+// over explicit column partitions (chunks narrower than the halo, a
+// ragged last chunk, the whole row), chunks run right to left so none can
+// lean on a neighbour's output, from row 0 (row seeds) and from a
+// mid-tile start row, against the per-row fused_row_body loop.
+template <typename Traits>
+void check_blocked_kernel(std::size_t d) {
+  using ST = typename Traits::Storage;
+  const std::size_t nr = 70, nq = 100, m = 16;
+  Rng rng(7 + d);
+  const auto filled = [&](std::size_t n, double scale) {
+    std::vector<ST> v(n);
+    for (auto& x : v) x = ST(rng.normal(0.0, scale));
+    return v;
+  };
+  const auto qt_row = filled(nq * d, 4.0), qt_col = filled(nr * d, 4.0);
+  const auto df_r = filled(nr * d, 0.05), dg_r = filled(nr * d, 0.05);
+  const auto inv_r = filled(nr * d, 0.2), df_q = filled(nq * d, 0.05);
+  const auto dg_q = filled(nq * d, 0.05), inv_q = filled(nq * d, 0.2);
+  const auto nan_df_q = [&] {
+    auto v = df_q;
+    v[(d - 1) * nq + 40] = ST(std::numeric_limits<double>::quiet_NaN());
+    return v;
+  }();
+  const auto seed_qt = filled(nq * d, 4.0);
+
+  struct State {
+    std::vector<ST> qt, profile;
+    std::vector<std::int64_t> index;
+  };
+  const auto run = [&](std::size_t start, const std::vector<ST>& dfq,
+                       auto&& rows) {
+    State s{seed_qt,
+            std::vector<ST>(nq * d, std::numeric_limits<ST>::infinity()),
+            std::vector<std::int64_t>(nq * d, -1)};
+    std::vector<ST> next(nq * d);
+    for (std::size_t i0 = start; i0 < nr;) {
+      i0 += rows(i0, dfq, s.qt.data(), next.data(), s.profile.data(),
+                 s.index.data());
+      std::swap(s.qt, next);
+    }
+    return s;
+  };
+  // Clean without exclusion, NaN-poisoned with it.
+  for (const auto* dfq : {&df_q, &nan_df_q}) {
+    const std::int64_t exclusion = dfq == &df_q ? 0 : 6;
+    for (const std::size_t start : {std::size_t(0), std::size_t(5)}) {
+      const State want = run(start, *dfq, [&](std::size_t i, const auto& f,
+                                              const ST* qp, ST* qn, ST* prof,
+                                              std::int64_t* idx) {
+        mp::fused_row_body<Traits>(
+            0, std::int64_t(nq), i, nq, m, d, qt_row.data(), qt_col.data(),
+            nr, df_r.data(), dg_r.data(), inv_r.data(), f.data(), dg_q.data(),
+            inv_q.data(), qp, qn, std::int64_t(1000 + i), 1000, exclusion,
+            prof, idx);
+        return std::size_t(1);
+      });
+      for (const std::size_t bt : kBlockRows) {
+        for (const std::size_t chunk : {3ul, 37ul, nq}) {
+          const State got = run(start, *dfq, [&](std::size_t i0, const auto& f,
+                                                 const ST* qp, ST* qn, ST* prof,
+                                                 std::int64_t* idx) {
+            const std::size_t rows = std::min(bt, nr - i0);
+            for (std::size_t c1 = nq; c1 > 0;) {
+              const std::size_t c0 = (c1 - 1) / chunk * chunk;
+              mp::fused_rows_blocked<Traits>(
+                  std::int64_t(c0), std::int64_t(c1), rows, i0, nq, m, d,
+                  qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
+                  inv_r.data(), f.data(), dg_q.data(), inv_q.data(), qp, qn,
+                  1000, 1000, exclusion, prof, idx);
+              c1 = c0;
+            }
+            return rows;
+          });
+          const auto same = [](const auto& a, const auto& b) {
+            return a.size() == b.size() &&
+                   std::memcmp(a.data(), b.data(),
+                               a.size() * sizeof(a[0])) == 0;
+          };
+          EXPECT_TRUE(same(got.profile, want.profile) &&
+                      same(got.index, want.index) && same(got.qt, want.qt))
+              << to_string(Traits::kMode) << " d=" << d << " bt=" << bt
+              << " chunk=" << chunk << " start=" << start
+              << " exclusion=" << exclusion
+              << (dfq == &nan_df_q ? " nan" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedRows, KernelMatchesPerRowOverChunkPartitions) {
+  DispatchGuard guard;
+  for (const mp::simd::Level lv :
+       {mp::simd::kScalar, mp::simd::detected_level()}) {
+    mp::simd::set_override(lv);
+    for (const PrecisionMode mode : kExtendedPrecisionModes) {
+      dispatch_precision(mode, [&]<typename Traits>() {
+        for (const std::size_t d : {1ul, 3ul}) check_blocked_kernel<Traits>(d);
+      });
+    }
+  }
+}
+
+// Engine level: slice snapshots and a mid-tile resume.  With slices on, a
+// batch ends at the next slice boundary, so snapshots land every 100 rows
+// past the start row whatever bt is, and every snapshot and the resumed
+// tail equal the cooperative path's bytes.
+TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
+  DispatchGuard guard;
+  using Traits = PrecisionTraits<PrecisionMode::FP16>;
+  SyntheticSpec spec;
+  spec.segments = 450;
+  spec.dims = 4;
+  spec.window = 32;
+  spec.injections_per_dim = 2;
+  spec.seed = 77;
+  const auto data = make_synthetic_dataset(spec);
+  gpusim::Device device(gpusim::a100(), 0, 4);
+  mp::Tile tile;
+  tile.r_count = tile.q_count = spec.segments;
+
+  struct Run {
+    std::vector<std::size_t> rows;
+    std::vector<std::vector<double>> profiles;
+    std::vector<std::vector<std::int64_t>> indexes;
+    mp::TileResult result;
+  };
+  const auto run = [&](Run& out, mp::RowPath path, std::size_t start_row) {
+    mp::SliceProgress slice;
+    slice.start_row = start_row;
+    slice.slice_rows = 100;
+    slice.on_slice = [&](std::size_t rows_done, std::vector<double> profile,
+                         std::vector<std::int64_t> index) {
+      out.rows.push_back(rows_done);
+      out.profiles.push_back(std::move(profile));
+      out.indexes.push_back(std::move(index));
+    };
+    mp::SingleTileEngine<Traits>::enqueue(
+        device, nullptr, data.reference, data.reference, spec.window, tile,
+        /*exclusion=*/8, out.result, nullptr, path, {}, nullptr, &slice);
+  };
+  for (const std::size_t start_row : {std::size_t(0), std::size_t(137)}) {
+    Run cooperative;
+    run(cooperative, mp::RowPath::kCooperative, start_row);
+    for (const std::size_t bt : {0ul, 7ul, 64ul}) {
+      mp::set_row_batch_override(bt);
+      Run fused;
+      run(fused, mp::RowPath::kFused, start_row);
+      EXPECT_EQ(fused.rows, cooperative.rows) << "bt=" << bt;
+      for (const std::size_t rows : fused.rows) {
+        EXPECT_EQ((rows - start_row) % 100, 0u) << "bt=" << bt;
+      }
+      EXPECT_EQ(fused.rows.size(), (spec.segments - 1 - start_row) / 100);
+      EXPECT_EQ(fused.profiles, cooperative.profiles) << "bt=" << bt;
+      EXPECT_EQ(fused.indexes, cooperative.indexes) << "bt=" << bt;
+      EXPECT_EQ(fused.result.profile, cooperative.result.profile)
+          << "bt=" << bt << " start_row=" << start_row;
+      EXPECT_EQ(fused.result.index, cooperative.result.index)
+          << "bt=" << bt << " start_row=" << start_row;
+    }
+    mp::set_row_batch_override(0);
+  }
+}
+
 // --- Dispatch plumbing ----------------------------------------------------
 
 TEST(SimdDispatch, ParseAndClamp) {
@@ -187,7 +413,7 @@ TEST(SimdDispatch, ParseAndClamp) {
   EXPECT_EQ(active_level(), detected_level());
 }
 
-// The grained parallel_for the batched executor dispatches rows with:
+// The grained parallel_for the blocked executor dispatches rows with:
 // every index covered exactly once, chunks never smaller than the grain
 // (except the last), on a multi-worker pool.
 TEST(SimdDispatch, ParallelForGrainedCoverage) {

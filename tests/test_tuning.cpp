@@ -75,6 +75,35 @@ TEST(TileTuner, TighterToleranceMeansMoreTiles) {
   EXPECT_GT(tight, loose);
 }
 
+TEST(TileTuner, FusedRequestsUseTheFusedFootprint) {
+  // A device whose capacity sits between the fused and the cooperative
+  // working set of the untiled problem: only a cooperative request is
+  // memory-limited.
+  TileTuningRequest request;
+  request.n_r = request.n_q = 4096;
+  request.dims = 4;
+  request.window = 64;
+  request.mode = PrecisionMode::FP64;
+  const std::size_t cooperative =
+      tile_working_set_bytes(4096, 4096, 4, 64, PrecisionMode::FP64);
+  const std::size_t fused =
+      fused_tile_working_set_bytes(4096, 4096, 4, 64, PrecisionMode::FP64);
+  ASSERT_LT(fused, cooperative);
+  gpusim::MachineSpec spec = gpusim::a100();
+  spec.memory_capacity_bytes =
+      std::size_t(double(fused + cooperative) / 2.0 / 0.8);
+
+  const auto coop = suggest_tiles(request, spec);
+  EXPECT_TRUE(coop.memory_limited);
+  EXPECT_GT(coop.tiles, 1);
+
+  request.fused_rows = true;
+  const auto tuned = suggest_tiles(request, spec);
+  EXPECT_FALSE(tuned.memory_limited);
+  EXPECT_EQ(tuned.tiles, 1);
+  EXPECT_EQ(tuned.tile_bytes, fused);
+}
+
 TEST(TileTuner, WorkingSetGrowsWithEveryDimension) {
   const std::size_t base = tile_working_set_bytes(1024, 1024, 8, 64,
                                                   PrecisionMode::FP64);

@@ -158,6 +158,7 @@ int run(int argc, char** argv) {
     request.window = config.window;
     request.mode = config.mode;
     request.devices = config.devices;
+    request.fused_rows = mp::use_fused_row_path(config.row_path, request.dims);
     const auto tuned =
         mp::suggest_tiles(request, gpusim::spec_by_name(config.machine));
     config.tiles = tuned.tiles;
