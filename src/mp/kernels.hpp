@@ -16,6 +16,7 @@
 
 #include "gpusim/kernel.hpp"
 #include "mp/precalc.hpp"
+#include "mp/sketch.hpp"
 #include "mp/simd/span.hpp"
 #include "mp/sort_scan.hpp"
 #include "precision/modes.hpp"
@@ -525,9 +526,10 @@ void fused_row_cols(
 }
 
 /// qt_only_row_body over columns [begin, end) with QtRows addressing.
-/// Always inlined: the sketch prefilter calls qt_only_row_body once per
-/// 32-column group, and an out-of-line call here cost batch-sketch runs
-/// about 6% of their CPU time.
+/// fused_rows_blocked calls it for each chunk's halo and, under the sketch
+/// prefilter, for every run of skipped column groups, once per row.
+/// Always inlined: an out-of-line call once per 32-column group cost
+/// batch-sketch runs about 6% of their CPU time.
 template <typename Traits>
 MPSIM_ALWAYS_INLINE void qt_only_cols(std::int64_t begin, std::int64_t end, std::size_t i,
                   std::size_t w, std::size_t d,
@@ -652,8 +654,14 @@ void qt_only_row_body(
 // owner's.  Intermediate rows live in two chunk-local ping-pong buffers;
 // only the last row writes the tile's qt_next, and only at [c0, c1).
 
-/// Rows [i0, i0 + bt) of the tile over columns [c0, c1); bt == 1 is
-/// exactly fused_row_body.  `row_base` is the tile's first global row.
+/// Rows [i0, i0 + bt) of the tile over columns [c0, c1); bt == 1 without
+/// `groups` is exactly fused_row_body.  `row_base` is the tile's first
+/// global row.  `groups` (optional) holds the sketch prefilter's decisions for the
+/// batch, one per kPrefilterColGroup columns, fixed for all bt rows: kSkip
+/// groups run QT-only, kRun / kVerify groups run the exact pipeline.  Each
+/// row walks the chunk's columns in runs of groups with equal verdicts, one
+/// call per run (chunk edges may split a group).  Null runs every column
+/// exactly.
 template <typename Traits>
 void fused_rows_blocked(
     std::int64_t c0, std::int64_t c1, std::size_t bt, std::size_t i0,
@@ -667,19 +675,39 @@ void fused_rows_blocked(
     const typename Traits::Storage* qt_prev,
     typename Traits::Storage* qt_next, std::int64_t row_base,
     std::int64_t q_begin, std::int64_t exclusion,
-    typename Traits::Storage* profile, std::int64_t* index) {
+    typename Traits::Storage* profile, std::int64_t* index,
+    const PrefilterDecision* groups = nullptr) {
   using ST = typename Traits::Storage;
-  MPSIM_CHECK(bt >= 1, "fused_rows_blocked: empty batch");
-  if (bt == 1) {
-    fused_row_body<Traits>(c0, c1, i0, w, m, d, qt_row_seed, qt_col_seed, nr,
-                           df_r, dg_r, inv_r, df_q, dg_q, inv_q, qt_prev,
-                           qt_next, row_base + std::int64_t(i0), q_begin,
-                           exclusion, profile, index);
-    return;
-  }
   using Rows = detail::QtRows<ST>;
+  MPSIM_CHECK(bt >= 1, "fused_rows_blocked: empty batch");
+  constexpr auto G = std::int64_t(kPrefilterColGroup);
+  const auto skipped = [groups](std::int64_t j) {
+    return groups[std::size_t(j / G)] == PrefilterDecision::kSkip;
+  };
+  const auto row = [&](std::size_t i, detail::QtRows<const ST> prev,
+                       Rows next) {
+    for (std::int64_t a = c0, b; a < c1; a = b) {
+      const bool skip = groups != nullptr && skipped(a);
+      b = groups == nullptr ? c1 : (a / G + 1) * G;
+      while (b < c1 && skipped(b) == skip) b += G;
+      b = std::min(b, c1);
+      if (skip) {
+        detail::qt_only_cols<Traits>(a, b, i, w, d, qt_row_seed, qt_col_seed,
+                                     nr, df_r, dg_r, df_q, dg_q, prev, next);
+      } else {
+        detail::fused_row_cols<Traits>(
+            a, b, i, w, m, d, qt_row_seed, qt_col_seed, nr, df_r, dg_r,
+            inv_r, df_q, dg_q, inv_q, prev, next, row_base + std::int64_t(i),
+            q_begin, exclusion, profile, index);
+      }
+    }
+  };
   const Rows tile_next{qt_next, w, 0};
   detail::QtRows<const ST> prev{qt_prev, w, 0};
+  if (bt == 1) {
+    row(i0, prev, tile_next);
+    return;
+  }
 
   // Halo ping-pong rows over [lo, c1): row r covers [c0 - (bt-1-r), c1),
   // clipped at column 0.
@@ -697,10 +725,7 @@ void fused_rows_blocked(
         std::max<std::int64_t>(0, c0 - std::int64_t(bt - 1 - r));
     detail::qt_only_cols<Traits>(hb, c0, i, w, d, qt_row_seed, qt_col_seed,
                                  nr, df_r, dg_r, df_q, dg_q, prev, next);
-    detail::fused_row_cols<Traits>(
-        c0, c1, i, w, m, d, qt_row_seed, qt_col_seed, nr, df_r, dg_r, inv_r,
-        df_q, dg_q, inv_q, prev, next, row_base + std::int64_t(i), q_begin,
-        exclusion, profile, index);
+    row(i, prev, next);
     prev = {next.data, next.stride, next.col0};
   }
 }

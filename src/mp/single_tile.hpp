@@ -343,10 +343,10 @@ class SingleTileEngine {
       const double mu = modeled(upd_cost);
       const double msum = std::max(md + ms + mu, 1e-300);
 
-      // Per-row fault/cancel/accounting prologue and epilogue, shared by
-      // the blocked and prefiltered loops so fault-injection schedules,
-      // cancellation poll counts and ledger records keep the per-row
-      // cadence regardless of batching.
+      // Per-row fault/cancel/accounting prologue and epilogue, run once
+      // per row of each batch so fault-injection schedules, cancellation
+      // poll counts and ledger records keep the per-row cadence regardless
+      // of batching.
       const auto row_prologue = [&] {
         if (cancel != nullptr) cancel->poll("fused row");
         device.fault_point(gpusim::FaultSite::kKernelLaunch, "dist_calc",
@@ -371,71 +371,38 @@ class SingleTileEngine {
       };
       // Approximate sketch prefilter (opt-in, fused path only): builds
       // per-segment FP16 sketches once, scores column groups per row
-      // batch, and runs the QT-only recurrence where the score says no
-      // profile update is possible (mp/sketch.hpp has the contract).
-      // The per-row ledger cadence — fault points, cancellation polls,
-      // record_fused_launch triple — is identical to the exact loop.
+      // batch, and the blocked loop below runs the QT-only recurrence
+      // where the score says no profile update is possible (mp/sketch.hpp
+      // has the contract).
       TilePrefilter pf(prefilter, m, d, nr, nq);
       const bool prefiltered = pf.enabled();
-      if (prefiltered) emit_slices = false;
       if (prefiltered) {
+        emit_slices = false;
         pf.template build<Traits>(host_r.data(), len_r, mu_r.data(),
                                   inv_r.data(), host_q.data(), len_q,
                                   mu_q.data(), inv_q.data());
       }
-      const auto run_prefiltered_row = [&](std::size_t i, ST* qp, ST* qn) {
-        const std::size_t b0 = i - i % pf.batch_rows();
-        if (i == b0) {
-          pf.template score_batch<Traits>(
-              profile.data(), i, std::min(pf.batch_rows(), nr - i));
-        }
-        row_prologue();
-        Stopwatch watch;
-        device.pool().parallel_for(
-            nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
-              pf.for_groups(begin, end, [&](std::size_t gb, std::size_t ge,
-                                            PrefilterDecision dec) {
-                if (dec == PrefilterDecision::kSkip) {
-                  qt_only_row_body<Traits>(
-                      std::int64_t(gb), std::int64_t(ge), i, nq, d,
-                      qt_row.data(), qt_col.data(), nr, df_r.data(),
-                      dg_r.data(), df_q.data(), dg_q.data(), qp, qn);
-                } else {
-                  fused_row_body<Traits>(
-                      std::int64_t(gb), std::int64_t(ge), i, nq, m, d,
-                      qt_row.data(), qt_col.data(), nr, df_r.data(),
-                      dg_r.data(), inv_r.data(), df_q.data(), dg_q.data(),
-                      inv_q.data(), qp, qn, std::int64_t(tile.r_begin + i),
-                      std::int64_t(tile.q_begin), exclusion, profile.data(),
-                      index.data());
-                }
-              });
-            });
-        row_records(watch.seconds());
-        if (i + 1 == std::min(b0 + pf.batch_rows(), nr)) {
-          pf.note_batch_end(index.data(), std::int64_t(tile.r_begin + b0),
-                            std::int64_t(tile.r_begin + i));
-        }
-      };
-
       // Temporal-blocked rows (see kernels.hpp, fused_rows_blocked): one
       // dispatch per batch of bt rows; each column chunk runs the whole
       // batch, recomputing its QT halo instead of synchronising.  A batch
       // ends at the next slice boundary, so snapshots land on the same
-      // rows as a per-row loop's.
+      // rows as a per-row loop's.  Under the prefilter a batch also ends
+      // at the next score-batch end: the decisions, scored against the
+      // profile as of the score batch's first row, hold for all its rows,
+      // and misses are sampled once its last row has run.
       const RowBlockShape shape =
           row_block_shape(nq, device.pool().worker_count());
+      const std::size_t sb = pf.batch_rows();
+      const PrefilterDecision* groups = prefiltered ? pf.decisions() : nullptr;
       for (std::size_t i0 = start_row; i0 < nr;) {
-        if (prefiltered) {
-          // The prefilter scores and dispatches per column group within
-          // each row, so it supplies its own batching (row batches share
-          // one scoring pass); temporal blocking stays off.
-          run_prefiltered_row(i0, qt_prev, qt_next);
-          std::swap(qt_prev, qt_next);
-          ++i0;
-          continue;
-        }
         std::size_t bt = std::min(shape.rows, nr - i0);
+        if (prefiltered) {
+          if (i0 % sb == 0) {
+            pf.template score_batch<Traits>(profile.data(), i0,
+                                            std::min(sb, nr - i0));
+          }
+          bt = std::min(bt, sb - i0 % sb);
+        }
         if (emit_slices) {
           bt = std::min(bt, last_emitted + slice->slice_rows - i0);
         }
@@ -454,12 +421,17 @@ class SingleTileEngine {
                   inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
                   qt_prev, qt_next, std::int64_t(tile.r_begin),
                   std::int64_t(tile.q_begin), exclusion, profile.data(),
-                  index.data());
+                  index.data(), groups);
             });
         const double per_row = watch.seconds() / double(bt);
         for (std::size_t r = 0; r < bt; ++r) row_records(per_row);
         std::swap(qt_prev, qt_next);
         i0 += bt;
+        if (prefiltered && (i0 % sb == 0 || i0 == nr)) {
+          const std::size_t b0 = (i0 - 1) / sb * sb;
+          pf.note_batch_end(index.data(), std::int64_t(tile.r_begin + b0),
+                            std::int64_t(tile.r_begin + i0 - 1));
+        }
         maybe_slice(i0);
       }
 

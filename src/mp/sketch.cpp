@@ -135,9 +135,9 @@ TilePrefilter::TilePrefilter(const PrefilterConfig& config, std::size_t m,
 
 void TilePrefilter::build_column_boxes() {
   // Static per-group component boxes over the column sketches.  Consecutive
-  // columns' windows overlap by m-1 samples, so the 64-column box stays
-  // close to the individual sketches — tight enough that one interval
-  // product bounds the whole group.
+  // columns' windows overlap by m-1 samples, so a group's box (32 columns,
+  // kPrefilterColGroup) stays close to the individual sketches — tight
+  // enough that one interval product bounds the whole group.
   constexpr std::size_t P = kSketchComponents;
   for (std::size_t g = 0; g < groups_; ++g) {
     const std::size_t jb = g * kPrefilterColGroup;

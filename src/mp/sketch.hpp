@@ -131,7 +131,8 @@ enum class PrefilterDecision : std::uint8_t {
 /// Per-tile driver: builds the segment sketches once after precalc, then
 /// scores each row batch and hands the fused row loop a per-group
 /// decision vector.  All methods run on the tile's stream thread; the
-/// decision vector is read-only during the row's parallel_for.
+/// decision vector is read-only during each row batch's dispatch (the
+/// engine ends its temporal-blocked batches at score-batch ends).
 class TilePrefilter {
  public:
   TilePrefilter(const PrefilterConfig& config, std::size_t m, std::size_t d,
@@ -197,8 +198,14 @@ class TilePrefilter {
     score_batch_scored(i0, rows);
   }
 
+  /// The current batch's decisions, one per kPrefilterColGroup columns
+  /// (fused_rows_blocked runs kSkip groups QT-only).
+  const PrefilterDecision* decisions() const { return decisions_.data(); }
+
   /// Invokes fn(group_begin, group_end, decision) for every decision
   /// group intersecting column range [begin, end) of the current batch.
+  /// The engine reads decisions() instead; the repository benchmark's
+  /// probe still loops over this until the benchmark is revised.
   template <typename Fn>
   void for_groups(std::size_t begin, std::size_t end, Fn&& fn) const {
     std::size_t j = begin;

@@ -147,6 +147,12 @@ verified = c["prefilter.cols_verified"]
 expected = c["prefilter.cols_missed"] / verified if verified else 0.0
 assert abs(rate - expected) < 1e-12, (rate, expected)
 assert rate <= 0.05, f"measured miss rate {rate} above the 0.05 budget"
+# The prefiltered rows run temporal-blocked: one pool dispatch per 16-row
+# score batch plus the precalc launches, never one per row.
+rows = 3 * 911 - 400 + 1
+runs = (c["thread_pool.parallel_for.dispatches"]
+        + c["thread_pool.parallel_for.inline_runs"])
+assert runs <= -(-rows // 16) + 3, f"{runs} pool runs for {rows} rows"
 print(f"prefilter metrics OK (skipped {c['prefilter.cols_skipped']} cols, "
       f"miss rate {rate})")
 EOF

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -228,12 +229,17 @@ TEST(BlockedRows, MatchCooperativeEndToEnd) {
 }
 
 // Kernel level, independent of the host's core count: fused_rows_blocked
-// over explicit column partitions (chunks narrower than the halo, a
-// ragged last chunk, the whole row), chunks run right to left so none can
-// lean on a neighbour's output, from row 0 (row seeds) and from a
-// mid-tile start row, against the per-row fused_row_body loop.
+// over explicit column partitions (chunks narrower than the halo, chunks
+// whose edges split 32-column prefilter groups, a ragged last chunk, the
+// whole row), chunks run right to left so none can lean on a neighbour's
+// output, from row 0 (row seeds) and from a mid-tile start row, against
+// the per-row fused_row_body loop.  Non-empty `groups` are prefilter
+// decisions, and the oracle walks each row group by group:
+// qt_only_row_body for kSkip, fused_row_body otherwise.
 template <typename Traits>
-void check_blocked_kernel(std::size_t d) {
+void check_blocked_kernel(std::size_t d,
+                          const std::vector<mp::PrefilterDecision>& groups = {},
+                          const char* mask = "exact") {
   using ST = typename Traits::Storage;
   const std::size_t nr = 70, nq = 100, m = 16;
   Rng rng(7 + d);
@@ -277,15 +283,26 @@ void check_blocked_kernel(std::size_t d) {
       const State want = run(start, *dfq, [&](std::size_t i, const auto& f,
                                               const ST* qp, ST* qn, ST* prof,
                                               std::int64_t* idx) {
-        mp::fused_row_body<Traits>(
-            0, std::int64_t(nq), i, nq, m, d, qt_row.data(), qt_col.data(),
-            nr, df_r.data(), dg_r.data(), inv_r.data(), f.data(), dg_q.data(),
-            inv_q.data(), qp, qn, std::int64_t(1000 + i), 1000, exclusion,
-            prof, idx);
+        const std::size_t g = groups.empty() ? nq : mp::kPrefilterColGroup;
+        for (std::size_t j0 = 0; j0 < nq; j0 += g) {
+          const auto j1 = std::int64_t(std::min(nq, j0 + g));
+          if (!groups.empty() &&
+              groups[j0 / g] == mp::PrefilterDecision::kSkip) {
+            mp::qt_only_row_body<Traits>(
+                std::int64_t(j0), j1, i, nq, d, qt_row.data(), qt_col.data(),
+                nr, df_r.data(), dg_r.data(), f.data(), dg_q.data(), qp, qn);
+          } else {
+            mp::fused_row_body<Traits>(
+                std::int64_t(j0), j1, i, nq, m, d, qt_row.data(),
+                qt_col.data(), nr, df_r.data(), dg_r.data(), inv_r.data(),
+                f.data(), dg_q.data(), inv_q.data(), qp, qn,
+                std::int64_t(1000 + i), 1000, exclusion, prof, idx);
+          }
+        }
         return std::size_t(1);
       });
       for (const std::size_t bt : kBlockRows) {
-        for (const std::size_t chunk : {3ul, 37ul, nq}) {
+        for (const std::size_t chunk : {3ul, 37ul, 50ul, nq}) {
           const State got = run(start, *dfq, [&](std::size_t i0, const auto& f,
                                                  const ST* qp, ST* qn, ST* prof,
                                                  std::int64_t* idx) {
@@ -296,7 +313,8 @@ void check_blocked_kernel(std::size_t d) {
                   std::int64_t(c0), std::int64_t(c1), rows, i0, nq, m, d,
                   qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
                   inv_r.data(), f.data(), dg_q.data(), inv_q.data(), qp, qn,
-                  1000, 1000, exclusion, prof, idx);
+                  1000, 1000, exclusion, prof, idx,
+                  groups.empty() ? nullptr : groups.data());
               c1 = c0;
             }
             return rows;
@@ -308,7 +326,8 @@ void check_blocked_kernel(std::size_t d) {
           };
           EXPECT_TRUE(same(got.profile, want.profile) &&
                       same(got.index, want.index) && same(got.qt, want.qt))
-              << to_string(Traits::kMode) << " d=" << d << " bt=" << bt
+              << to_string(Traits::kMode) << " " << mask << " d=" << d
+              << " bt=" << bt
               << " chunk=" << chunk << " start=" << start
               << " exclusion=" << exclusion
               << (dfq == &nan_df_q ? " nan" : "");
@@ -326,6 +345,39 @@ TEST(BlockedRows, KernelMatchesPerRowOverChunkPartitions) {
     for (const PrecisionMode mode : kExtendedPrecisionModes) {
       dispatch_precision(mode, [&]<typename Traits>() {
         for (const std::size_t d : {1ul, 3ul}) check_blocked_kernel<Traits>(d);
+      });
+    }
+  }
+}
+
+// The sketch prefilter's decisions over the same partitions: all-skip,
+// all-run, alternating and seeded-random masks (kVerify runs exactly).  A
+// skipped group's columns, halo copies included, may only advance QT.
+TEST(BlockedRows, PrefilterGroupsOverChunkPartitions) {
+  DispatchGuard guard;
+  using D = mp::PrefilterDecision;
+  const std::size_t groups = 4;  // the kernel check's 100 columns
+  std::vector<D> alternating(groups), random(groups);
+  Rng rng(2024);
+  for (std::size_t g = 0; g < groups; ++g) {
+    alternating[g] = g % 2 == 0 ? D::kSkip : D::kRun;
+    random[g] = D(rng.next_u64() % 3);
+  }
+  const std::pair<const char*, std::vector<D>> masks[] = {
+      {"all-skip", std::vector<D>(groups, D::kSkip)},
+      {"all-run", std::vector<D>(groups, D::kRun)},
+      {"alternating", alternating},
+      {"random", random}};
+  for (const mp::simd::Level lv :
+       {mp::simd::kScalar, mp::simd::detected_level()}) {
+    mp::simd::set_override(lv);
+    for (const PrecisionMode mode : kExtendedPrecisionModes) {
+      dispatch_precision(mode, [&]<typename Traits>() {
+        for (const auto& [name, mask] : masks) {
+          for (const std::size_t d : {1ul, 3ul}) {
+            check_blocked_kernel<Traits>(d, mask, name);
+          }
+        }
       });
     }
   }

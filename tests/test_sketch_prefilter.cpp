@@ -16,7 +16,9 @@
 #include "common/rng.hpp"
 #include "metrics/accuracy.hpp"
 #include "mp/matrix_profile.hpp"
+#include "mp/simd/dispatch.hpp"
 #include "mp/sketch.hpp"
+#include "mp/tuning.hpp"
 #include "tsdata/time_series.hpp"
 
 namespace mpsim::mp {
@@ -26,10 +28,11 @@ namespace {
 /// (correlation length ~ sigma, so the sketch interval boxes are tight),
 /// repeated `reps` times with fresh per-repeat noise so every segment has
 /// a near-perfect match somewhere — the regime the prefilter is built
-/// for.  Dimension b is the same base pattern cyclically shifted, keeping
-/// both dimensions equally matchable.
+/// for.  Dimension k is the same base pattern cyclically shifted by
+/// k * seg / 3, keeping every dimension equally matchable.
 TimeSeries smooth_repeats(std::size_t seg, std::size_t reps, double sigma,
-                          double noise, std::uint64_t seed) {
+                          double noise, std::uint64_t seed,
+                          std::size_t dims = 2) {
   Rng rng(seed);
   const std::size_t support = std::size_t(sigma) * 6 + 20;
   std::vector<double> white(seg + support);
@@ -51,13 +54,15 @@ TimeSeries smooth_repeats(std::size_t seg, std::size_t reps, double sigma,
   const double inv_sd = 1.0 / std::sqrt(ssq / double(seg));
   for (auto& v : base) v = (v - mean) * inv_sd;
 
-  const std::size_t len = seg * reps, shift = seg / 3;
-  std::vector<double> data(2 * len);
+  const std::size_t len = seg * reps;
+  std::vector<double> data(dims * len);
   for (std::size_t t = 0; t < len; ++t) {
-    data[t] = base[t % seg] + rng.normal(0.0, noise);
-    data[len + t] = base[(t + shift) % seg] + rng.normal(0.0, noise);
+    for (std::size_t k = 0; k < dims; ++k) {
+      data[k * len + t] =
+          base[(t + k * (seg / 3)) % seg] + rng.normal(0.0, noise);
+    }
   }
-  return TimeSeries(len, 2, std::move(data));
+  return TimeSeries(len, dims, std::move(data));
 }
 
 MatrixProfileConfig sketch_config(std::size_t window, double budget) {
@@ -209,6 +214,59 @@ TEST(SketchPrefilter, OffModeCarriesNoStats) {
   EXPECT_FALSE(result.prefilter.any());
   EXPECT_EQ(metrics::prefilter_miss_rate(result.prefilter), 0.0);
   EXPECT_TRUE(metrics::prefilter_within_budget(result.prefilter, 0.0));
+}
+
+// Temporal blocking is pure scheduling under the prefilter too: a row
+// batch never crosses a score-batch end, so every batch size replays the
+// one-dispatch-per-row run (bt = 1) bit for bit, decisions and miss
+// samples included.  The 781-column tile and its three-tile split are
+// not multiples of the 32-column group, so chunk edges split groups.
+TEST(SketchPrefilter, BlockedBatchesMatchPerRowDispatch) {
+  struct Guard {
+    ~Guard() {
+      simd::clear_override();
+      set_row_batch_override(0);
+    }
+  } guard;
+  const auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  for (const std::size_t dims : {1ul, 2ul, 5ul}) {
+    const auto series = smooth_repeats(300, 3, 15.0, 0.005, 40 + dims, dims);
+    for (const PrecisionMode mode : {PrecisionMode::FP16, PrecisionMode::FP32}) {
+      for (const int tiles : {1, 3}) {
+        auto config = sketch_config(120, 0.05);
+        config.mode = mode;
+        config.tiles = tiles;
+        for (const simd::Level lv : {simd::kScalar, simd::detected_level()}) {
+          simd::set_override(lv);
+          set_row_batch_override(1);
+          const auto want = compute_self_join(series, config);
+          const PrefilterStats& ws = want.prefilter;
+          ASSERT_GT(ws.cols_skipped, 0u) << "d=" << dims;
+          for (const std::size_t bt : {0ul, 3ul, 7ul, 16ul, 64ul}) {
+            set_row_batch_override(bt);
+            const auto got = compute_self_join(series, config);
+            const PrefilterStats& gs = got.prefilter;
+            const auto where = [&] {
+              return ::testing::Message()
+                     << to_string(mode) << " d=" << dims << " tiles=" << tiles
+                     << " level=" << simd::to_string(lv) << " bt=" << bt;
+            };
+            EXPECT_TRUE(same(got.profile, want.profile)) << where();
+            EXPECT_TRUE(same(got.index, want.index)) << where();
+            EXPECT_EQ(gs.blocks_total, ws.blocks_total) << where();
+            EXPECT_EQ(gs.blocks_skipped, ws.blocks_skipped) << where();
+            EXPECT_EQ(gs.blocks_verified, ws.blocks_verified) << where();
+            EXPECT_EQ(gs.cols_skipped, ws.cols_skipped) << where();
+            EXPECT_EQ(gs.cols_verified, ws.cols_verified) << where();
+            EXPECT_EQ(gs.cols_missed, ws.cols_missed) << where();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
