@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       config.devices_per_node = 4;
       config.window = m;
       config.mode = mode;
-      config.tiles = int(args.get_int("tiles", 128));
+      config.tiles = args.get_int32("tiles", 128);
       const auto r = cluster::model_cluster(n, n, d, m, config);
       if (nodes == 1) single = r.total_seconds();
       const double eff =

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   spec.segments =
       std::max(bench::scaled(args, 4096), 6 * (2 * spec.window + 2));
   const double relaxation = args.get_double("relaxation", 0.05);
-  const int repeats = int(args.get_int("repeats", 3));
+  const int repeats = args.get_int32("repeats", 3);
 
   const std::vector<PairCategory> categories{
       {"GT1: P1 vs P1", 1, 1, 3, 0, 3, 0, StartupShape::kP1},

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const std::size_t n = 1 << 16;
   const std::size_t d = 1 << 8;
   const std::size_t m = 1 << 6;
-  const int tiles = int(args.get_int("tiles", 16));
+  const int tiles = args.get_int32("tiles", 16);
 
   // --- Execution time and efficiency vs number of GPUs. ---
   Table table({"GPUs", "FP64 [s]", "Eff", "FP32 [s]", "Eff", "FP16 [s]",

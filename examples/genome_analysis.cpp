@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   mp::MatrixProfileConfig config;
   config.window = window;
   config.mode = parse_precision_mode(args.get_string("mode", "FP16"));
-  config.tiles = int(args.get_int("tiles", 16));
+  config.tiles = args.get_int32("tiles", 16);
   const auto result =
       mp::compute_matrix_profile(data.reference, data.query, config);
 

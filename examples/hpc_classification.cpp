@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   mp::MatrixProfileConfig config;
   config.window = window;
   config.mode = parse_precision_mode(args.get_string("mode", "Mixed"));
-  config.tiles = int(args.get_int("tiles", 16));
+  config.tiles = args.get_int32("tiles", 16);
   std::printf("telemetry: %zu samples x %zu sensors; window=%zu; mode=%s, "
               "%d tiles\n\n",
               spec.length, data.series.dims(), window,

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // --- FP64 matrix profile; report the best k-dimensional motifs. ---
   mp::MatrixProfileConfig config;
   config.window = spec.window;
-  config.tiles = int(args.get_int("tiles", 4));
+  config.tiles = args.get_int32("tiles", 4);
   const auto fp64 = mp::compute_matrix_profile(data.reference, data.query,
                                                config);
 

@@ -35,13 +35,17 @@ run_one() {
       --repeat until-fail:20 \
       -R '^(ElasticCoordinator\.|tool_cli_cluster$|tool_cli_chaos_soak$)'
   # The explicit SIMD kernels do raw intrinsic loads/stores and the
-  # diagonal-batched executor claims row chunks across pool workers; run
-  # the dispatch bit-equality suite once per MPSIM_SIMD level so the env
-  # request path and every kernel variant sit under the sanitizer (the
-  # level clamps to the host, so this is safe on any machine).
+  # engine's row loop (fused_rows_blocked) hands column chunks of a row
+  # batch, halo recomputation included, to pool workers; run the dispatch
+  # bit-equality suite, the blocked-row tests and the prefiltered blocked
+  # batches once per MPSIM_SIMD level so the env request path and every
+  # kernel variant sit under the sanitizer (the level clamps to the host,
+  # so this is safe on any machine).
   for level in scalar f16c avx2; do
     MPSIM_SIMD=$level "$dir"/tests/test_simd_dispatch \
-        --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows'
+        --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows:BlockedRows.*'
+    MPSIM_SIMD=$level "$dir"/tests/test_sketch_prefilter \
+        --gtest_filter='SketchPrefilter.BlockedBatchesMatchPerRowDispatch'
   done
   if [ "$kind" = thread ]; then
     # Hammer the lock-free metrics registry beyond the single CTest pass:

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -43,6 +44,14 @@ std::int64_t CliArgs::get_int(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return parse_int_flag(name, it->second);
+}
+
+int CliArgs::get_int32(const std::string& name, int fallback) const {
+  const std::int64_t value = get_int(name, fallback);
+  MPSIM_CHECK(value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max(),
+              "--" << name << "=" << value << " is out of int range");
+  return int(value);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

@@ -19,6 +19,9 @@ class CliArgs {
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for flags stored in an `int`: a value outside int's range
+  /// throws Error naming the flag instead of wrapping on the cast.
+  int get_int32(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

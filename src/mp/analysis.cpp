@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.hpp"
-#include "mp/brute_force.hpp"
 
 namespace mpsim::mp {
 namespace {
@@ -60,91 +58,6 @@ std::vector<ProfileExtreme> top_discords(const MatrixProfileResult& result,
                                          std::size_t k_dim, std::size_t count,
                                          std::size_t separation) {
   return top_extremes(result, k_dim, count, separation, /*smallest=*/false);
-}
-
-std::vector<KnnEntry> knn_profile(const TimeSeries& reference,
-                                  const TimeSeries& query,
-                                  std::size_t window, std::size_t k_dim,
-                                  std::size_t k, std::size_t separation,
-                                  std::int64_t exclusion) {
-  const std::size_t d = reference.dims();
-  MPSIM_CHECK(reference.dims() == query.dims(), "dimension mismatch");
-  MPSIM_CHECK(k_dim < d, "k_dim out of range");
-  MPSIM_CHECK(k >= 1, "need at least one neighbour");
-  const std::size_t n_r = reference.segment_count(window);
-  const std::size_t n_q = query.segment_count(window);
-  MPSIM_CHECK(n_r >= 1 && n_q >= 1, "window longer than an input series");
-
-  std::vector<KnnEntry> out(n_q * k);
-  std::vector<double> dists(d);
-  std::vector<std::pair<double, std::int64_t>> column(n_r);
-  for (std::size_t j = 0; j < n_q; ++j) {
-    for (std::size_t i = 0; i < n_r; ++i) {
-      for (std::size_t kk = 0; kk < d; ++kk) {
-        dists[kk] = znormalized_distance(reference.dim(kk).data() + i,
-                                         query.dim(kk).data() + j, window);
-      }
-      std::sort(dists.begin(), dists.end());
-      double running = 0.0;
-      for (std::size_t kk = 0; kk <= k_dim; ++kk) running += dists[kk];
-      column[i] = {running / double(k_dim + 1), std::int64_t(i)};
-    }
-    std::sort(column.begin(), column.end());
-
-    // Greedy selection with the separation rule (and optional self-join
-    // exclusion around j).
-    std::size_t taken = 0;
-    for (const auto& [dist, idx] : column) {
-      if (taken == k) break;
-      if (exclusion > 0 &&
-          std::llabs(idx - std::int64_t(j)) < exclusion) {
-        continue;
-      }
-      bool clash = false;
-      for (std::size_t r = 0; r < taken; ++r) {
-        if (std::llabs(out[j * k + r].segment - idx) <
-            std::int64_t(separation)) {
-          clash = true;
-          break;
-        }
-      }
-      if (clash) continue;
-      out[j * k + taken] = KnnEntry{idx, dist};
-      ++taken;
-    }
-  }
-  return out;
-}
-
-std::vector<std::size_t> motif_dimensions(const TimeSeries& reference,
-                                          const TimeSeries& query,
-                                          std::size_t window,
-                                          std::size_t ref_segment,
-                                          std::size_t query_segment,
-                                          std::size_t k_dim) {
-  const std::size_t d = reference.dims();
-  MPSIM_CHECK(reference.dims() == query.dims(), "dimension mismatch");
-  MPSIM_CHECK(k_dim < d, "k_dim out of range");
-  MPSIM_CHECK(ref_segment < reference.segment_count(window),
-              "reference segment out of range");
-  MPSIM_CHECK(query_segment < query.segment_count(window),
-              "query segment out of range");
-
-  std::vector<double> dists(d);
-  for (std::size_t k = 0; k < d; ++k) {
-    dists[k] =
-        znormalized_distance(reference.dim(k).data() + ref_segment,
-                             query.dim(k).data() + query_segment, window);
-  }
-  std::vector<std::size_t> order(d);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (dists[a] != dists[b]) return dists[a] < dists[b];
-    return a < b;
-  });
-  order.resize(k_dim + 1);
-  std::sort(order.begin(), order.end());
-  return order;
 }
 
 }  // namespace mpsim::mp

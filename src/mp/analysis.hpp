@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mp/options.hpp"
-#include "tsdata/time_series.hpp"
 
 namespace mpsim::mp {
 
@@ -33,35 +32,5 @@ std::vector<ProfileExtreme> top_motifs(const MatrixProfileResult& result,
 std::vector<ProfileExtreme> top_discords(const MatrixProfileResult& result,
                                          std::size_t k_dim, std::size_t count,
                                          std::size_t separation);
-
-/// K-nearest-neighbour matrix profile (SCAMP's KNN extension — the
-/// paper's reference [27] supports it): for every query segment, the k
-/// closest reference segments on the k_dim-dimensional distance, each at
-/// least `separation` segments apart from the previously selected
-/// neighbours of that query segment.  FP64 host computation, O(n_r * n_q
-/// * (d + k)) — an analysis utility, not a performance path.
-struct KnnEntry {
-  std::int64_t segment = -1;
-  double distance = 0.0;
-};
-
-/// result[j * k + rank] = rank-th nearest neighbour of query segment j.
-std::vector<KnnEntry> knn_profile(const TimeSeries& reference,
-                                  const TimeSeries& query,
-                                  std::size_t window, std::size_t k_dim,
-                                  std::size_t k, std::size_t separation,
-                                  std::int64_t exclusion = 0);
-
-/// mSTAMP's dimension recovery (Yeh et al. 2017, §"which dimensions"):
-/// for a matched pair (reference segment i, query segment j), returns the
-/// k_dim+1 dimensions whose per-dimension distances are smallest — the
-/// subset whose average the (k_dim)-dimensional profile reports.
-/// Recomputes the d z-normalised distances directly (FP64).
-std::vector<std::size_t> motif_dimensions(const TimeSeries& reference,
-                                          const TimeSeries& query,
-                                          std::size_t window,
-                                          std::size_t ref_segment,
-                                          std::size_t query_segment,
-                                          std::size_t k_dim);
 
 }  // namespace mpsim::mp

@@ -40,6 +40,12 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.resilience.max_tile_splits < 0) {
     throw ConfigError("resilience.max_tile_splits must be >= 0");
   }
+  // A NaN budget makes the sketch guard band NaN, which skips nothing.
+  if (!(config.prefilter.budget > 0.0 && config.prefilter.budget < 1.0)) {
+    throw ConfigError("prefilter budget (--prefilter-budget) must be in "
+                      "(0, 1), got " +
+                      std::to_string(config.prefilter.budget));
+  }
   if (config.checkpoint.interval_tiles < 1) {
     throw ConfigError("checkpoint.interval_tiles must be >= 1");
   }

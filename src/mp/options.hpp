@@ -27,17 +27,16 @@ enum class TileAssignment { kRoundRobin, kLpt };
 ///    cooperative sort_&_incl_scan, update_mat_prof), distance and scan
 ///    rows round-tripping through device buffers.  The literal Pseudocode
 ///    1 structure.
-///  * kFused — one column-blocked pass per row computing distances, the
+///  * kAuto — the fused path whenever the dimensionality supports it (the
+///    default): one column-blocked pass per row computing distances, the
 ///    small-d Bitonic network + scan-average, and the profile merge while
 ///    the block is register/cache resident.  Bit-identical outputs; the
 ///    three logical kernels are still modeled and recorded individually.
-///  * kAuto — fused whenever the dimensionality supports it (the default).
-enum class RowPath { kAuto, kFused, kCooperative };
+enum class RowPath { kAuto, kCooperative };
 
 inline std::string to_string(RowPath path) {
   switch (path) {
     case RowPath::kAuto: return "auto";
-    case RowPath::kFused: return "fused";
     case RowPath::kCooperative: return "cooperative";
   }
   return "auto";
@@ -45,10 +44,9 @@ inline std::string to_string(RowPath path) {
 
 inline RowPath parse_row_path(const std::string& name) {
   if (name == "auto") return RowPath::kAuto;
-  if (name == "fused") return RowPath::kFused;
   if (name == "cooperative") return RowPath::kCooperative;
   throw ConfigError("unknown row path '" + name +
-                    "' (expected auto|fused|cooperative)");
+                    "' (expected auto|cooperative)");
 }
 
 /// Candidate prefilter in front of the exact per-row pipeline.

@@ -48,9 +48,8 @@ void set_row_batch_override(std::size_t rows) {
 
 bool use_fused_row_path(RowPath requested, std::size_t dims) {
   if (requested == RowPath::kCooperative) return false;
-  // kAuto and kFused: the fused block pipeline supports every mode and
-  // every d up to its stack-block cap; beyond that only the cooperative
-  // path works, so both requests resolve to it.
+  // kAuto: the fused block pipeline supports every mode and every d up to
+  // its stack-block cap; beyond that only the cooperative path works.
   return dims <= kMaxFusedRowDims;
 }
 

@@ -74,9 +74,7 @@ std::size_t fused_tile_working_set_bytes(std::size_t tile_rows,
 /// Path-selection heuristic of the per-row pipeline: the fused path wins
 /// whenever it supports the dimensionality (its column block and network
 /// specialisations cap out at kMaxFusedRowDims), so kAuto resolves to
-/// fused below the cap and cooperative above it.  An explicit kFused
-/// request also falls back to cooperative above the cap — the request is
-/// a performance knob, not a correctness one, and both paths produce
+/// fused below the cap and cooperative above it.  Both paths produce
 /// bit-identical output.
 bool use_fused_row_path(RowPath requested, std::size_t dims);
 

@@ -37,8 +37,8 @@ mp::MatrixProfileConfig config_from_args(const CliArgs& args,
   mp::MatrixProfileConfig config;
   config.window = std::size_t(args.get_int("window", 64));
   config.mode = parse_precision_mode(args.get_string("mode", "FP64"));
-  config.tiles = int(args.get_int("tiles", 1));
-  config.devices = int(args.get_int("devices", 1));
+  config.tiles = args.get_int32("tiles", 1);
+  config.devices = args.get_int32("devices", 1);
   config.machine = args.get_string("machine", "A100");
   config.exclusion = args.get_int(
       "exclusion", self_join ? std::int64_t(config.window / 2) : 0);

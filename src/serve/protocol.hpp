@@ -10,7 +10,7 @@
 //              Flags mirror mpsim_cli: --reference=PATH [--query=PATH]
 //              [--self-join] [--window=M] [--mode=FP64|...] [--tiles=N]
 //              [--devices=N] [--machine=A100|V100] [--exclusion=R]
-//              [--row-path=auto|fused|cooperative]
+//              [--row-path=auto|cooperative]
 //              [--prefilter=off|sketch] [--prefilter-budget=B]
 //              [--id=TOKEN].
 //              Payload: the profile CSV, byte-identical to

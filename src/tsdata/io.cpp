@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "common/error.hpp"
 
@@ -27,10 +28,16 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-bool looks_numeric(const std::string& cell) {
+// A cell is numeric only if strtod consumes all of it but trailing
+// whitespace: "0.786264x" is not a number and "1st" is a header cell.
+std::optional<double> parse_cell(const std::string& cell) {
+  const char* begin = cell.c_str();
   char* end = nullptr;
-  std::strtod(cell.c_str(), &end);
-  return end != cell.c_str();
+  const double value = std::strtod(begin, &end);
+  if (end == begin) return std::nullopt;
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
+  if (*end != '\0') return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -74,7 +81,7 @@ TimeSeries read_csv(const std::string& path) {
     if (first) {
       first = false;
       dims = cells.size();
-      if (!looks_numeric(cells[0])) continue;  // header
+      if (!parse_cell(cells[0])) continue;  // header
     }
     MPSIM_CHECK(cells.size() == dims,
                 path << ":" << line_no << ": row with " << cells.size()
@@ -83,12 +90,10 @@ TimeSeries read_csv(const std::string& path) {
     std::vector<double> row;
     row.reserve(dims);
     for (const auto& cell : cells) {
-      char* end = nullptr;
-      const double v = std::strtod(cell.c_str(), &end);
-      MPSIM_CHECK(end != cell.c_str(),
-                  path << ":" << line_no << ": non-numeric cell '" << cell
-                       << "'");
-      row.push_back(v);
+      const auto v = parse_cell(cell);
+      MPSIM_CHECK(v, path << ":" << line_no << ": non-numeric cell '" << cell
+                          << "'");
+      row.push_back(*v);
     }
     rows.push_back(std::move(row));
   }

@@ -42,7 +42,7 @@ COMMON=(--reference="$WORK/ref.csv" --self-join --window=32 --devices=2
 
 # --- Requirement 1: N-node == single-node, all modes x both row paths.
 for mode in FP64 FP32 FP16 Mixed FP16C; do
-  for path in fused cooperative; do
+  for path in auto cooperative; do
     "$CLI" "${COMMON[@]}" --tiles=6 --mode="$mode" --row-path="$path" \
         --output="$WORK/one_${mode}_${path}.csv" \
         > "$WORK/one_${mode}_${path}.log"
@@ -69,7 +69,7 @@ fi
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 \
     --resume="$WORK/elastic.ckpt" --output="$WORK/elastic_resumed.csv" \
     > "$WORK/elastic_resumed.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/elastic_resumed.csv"
+cmp "$WORK/one_Mixed_auto.csv" "$WORK/elastic_resumed.csv"
 
 # --- Requirement 3: the same journal re-keyed onto a *different grid*
 # (tiles=6 -> tiles=4) and yet another node count.  The bytes must match
@@ -86,7 +86,7 @@ cmp "$WORK/clean4.csv" "$WORK/regrid_resumed.csv"
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 --steal=off \
     --metrics-out="$WORK/metrics.json" --trace-out="$WORK/trace.json" \
     --output="$WORK/observed.csv" > "$WORK/observed.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/observed.csv"
+cmp "$WORK/one_Mixed_auto.csv" "$WORK/observed.csv"
 grep -q 'mpsim-metrics-v2' "$WORK/metrics.json"
 for counter in coordinator.tiles_dispatched coordinator.steals \
                coordinator.node_crashes node.commits node.commit_conflicts; do
@@ -100,7 +100,7 @@ grep -q '"node 1"' "$WORK/trace.json"
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=3 \
     --node-faults="seed=6,node_crash@1:at=1" \
     --output="$WORK/crash.csv" > "$WORK/crash.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/crash.csv"
+cmp "$WORK/one_Mixed_auto.csv" "$WORK/crash.csv"
 grep -q "node 1 crashed" "$WORK/crash.log"
 
 echo "cli cluster OK"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CTest smoke leg of the fused row pipeline: run mpsim_cli once with each
-# per-row execution path forced and diff the profiles byte-for-byte — the
-# fused path's bit-identity contract, checked end-to-end through the CLI.
+# per-row execution path (auto resolves to fused at these dimensionalities)
+# and diff the profiles byte-for-byte — the fused path's bit-identity
+# contract, checked end-to-end through the CLI.
 # Covers a multi-dimensional padded case (d=3), the d=1 skip-sort path,
 # reduced precision, a NaN fault-injected run, and a wide tile that runs
 # temporal-blocked rows with QT halos.  $1 = build dir.
@@ -47,7 +48,7 @@ run() {  # run <path> <outfile> <extra args...>
 
 # d=3 self-join, FP64 and FP16, both paths must agree byte-for-byte.
 for mode in FP64 FP16 Mixed; do
-  run fused "$WORK/f_$mode.csv" --reference="$WORK/ref3.csv" --self-join \
+  run auto "$WORK/f_$mode.csv" --reference="$WORK/ref3.csv" --self-join \
       --window=32 --mode="$mode" --tiles=2
   run cooperative "$WORK/c_$mode.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode="$mode" --tiles=2
@@ -55,7 +56,7 @@ for mode in FP64 FP16 Mixed; do
 done
 
 # d=1: the sort kernel is skipped on both paths.
-run fused "$WORK/f_d1.csv" --reference="$WORK/ref1.csv" --self-join \
+run auto "$WORK/f_d1.csv" --reference="$WORK/ref1.csv" --self-join \
     --window=32
 run cooperative "$WORK/c_d1.csv" --reference="$WORK/ref1.csv" --self-join \
     --window=32
@@ -63,17 +64,12 @@ cmp "$WORK/f_d1.csv" "$WORK/c_d1.csv"
 
 # NaN-poisoned staged inputs: the same injector seed corrupts the same
 # bytes, so the poisoned profiles must still match across paths.
-for path in fused cooperative; do
+for path in auto cooperative; do
   run "$path" "$WORK/${path}_nan.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode=FP16 \
       --faults="seed=9,nan@0:at=1:frac=0.05"
 done
-cmp "$WORK/fused_nan.csv" "$WORK/cooperative_nan.csv"
-
-# --row-path=auto resolves to fused at this dimensionality.
-run auto "$WORK/a_FP64.csv" --reference="$WORK/ref3.csv" --self-join \
-    --window=32 --tiles=2
-cmp "$WORK/a_FP64.csv" "$WORK/f_FP64.csv"
+cmp "$WORK/auto_nan.csv" "$WORK/cooperative_nan.csv"
 
 # --simd= is a pure performance knob: every dispatch level must produce
 # byte-identical profiles (levels above the host clamp, so asking for
@@ -81,16 +77,16 @@ cmp "$WORK/a_FP64.csv" "$WORK/f_FP64.csv"
 # kernels; the NaN-fault FP16 run drives the vector kernels' scalar
 # fallbacks through the CLI.
 for mode in FP64 FP16 BF16; do
-  run fused "$WORK/s_scalar_$mode.csv" --reference="$WORK/ref3.csv" \
+  run auto "$WORK/s_scalar_$mode.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode="$mode" --tiles=2 --simd=scalar
   for level in f16c avx2 auto; do
-    run fused "$WORK/s_${level}_$mode.csv" --reference="$WORK/ref3.csv" \
+    run auto "$WORK/s_${level}_$mode.csv" --reference="$WORK/ref3.csv" \
         --self-join --window=32 --mode="$mode" --tiles=2 --simd="$level"
     cmp "$WORK/s_${level}_$mode.csv" "$WORK/s_scalar_$mode.csv"
   done
 done
 for level in scalar auto; do
-  run fused "$WORK/s_${level}_nan.csv" --reference="$WORK/ref3.csv" \
+  run auto "$WORK/s_${level}_nan.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode=FP16 --simd="$level" \
       --faults="seed=9,nan@0:at=1:frac=0.05"
 done
@@ -116,14 +112,14 @@ four_sensors 21 331 0 > "$WORK/ref4.csv"
 four_sensors 22 2131 40 > "$WORK/qry4.csv"
 blocked=(--reference="$WORK/ref4.csv" --query="$WORK/qry4.csv" --window=32
          --mode=FP16 --tiles=1 --devices=1)
-run fused "$WORK/b_fused.csv" "${blocked[@]}"
+run auto "$WORK/b_fused.csv" "${blocked[@]}"
 run cooperative "$WORK/b_cooperative.csv" "${blocked[@]}"
-run fused "$WORK/b_scalar.csv" "${blocked[@]}" --simd=scalar
+run auto "$WORK/b_scalar.csv" "${blocked[@]}" --simd=scalar
 cmp "$WORK/b_fused.csv" "$WORK/b_cooperative.csv"
 cmp "$WORK/b_fused.csv" "$WORK/b_scalar.csv"
 
 # The metrics JSON reports the dispatch variant each stage ran with.
-run fused "$WORK/m.csv" --reference="$WORK/ref3.csv" --self-join \
+run auto "$WORK/m.csv" --reference="$WORK/ref3.csv" --self-join \
     --window=32 --mode=FP16 --simd=scalar --metrics-out="$WORK/metrics.json"
 for stage in dist_calc sort_scan merge precalc; do
   grep -q "\"simd.$stage.scalar\"" "$WORK/metrics.json" || {

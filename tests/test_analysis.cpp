@@ -1,17 +1,12 @@
-// Tests for the motif/discord discovery utilities and the streaming
-// matrix profile.
+// Tests for the motif/discord discovery utilities.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "mp/analysis.hpp"
-#include "mp/cpu_reference.hpp"
 #include "mp/matrix_profile.hpp"
-#include "mp/streaming.hpp"
-#include "tsdata/patterns.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::mp {
@@ -99,223 +94,6 @@ TEST(Analysis, FindsInjectedMotifsOnRealProfile) {
   // Motifs come out sorted by distance.
   for (std::size_t i = 1; i < motifs.size(); ++i) {
     EXPECT_LE(motifs[i - 1].distance, motifs[i].distance);
-  }
-}
-
-TEST(KnnProfile, FirstNeighbourMatchesMatrixProfile) {
-  SyntheticSpec spec;
-  spec.segments = 150;
-  spec.dims = 2;
-  spec.window = 16;
-  spec.injections_per_dim = 1;
-  const auto data = make_synthetic_dataset(spec);
-
-  const auto knn =
-      knn_profile(data.reference, data.query, 16, 0, 3, /*separation=*/1);
-  MatrixProfileConfig config;
-  config.window = 16;
-  const auto mp = compute_matrix_profile(data.reference, data.query, config);
-
-  ASSERT_EQ(knn.size(), mp.segments * 3);
-  for (std::size_t j = 0; j < mp.segments; ++j) {
-    // Rank 0 is the 1-NN, i.e. the matrix profile entry (within the
-    // tolerance of the different computation path).
-    EXPECT_EQ(knn[j * 3 + 0].segment, mp.index_at(j, 0)) << j;
-    EXPECT_NEAR(knn[j * 3 + 0].distance, mp.at(j, 0), 1e-6) << j;
-    // Ranks are sorted by distance.
-    EXPECT_LE(knn[j * 3 + 0].distance, knn[j * 3 + 1].distance);
-    EXPECT_LE(knn[j * 3 + 1].distance, knn[j * 3 + 2].distance);
-  }
-}
-
-TEST(KnnProfile, SeparationKeepsNeighboursApart) {
-  const auto reference = make_noise_series(200, 1, 1.0, 8);
-  const auto query = make_noise_series(60, 1, 1.0, 9);
-  const std::size_t sep = 10;
-  const auto knn = knn_profile(reference, query, 16, 0, 4, sep);
-  const std::size_t n_q = query.segment_count(16);
-  for (std::size_t j = 0; j < n_q; ++j) {
-    for (std::size_t a = 0; a < 4; ++a) {
-      for (std::size_t b = a + 1; b < 4; ++b) {
-        const auto ia = knn[j * 4 + a].segment;
-        const auto ib = knn[j * 4 + b].segment;
-        if (ia < 0 || ib < 0) continue;
-        EXPECT_GE(std::llabs(ia - ib), std::int64_t(sep));
-      }
-    }
-  }
-}
-
-TEST(KnnProfile, ExclusionSkipsTrivialSelfMatches) {
-  const auto series = make_noise_series(120, 1, 1.0, 10);
-  const auto knn = knn_profile(series, series, 16, 0, 2, 1, /*exclusion=*/8);
-  const std::size_t n = series.segment_count(16);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t r = 0; r < 2; ++r) {
-      const auto idx = knn[j * 2 + r].segment;
-      if (idx < 0) continue;
-      EXPECT_GE(std::llabs(idx - std::int64_t(j)), 8);
-    }
-  }
-}
-
-TEST(KnnProfile, ValidatesArguments) {
-  const auto series = make_noise_series(64, 1, 1.0, 11);
-  EXPECT_THROW(knn_profile(series, series, 16, 5, 1, 1), Error);
-  EXPECT_THROW(knn_profile(series, series, 16, 0, 0, 1), Error);
-}
-
-TEST(MotifDimensions, RecoversInjectedDimensionSubset) {
-  // Inject the same pattern into dimensions {1, 3} at one location in
-  // both series; the 2-dimensional motif's recovered subset must be
-  // exactly those dimensions.
-  const std::size_t m = 32;
-  TimeSeries reference(400, 5), query(400, 5);
-  Rng rng(12);
-  for (std::size_t k = 0; k < 5; ++k) {
-    for (std::size_t t = 0; t < 400; ++t) {
-      reference.at(t, k) = rng.normal();
-      query.at(t, k) = rng.normal();
-    }
-  }
-  const auto pattern = sample_pattern(PatternShape::kSine, m);
-  for (const std::size_t k : {1ul, 3ul}) {
-    for (std::size_t t = 0; t < m; ++t) {
-      reference.at(100 + t, k) = 3.0 * pattern[t];
-      query.at(200 + t, k) = 3.0 * pattern[t];
-    }
-  }
-  const auto dims = motif_dimensions(reference, query, m, 100, 200, 1);
-  ASSERT_EQ(dims.size(), 2u);
-  EXPECT_EQ(dims[0], 1u);
-  EXPECT_EQ(dims[1], 3u);
-
-  EXPECT_THROW(motif_dimensions(reference, query, m, 100, 200, 9), Error);
-  EXPECT_THROW(motif_dimensions(reference, query, m, 500, 200, 1), Error);
-}
-
-TEST(Streaming, MatchesBatchCpuReferenceBitExact) {
-  SyntheticSpec spec;
-  spec.segments = 200;
-  spec.dims = 3;
-  spec.window = 16;
-  spec.injections_per_dim = 1;
-  const auto data = make_synthetic_dataset(spec);
-
-  StreamingMatrixProfile streaming(data.reference, 16);
-  streaming.append_series(data.query);
-  ASSERT_EQ(streaming.segments(), data.query.segment_count(16));
-
-  CpuReferenceConfig config;
-  config.window = 16;
-  const auto batch =
-      compute_matrix_profile_cpu(data.reference, data.query, config);
-  ASSERT_EQ(streaming.profile().size(), batch.profile.size());
-  for (std::size_t e = 0; e < batch.profile.size(); ++e) {
-    EXPECT_EQ(streaming.profile()[e], batch.profile[e]) << "entry " << e;
-    EXPECT_EQ(streaming.index()[e], batch.index[e]) << "entry " << e;
-  }
-}
-
-TEST(Streaming, IncrementalAppendsExtendTheProfile) {
-  const auto reference = make_noise_series(100, 2, 1.0, 3);
-  StreamingMatrixProfile streaming(reference, 16);
-  EXPECT_EQ(streaming.segments(), 0u);
-
-  const auto query = make_noise_series(40, 2, 1.0, 4);
-  std::vector<double> sample(2);
-  for (std::size_t t = 0; t < query.length(); ++t) {
-    sample[0] = query.at(t, 0);
-    sample[1] = query.at(t, 1);
-    streaming.append(sample);
-    const std::size_t expected = t + 1 >= 16 ? t + 1 - 16 + 1 : 0;
-    EXPECT_EQ(streaming.segments(), expected);
-  }
-  // Earlier entries never change once emitted (reference is fixed).
-  const double first = streaming.at(0, 0);
-  streaming.append(sample);
-  EXPECT_EQ(streaming.at(0, 0), first);
-}
-
-TEST(Streaming, ValidatesInput) {
-  const auto reference = make_noise_series(100, 2, 1.0, 3);
-  StreamingMatrixProfile streaming(reference, 16);
-  EXPECT_THROW(streaming.append({1.0}), Error);  // wrong dimensionality
-  EXPECT_THROW(StreamingMatrixProfile(reference, 2), Error);
-  EXPECT_THROW(StreamingMatrixProfile(reference, 1000), Error);
-}
-
-TEST(Streaming, LongStreamMatchesBatchBitExact) {
-  // >= 512 completed segments: exercises the per-dimension growable
-  // columns (the old flat layout re-copied the whole profile per segment,
-  // O(n^2) over a stream) and pins that the lazy flat view is still
-  // bit-identical to the batch CPU reference.
-  SyntheticSpec spec;
-  spec.segments = 560;
-  spec.dims = 2;
-  spec.window = 16;
-  spec.injections_per_dim = 2;
-  const auto data = make_synthetic_dataset(spec);
-
-  StreamingMatrixProfile streaming(data.reference, 16);
-  streaming.append_series(data.query);
-  ASSERT_GE(streaming.segments(), 512u);
-  ASSERT_EQ(streaming.segments(), data.query.segment_count(16));
-
-  CpuReferenceConfig config;
-  config.window = 16;
-  const auto batch =
-      compute_matrix_profile_cpu(data.reference, data.query, config);
-  ASSERT_EQ(streaming.profile().size(), batch.profile.size());
-  for (std::size_t e = 0; e < batch.profile.size(); ++e) {
-    ASSERT_EQ(streaming.profile()[e], batch.profile[e]) << "entry " << e;
-    ASSERT_EQ(streaming.index()[e], batch.index[e]) << "entry " << e;
-  }
-  // at()/index_at() read the growable columns directly; they must agree
-  // with the materialised flat view.
-  for (std::size_t j = 0; j < streaming.segments(); j += 37) {
-    for (std::size_t k = 0; k < streaming.dims(); ++k) {
-      EXPECT_EQ(streaming.at(j, k),
-                streaming.profile()[k * streaming.segments() + j]);
-      EXPECT_EQ(streaming.index_at(j, k),
-                streaming.index()[k * streaming.segments() + j]);
-    }
-  }
-}
-
-TEST(Streaming, NanSamplesMatchBatchFp64Engine) {
-  // A NaN sample poisons the distances of the affected query segments;
-  // std::sort on NaN-containing ranges is undefined behaviour, so the
-  // streaming path sorts with the shared Bitonic network.  The result
-  // must match the batch FP64 engine (which uses the same network)
-  // bit-for-bit, NaN placement included.
-  SyntheticSpec spec;
-  spec.segments = 80;
-  spec.dims = 3;
-  spec.window = 16;
-  spec.injections_per_dim = 1;
-  auto data = make_synthetic_dataset(spec);
-  TimeSeries query = data.query;
-  query.at(20, 1) = std::numeric_limits<double>::quiet_NaN();
-  query.at(45, 0) = std::numeric_limits<double>::quiet_NaN();
-
-  StreamingMatrixProfile streaming(data.reference, 16);
-  streaming.append_series(query);
-
-  MatrixProfileConfig config;
-  config.window = 16;
-  config.mode = PrecisionMode::FP64;
-  const auto batch = compute_matrix_profile(data.reference, query, config);
-  ASSERT_EQ(streaming.profile().size(), batch.profile.size());
-  for (std::size_t e = 0; e < batch.profile.size(); ++e) {
-    const double got = streaming.profile()[e];
-    const double want = batch.profile[e];
-    if (std::isnan(want)) {
-      ASSERT_TRUE(std::isnan(got)) << "entry " << e;
-    } else {
-      ASSERT_EQ(got, want) << "entry " << e;
-    }
-    ASSERT_EQ(streaming.index()[e], batch.index[e]) << "entry " << e;
   }
 }
 

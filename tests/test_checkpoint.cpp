@@ -278,7 +278,7 @@ TEST(CheckpointSliceFit, RekeyingEdgeCases) {
 
 TEST(CheckpointResume, KilledRunResumesBitIdenticallyAllModesBothPaths) {
   const auto data = small_dataset();
-  for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
+  for (const RowPath path : {RowPath::kAuto, RowPath::kCooperative}) {
     for (const PrecisionMode mode : kAllPrecisionModes) {
       MatrixProfileConfig config;
       config.window = 16;

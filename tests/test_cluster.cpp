@@ -136,7 +136,7 @@ TEST(Cluster, ValidatesConfiguration) {
 TEST(ElasticCoordinator, MatchesSingleNodeBitsAllModesBothPaths) {
   const auto data = small_dataset();
   for (const mp::RowPath path :
-       {mp::RowPath::kFused, mp::RowPath::kCooperative}) {
+       {mp::RowPath::kAuto, mp::RowPath::kCooperative}) {
     for (const PrecisionMode mode : kAllPrecisionModes) {
       mp::MatrixProfileConfig config;
       config.window = 16;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -220,33 +221,45 @@ TEST(Cli, RejectsPositionalAndUnknown) {
 
 TEST(Cli, MalformedNumericFlagsThrowInsteadOfSilentlyTruncating) {
   // Regression: get_int/get_double used strtoll/strtod with a null endptr,
-  // so "--tiles=abc" parsed as 0 and "--window=64garbage" as 64.
+  // so "--tiles=abc" parsed as 0 and "--window=64garbage" as 64; and an
+  // int flag was cast from int64, so "--nodes=4294967297" ran as 1.
   const char* argv[] = {"prog", "--tiles=abc", "--window=64garbage",
-                        "--slack=1.5x", "--empty="};
-  CliArgs args(5, argv);
+                        "--slack=1.5x", "--empty=", "--nodes=4294967297",
+                        "--devices=-2147483649"};
+  CliArgs args(7, argv);
   EXPECT_THROW(args.get_int("tiles", 0), Error);
   EXPECT_THROW(args.get_int("window", 0), Error);
   EXPECT_THROW(args.get_double("slack", 0.0), Error);
   EXPECT_THROW(args.get_int("empty", 0), Error);
   EXPECT_THROW(args.get_double("empty", 0.0), Error);
-  try {
-    args.get_int("tiles", 0);
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    // The message must name the flag and the bad value.
-    EXPECT_NE(std::string(e.what()).find("--tiles=abc"), std::string::npos)
-        << e.what();
-  }
+  EXPECT_THROW(args.get_int32("devices", 1), Error);
+  // The message must name the flag and the bad value.
+  const auto message = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  const auto tiles = message([&] { args.get_int("tiles", 0); });
+  EXPECT_NE(tiles.find("--tiles=abc"), std::string::npos) << tiles;
+  const auto nodes = message([&] { args.get_int32("nodes", 1); });
+  EXPECT_NE(nodes.find("--nodes=4294967297"), std::string::npos) << nodes;
 }
 
 TEST(Cli, WellFormedNumericFlagsStillParse) {
   const char* argv[] = {"prog", "--a=-42", "--b=1e3", "--c=0.125",
-                        "--d=+7"};
-  CliArgs args(5, argv);
+                        "--d=+7", "--max=2147483647", "--min=-2147483648"};
+  CliArgs args(7, argv);
   EXPECT_EQ(args.get_int("a", 0), -42);
   EXPECT_DOUBLE_EQ(args.get_double("b", 0.0), 1000.0);
   EXPECT_DOUBLE_EQ(args.get_double("c", 0.0), 0.125);
   EXPECT_EQ(args.get_int("d", 0), 7);
+  EXPECT_EQ(args.get_int32("a", 0), -42);
+  EXPECT_EQ(args.get_int32("max", 0), std::numeric_limits<int>::max());
+  EXPECT_EQ(args.get_int32("min", 0), std::numeric_limits<int>::min());
+  EXPECT_EQ(args.get_int32("absent", 7), 7);
 }
 
 TEST(Cli, ParseFlagHelpersValidateDirectly) {

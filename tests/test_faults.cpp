@@ -447,8 +447,8 @@ TEST(ResilientScheduler, MemoryPressureSplitsTileBitIdentically) {
   const std::size_t n_q = data.query.segment_count(window);
   const std::size_t dims = data.reference.dims();
 
-  for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
-    SCOPED_TRACE(path == RowPath::kFused ? "fused" : "cooperative");
+  for (const RowPath path : {RowPath::kAuto, RowPath::kCooperative}) {
+    SCOPED_TRACE(path == RowPath::kAuto ? "fused" : "cooperative");
     MatrixProfileConfig config;
     config.window = window;
     config.mode = PrecisionMode::FP64;
@@ -460,7 +460,7 @@ TEST(ResilientScheduler, MemoryPressureSplitsTileBitIdentically) {
     // row buffers).  It fits at exactly that capacity; one byte short it
     // cannot, and must split along the row axis instead of failing.
     const auto working_set = [&](std::size_t rows) {
-      return path == RowPath::kFused
+      return path == RowPath::kAuto
                  ? fused_tile_working_set_bytes(rows, n_q, dims, window,
                                                 config.mode)
                  : tile_working_set_bytes(rows, n_q, dims, window,

@@ -178,7 +178,7 @@ TEST(GemmSeeding, RowPathsConsumeSeedsIdentically) {
          {(const char*)nullptr, "seed=9,nan@0:at=1:frac=0.05"}) {
       MatrixProfileResult results[2];
       int slot = 0;
-      for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
+      for (const RowPath path : {RowPath::kAuto, RowPath::kCooperative}) {
         MatrixProfileConfig config;
         config.window = 32;
         config.mode = mode;

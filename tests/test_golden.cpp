@@ -62,7 +62,7 @@ void check_goldens(int tiles, int devices, const GoldenEntry (&golden)[5]) {
     // Both per-row execution paths must hit the pinned checksum: the fused
     // pipeline is bit-identical to the cooperative kernels by contract.
     for (const mp::RowPath path :
-         {mp::RowPath::kFused, mp::RowPath::kCooperative}) {
+         {mp::RowPath::kAuto, mp::RowPath::kCooperative}) {
       mp::MatrixProfileConfig config;
       config.window = 32;
       config.mode = entry.mode;
@@ -186,7 +186,7 @@ void check_paths_equal(std::size_t dims, const char* fault_spec) {
   const auto data = make_synthetic_dataset(spec);
   for (const PrecisionMode mode : kAllPrecisionModes) {
     const auto fused = run_with_path(data.reference, data.query, mode,
-                                     mp::RowPath::kFused, fault_spec);
+                                     mp::RowPath::kAuto, fault_spec);
     const auto coop = run_with_path(data.reference, data.query, mode,
                                     mp::RowPath::kCooperative, fault_spec);
     EXPECT_EQ(fused, coop) << to_string(mode) << " dims=" << dims

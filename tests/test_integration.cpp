@@ -7,7 +7,6 @@
 #include "metrics/classifier.hpp"
 #include "mp/cpu_reference.hpp"
 #include "mp/matrix_profile.hpp"
-#include "mp/pan_profile.hpp"
 #include "tsdata/genome.hpp"
 #include "tsdata/hpc_telemetry.hpp"
 #include "tsdata/turbine.hpp"
@@ -187,41 +186,6 @@ TEST(TurbineDetection, MatchesPreferSameShape) {
     }
   }
   EXPECT_GE(double(p2_hits) / double(query.p2_starts.size()), 0.75);
-}
-
-TEST(TurbineDetection, PanProfileLocalizesStartupsAcrossScales) {
-  // Window selection without domain knowledge: at every rung of the
-  // window ladder the pan profile must be far lower at a startup
-  // location (a real repeating event) than at idle locations, and the
-  // startup's best normalized distance must be a strong match.
-  TurbineSpec spec;
-  spec.segments = 2048;
-  spec.window = 128;  // true startup duration
-  const auto reference = make_turbine_series(spec, 1, 3, 0);
-  const auto query = make_turbine_series(spec, 2, 3, 0);
-
-  const auto pan = mp::compute_pan_profile(reference.series, query.series,
-                                           {32, 64, 128, 256});
-  const std::size_t startup = query.p1_starts.front();
-  // An idle probe well away from every embedded event.
-  std::size_t idle = 0;
-  for (std::size_t j = 0; j < pan.segments; ++j) {
-    bool clear = true;
-    for (const std::size_t p : query.p1_starts) {
-      const auto gap = std::llabs(std::int64_t(j) - std::int64_t(p));
-      if (gap < 512) clear = false;
-    }
-    if (clear) {
-      idle = j;
-      break;
-    }
-  }
-  for (std::size_t w = 0; w < pan.windows.size(); ++w) {
-    EXPECT_LT(pan.at(w, startup) * 2.0, pan.at(w, idle))
-        << "window " << pan.windows[w];
-  }
-  const auto best = mp::best_window_for_segment(pan, startup);
-  EXPECT_LT(best.normalized_distance, 0.25);
 }
 
 TEST(EndToEnd, MultiDeviceMultiTileReducedPrecisionPipeline) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "mp/brute_force.hpp"
 #include "mp/cpu_reference.hpp"
@@ -232,6 +233,19 @@ TEST(MatrixProfile, ValidatesConfiguration) {
   config.window = 16;
   EXPECT_THROW(compute_matrix_profile(data.reference, mismatched, config),
                ConfigError);
+
+  // A NaN prefilter budget used to pass and silently disable every skip.
+  config.prefilter.mode = PrefilterMode::kSketch;
+  for (const double budget :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -3.0, 0.0, 1.0}) {
+    config.prefilter.budget = budget;
+    EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+                 ConfigError)
+        << budget;
+  }
+  config.prefilter.budget = 0.05;
+  EXPECT_NO_THROW(compute_matrix_profile(data.reference, data.query, config));
 }
 
 TEST(MatrixProfile, BreakdownContainsAllFourKernels) {

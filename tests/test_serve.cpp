@@ -427,6 +427,16 @@ TEST(ServeServer, EndToEndQueriesCachingAndGracefulShutdown) {
     EXPECT_NE(err.find("\"status\": \"error\""), std::string::npos) << err;
     EXPECT_NE(err.find("--window=garbage"), std::string::npos) << err;
 
+    // So is a query validate_config rejects: a NaN prefilter budget.
+    client.send_line("query --reference=" + ref_path +
+                     " --self-join --window=16 --mode=FP16 --prefilter=sketch"
+                     " --prefilter-budget=nan --id=nan");
+    const auto nan_err = client.read_header();
+    EXPECT_NE(nan_err.find("\"status\": \"error\""), std::string::npos)
+        << nan_err;
+    EXPECT_NE(nan_err.find("--prefilter-budget"), std::string::npos)
+        << nan_err;
+
     // Stats returns the metrics document with the serve counters in it.
     client.send_line("stats --id=s1");
     const auto stats_header = client.read_header();

@@ -98,7 +98,7 @@ void check_levels_equal(const PrecisionMode (&modes)[N], std::size_t dims,
   const mp::simd::Level top = mp::simd::detected_level();
   for (const PrecisionMode mode : modes) {
     for (const mp::RowPath path :
-         {mp::RowPath::kFused, mp::RowPath::kCooperative}) {
+         {mp::RowPath::kAuto, mp::RowPath::kCooperative}) {
       mp::simd::set_override(mp::simd::kScalar);
       const std::uint64_t scalar_sum =
           run_once(data.reference, data.query, mode, path, fault_spec);
@@ -163,10 +163,10 @@ TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
       for (const PrecisionMode mode : kExtendedPrecisionModes) {
         mp::set_row_batch_override(1);
         const std::uint64_t unbatched = run_once(
-            data.reference, data.query, mode, mp::RowPath::kFused, fault_spec);
+            data.reference, data.query, mode, mp::RowPath::kAuto, fault_spec);
         mp::set_row_batch_override(16);
         const std::uint64_t batched = run_once(
-            data.reference, data.query, mode, mp::RowPath::kFused, fault_spec);
+            data.reference, data.query, mode, mp::RowPath::kAuto, fault_spec);
         EXPECT_EQ(batched, unbatched)
             << to_string(mode) << " level=" << mp::simd::to_string(lv) << " "
             << (fault_spec ? fault_spec : "clean");
@@ -216,7 +216,7 @@ TEST(BlockedRows, MatchCooperativeEndToEnd) {
         for (const std::size_t bt : c.rows) {
           mp::set_row_batch_override(bt);
           EXPECT_EQ(run_once(data.reference, data.reference, mode,
-                             mp::RowPath::kFused, c.faults, c.exclusion),
+                             mp::RowPath::kAuto, c.faults, c.exclusion),
                     cooperative)
               << to_string(mode) << " level=" << mp::simd::to_string(lv)
               << " bt=" << bt << " exclusion=" << c.exclusion << " "
@@ -427,7 +427,7 @@ TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
     for (const std::size_t bt : {0ul, 7ul, 64ul}) {
       mp::set_row_batch_override(bt);
       Run fused;
-      run(fused, mp::RowPath::kFused, start_row);
+      run(fused, mp::RowPath::kAuto, start_row);
       EXPECT_EQ(fused.rows, cooperative.rows) << "bt=" << bt;
       for (const std::size_t rows : fused.rows) {
         EXPECT_EQ((rows - start_row) % 100, 0u) << "bt=" << bt;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "tsdata/genome.hpp"
@@ -423,6 +424,15 @@ TEST(CsvIo, HeaderlessAndErrors) {
   const TimeSeries ts = read_csv(path);
   EXPECT_EQ(ts.length(), 2u);
   EXPECT_DOUBLE_EQ(ts.at(1, 1), 4.5);
+  {
+    // Header cells that start with digits are still a header.
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("1st,2nd\n1.5,2.5\n", f);
+    std::fclose(f);
+  }
+  const TimeSeries headed = read_csv(path);
+  EXPECT_EQ(headed.length(), 1u);
+  EXPECT_DOUBLE_EQ(headed.at(0, 0), 1.5);
   std::remove(path.c_str());
   EXPECT_THROW(read_csv((dir / "does_not_exist.csv").string()), Error);
 }
@@ -467,18 +477,24 @@ TEST(CsvIo, TrailingCommaIsAnErrorWithLineNumber) {
 TEST(CsvIo, NonNumericCellReportsLineNumber) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto path = (dir / "mpsim_io_nonnum.csv").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("1.0,2.0\n3.0,oops\n", f);
-    std::fclose(f);
-  }
-  try {
-    read_csv(path);
-    FAIL() << "non-numeric cell did not raise";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(":2:"), std::string::npos) << what;
-    EXPECT_NE(what.find("oops"), std::string::npos) << what;
+  // Trailing whitespace is fine; a cell with trailing garbage is not a
+  // number (it used to load as its numeric prefix).
+  for (const auto& [body, cell] :
+       {std::pair{"1.0 ,2.0\t\n3.0,oops\n", "oops"},
+        std::pair{"1.0 ,2.0\t\n0.786264x,4.0\n", "0.786264x"}}) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      std::fputs(body, f);
+      std::fclose(f);
+    }
+    try {
+      read_csv(path);
+      FAIL() << "non-numeric cell '" << cell << "' did not raise";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(":2:"), std::string::npos) << what;
+      EXPECT_NE(what.find(cell), std::string::npos) << what;
+    }
   }
   std::remove(path.c_str());
 }

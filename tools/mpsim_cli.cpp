@@ -58,7 +58,7 @@ int run(int argc, char** argv) {
         "                 [--faults=SPEC] [--max-retries=N] "
         "[--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
-        "                 [--row-path=auto|fused|cooperative]\n"
+        "                 [--row-path=auto|cooperative]\n"
         "                 [--simd=auto|scalar|f16c|avx2]\n"
         "                 [--prefilter=off|sketch] [--prefilter-budget=B]\n"
         "                 [--checkpoint=FILE.ckpt] [--resume=FILE.ckpt]\n"
@@ -117,7 +117,7 @@ int run(int argc, char** argv) {
   // Shared with the serve daemon's query verb (byte-diff contract).
   mp::MatrixProfileConfig config = serve::config_from_args(args, self_join);
   config.resilience.max_retries =
-      int(args.get_int("max-retries", config.resilience.max_retries));
+      args.get_int32("max-retries", config.resilience.max_retries);
   config.resilience.escalate_precision =
       args.get_bool("escalate-precision", false);
   // SIMD kernel dispatch is a process-wide executor knob, not a per-run
@@ -126,14 +126,13 @@ int run(int argc, char** argv) {
   mp::simd::apply_option(args.get_string("simd", "auto"));
   config.checkpoint.write_path = args.get_string("checkpoint", "");
   config.checkpoint.resume_path = args.get_string("resume", "");
-  config.checkpoint.interval_tiles = int(args.get_int(
-      "checkpoint-interval", config.checkpoint.interval_tiles));
-  config.checkpoint.kill_after_tiles =
-      int(args.get_int("kill-after-tiles", 0));
-  config.checkpoint.slice_rows = int(args.get_int("slice-rows", 0));
+  config.checkpoint.interval_tiles = args.get_int32(
+      "checkpoint-interval", config.checkpoint.interval_tiles);
+  config.checkpoint.kill_after_tiles = args.get_int32("kill-after-tiles", 0);
+  config.checkpoint.slice_rows = args.get_int32("slice-rows", 0);
   config.checkpoint.kill_after_slices =
-      int(args.get_int("kill-after-slices", 0));
-  config.nodes = int(args.get_int("nodes", 1));
+      args.get_int32("kill-after-slices", 0);
+  config.nodes = args.get_int32("nodes", 1);
   config.node_faults = args.get_string("node-faults", "");
   const std::string steal = args.get_string("steal", "on");
   MPSIM_CHECK(steal == "on" || steal == "off",

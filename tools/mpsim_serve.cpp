@@ -63,12 +63,12 @@ int run(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.unix_socket = args.get_string("socket", "");
-  options.tcp_port = args.has("port") ? int(args.get_int("port", 0)) : -1;
+  options.tcp_port = args.has("port") ? args.get_int32("port", 0) : -1;
   options.executors = std::size_t(args.get_int("executors", 2));
   options.max_queue = std::size_t(args.get_int("max-queue", 64));
   // >1 routes every query through the elastic multi-node coordinator —
   // byte-identical responses, a wider simulated fleet.
-  options.nodes = int(args.get_int("nodes", 1));
+  options.nodes = args.get_int32("nodes", 1);
 
   install_signal_handlers();
   serve::Server server(std::move(options));
