@@ -40,12 +40,15 @@ run_one() {
   # bit-equality suite, the blocked-row tests and the prefiltered blocked
   # batches once per MPSIM_SIMD level so the env request path and every
   # kernel variant sit under the sanitizer (the level clamps to the host,
-  # so this is safe on any machine).
+  # so this is safe on any machine).  The prefilter legs also cover the
+  # sketch layer's split passes: range sketching inside the GEMM-seed
+  # launch and concurrent flag_cols writes inside the row dispatch, across
+  # pool sizes and against the serial build / score_batch.
   for level in scalar f16c avx2; do
     MPSIM_SIMD=$level "$dir"/tests/test_simd_dispatch \
         --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows:BlockedRows.*'
     MPSIM_SIMD=$level "$dir"/tests/test_sketch_prefilter \
-        --gtest_filter='SketchPrefilter.BlockedBatchesMatchPerRowDispatch'
+        --gtest_filter='SketchPrefilter.BlockedBatchesMatchPerRowDispatch:SketchPrefilter.PoolSizesMatchOneWorker:SketchPrefilter.Split*'
   done
   if [ "$kind" = thread ]; then
     # Hammer the lock-free metrics registry beyond the single CTest pass:

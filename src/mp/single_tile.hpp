@@ -189,6 +189,13 @@ class SingleTileEngine {
       index[e] = -1;
     }
 
+    // Approximate sketch prefilter (opt-in, fused path only): per-segment
+    // FP16 sketches, built inside the GEMM-seed launch below; the blocked
+    // row loop scores column groups per row batch and runs the QT-only
+    // recurrence where the score says no profile update is possible
+    // (mp/sketch.hpp has the contract).
+    TilePrefilter pf(fused ? prefilter : PrefilterConfig{}, m, d, nr, nq);
+
     // ---- precalculation kernel (Pseudocode 1, line 2). ----
     {
       ST* base_r = dev_r.data();
@@ -216,13 +223,20 @@ class SingleTileEngine {
                                  std::int64_t(2 * d),
                                  precalc_stats_cost<Traits>(nr, nq, d, m),
                                  body, tl, cancel);
+      if (pf.enabled()) {
+        pf.template prepare<Traits>(host_r.data(), len_r, mu_r.data(),
+                                    inv_r.data(), host_q.data(), len_q,
+                                    mu_q.data(), inv_q.data());
+      }
 
       // QT seeds: first row (all query columns) and first column (all
       // reference rows), computed as a blocked GEMM over each chunk's
       // contiguous output ranges (mp/gemm.hpp) — bit-identical to the
       // naive centered_dot loop it replaces for every chunk split, since
       // output columns are independent.  Items [0, nq) are seed-row
-      // columns, items [nq, nq + nr) are seed-column rows.
+      // columns, items [nq, nq + nr) are seed-column rows.  Under the
+      // prefilter each chunk also sketches the same segments (any split
+      // writes the same sketch bytes).
       auto seeds = [&, base_r, base_q](std::int64_t begin, std::int64_t end) {
         for (std::size_t k = 0; k < d; ++k) {
           if (begin < std::int64_t(nq)) {
@@ -245,11 +259,23 @@ class SingleTileEngine {
                                       qt_col.data() + k * nr);
           }
         }
+        if (pf.enabled()) {
+          if (begin < std::int64_t(nq)) {
+            pf.sketch_cols(std::size_t(begin),
+                           std::size_t(std::min(end, std::int64_t(nq))));
+          }
+          if (end > std::int64_t(nq)) {
+            pf.sketch_rows(
+                std::size_t(std::max(begin, std::int64_t(nq))) - nq,
+                std::size_t(end) - nq);
+          }
+        }
       };
       gpusim::launch_grid_stride(device, nullptr, "precalculation", config,
                                  std::int64_t(nr + nq),
                                  gemm_seed_cost<Traits>(nr, nq, d, m), seeds,
                                  tl, cancel);
+      if (pf.enabled()) pf.finish_build();
     }
 
     // ---- Main iteration loop (Pseudocode 1, lines 3-7). ----
@@ -369,19 +395,8 @@ class SingleTileEngine {
         gpusim::record_fused_launch(device, "update_mat_prof", config,
                                     upd_cost, tl, measured * mu / msum);
       };
-      // Approximate sketch prefilter (opt-in, fused path only): builds
-      // per-segment FP16 sketches once, scores column groups per row
-      // batch, and the blocked loop below runs the QT-only recurrence
-      // where the score says no profile update is possible (mp/sketch.hpp
-      // has the contract).
-      TilePrefilter pf(prefilter, m, d, nr, nq);
       const bool prefiltered = pf.enabled();
-      if (prefiltered) {
-        emit_slices = false;
-        pf.template build<Traits>(host_r.data(), len_r, mu_r.data(),
-                                  inv_r.data(), host_q.data(), len_q,
-                                  mu_q.data(), inv_q.data());
-      }
+      if (prefiltered) emit_slices = false;
       // Temporal-blocked rows (see kernels.hpp, fused_rows_blocked): one
       // dispatch per batch of bt rows; each column chunk runs the whole
       // batch, recomputing its QT halo instead of synchronising.  A batch
@@ -390,19 +405,28 @@ class SingleTileEngine {
       // at the next score-batch end: the decisions, scored against the
       // profile as of the score batch's first row, hold for all its rows,
       // and misses are sampled once its last row has run.
-      const RowBlockShape shape =
-          row_block_shape(nq, device.pool().worker_count());
+      //
+      // The dispatch that ends a score batch also scores the next one:
+      // chunks own whole column groups (chunk_cols is rounded up to the
+      // group width), so after its rows each chunk reads its own columns'
+      // final profile entries and flags its own groups; the stream thread
+      // commits the flags in scan order once the dispatch has finished.
+      RowBlockShape shape = row_block_shape(nq, device.pool().worker_count());
       const std::size_t sb = pf.batch_rows();
       const PrefilterDecision* groups = prefiltered ? pf.decisions() : nullptr;
+      if (prefiltered) {
+        constexpr std::size_t G = kPrefilterColGroup;
+        shape.chunk_cols = (shape.chunk_cols + G - 1) / G * G;
+        // The first score batch sees the all-infinite initial profile, so
+        // nothing in it is skippable; it is scored serially.
+        if (start_row < nr && start_row % sb == 0) {
+          pf.template score_batch<Traits>(profile.data(), start_row,
+                                          std::min(sb, nr - start_row));
+        }
+      }
       for (std::size_t i0 = start_row; i0 < nr;) {
         std::size_t bt = std::min(shape.rows, nr - i0);
-        if (prefiltered) {
-          if (i0 % sb == 0) {
-            pf.template score_batch<Traits>(profile.data(), i0,
-                                            std::min(sb, nr - i0));
-          }
-          bt = std::min(bt, sb - i0 % sb);
-        }
+        if (prefiltered) bt = std::min(bt, sb - i0 % sb);
         if (emit_slices) {
           bt = std::min(bt, last_emitted + slice->slice_rows - i0);
         }
@@ -411,10 +435,14 @@ class SingleTileEngine {
         // batched work ran (the scheduler discards the attempt's partial
         // state either way).
         for (std::size_t r = 0; r < bt; ++r) row_prologue();
+        const std::size_t i1 = i0 + bt;
+        const bool score_next = prefiltered && i1 % sb == 0 && i1 < nr;
+        if (score_next) pf.set_row_box(i1, std::min(sb, nr - i1));
         Stopwatch watch;
         device.pool().parallel_for_grained(
             nq, shape.chunk_cols,
-            [&, i0, bt, qt_prev, qt_next](std::size_t c0, std::size_t c1) {
+            [&, i0, bt, qt_prev, qt_next, score_next](std::size_t c0,
+                                                      std::size_t c1) {
               fused_rows_blocked<Traits>(
                   std::int64_t(c0), std::int64_t(c1), bt, i0, nq, m, d,
                   qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
@@ -422,15 +450,19 @@ class SingleTileEngine {
                   qt_prev, qt_next, std::int64_t(tile.r_begin),
                   std::int64_t(tile.q_begin), exclusion, profile.data(),
                   index.data(), groups);
+              if (score_next) {
+                pf.template flag_cols<Traits>(profile.data(), c0, c1);
+              }
             });
         const double per_row = watch.seconds() / double(bt);
         for (std::size_t r = 0; r < bt; ++r) row_records(per_row);
         std::swap(qt_prev, qt_next);
-        i0 += bt;
+        i0 = i1;
         if (prefiltered && (i0 % sb == 0 || i0 == nr)) {
           const std::size_t b0 = (i0 - 1) / sb * sb;
           pf.note_batch_end(index.data(), std::int64_t(tile.r_begin + b0),
                             std::int64_t(tile.r_begin + i0 - 1));
+          if (score_next) pf.commit_verdicts();
         }
         maybe_slice(i0);
       }

@@ -68,17 +68,18 @@ std::vector<float> rademacher_signs(std::size_t chunks,
 
 float sketch_fp16_round(float v) { return float(float16(v)); }
 
-void sketch_series(const float* x, std::size_t len, std::size_t nseg,
-                   std::size_t m, const float* mu, const float* inv,
-                   const float* signs, std::size_t components, float* out) {
-  // One prefix-sum array (double: len adds of similar magnitude, no
-  // cancellation surprises) shared by every segment and component.
-  std::vector<double> prefix(len + 1, 0.0);
+void sketch_prefix(const float* x, std::size_t len, double* prefix) {
+  prefix[0] = 0.0;
   for (std::size_t t = 0; t < len; ++t) prefix[t + 1] = prefix[t] + x[t];
+}
 
+void sketch_series_range(const double* prefix, std::size_t s0,
+                         std::size_t s1, std::size_t m, const float* mu,
+                         const float* inv, const float* signs,
+                         std::size_t components, float* out) {
   const std::size_t chunks = sketch_chunks(m);
   std::vector<float> agg(chunks, 0.0f);
-  for (std::size_t j = 0; j < nseg; ++j) {
+  for (std::size_t j = s0; j < s1; ++j) {
     // Chunk-aggregate of the z-normalised segment, then normalise the
     // aggregate itself: the sketch products estimate the correlation of
     // the CHUNK-AGGREGATED windows, a genuine [-1, 1] quantity at every
@@ -87,7 +88,7 @@ void sketch_series(const float* x, std::size_t len, std::size_t nseg,
     // skewing the skip bound in opposite directions).  Float arithmetic
     // throughout the hot loops: the components get rounded to FP16
     // anyway, and the dense +-1.0f multiplies vectorise.
-    const double* pj = prefix.data() + j;
+    const double* pj = prefix + j;
     const double mu_j = double(mu[j]);
     const float inv_j = inv[j];
     float norm2 = 0.0f;
@@ -116,6 +117,16 @@ void sketch_series(const float* x, std::size_t len, std::size_t nseg,
   }
 }
 
+void sketch_series(const float* x, std::size_t len, std::size_t nseg,
+                   std::size_t m, const float* mu, const float* inv,
+                   const float* signs, std::size_t components, float* out) {
+  // One prefix-sum array shared by every segment and component.
+  std::vector<double> prefix(len + 1);
+  sketch_prefix(x, len, prefix.data());
+  sketch_series_range(prefix.data(), 0, nseg, m, mu, inv, signs, components,
+                      out);
+}
+
 TilePrefilter::TilePrefilter(const PrefilterConfig& config, std::size_t m,
                              std::size_t d, std::size_t nr, std::size_t nq)
     : enabled_(config.enabled()), m_(m), d_(d), nr_(nr), nq_(nq) {
@@ -129,11 +140,33 @@ TilePrefilter::TilePrefilter(const PrefilterConfig& config, std::size_t m,
   col_sketch_.assign(d_ * nq_ * kSketchComponents, 0.0f);
   col_lo_.assign(groups_ * d_ * kSketchComponents, 0.0f);
   col_hi_.assign(groups_ * d_ * kSketchComponents, 0.0f);
-  pmax_scratch_.assign(nq_, -1.0f);
+  row_box_.assign(2 * d_ * kSketchComponents, 0.0f);
+  flags_.assign(groups_, 0);
   decisions_.assign(groups_, PrefilterDecision::kRun);
 }
 
-void TilePrefilter::build_column_boxes() {
+void TilePrefilter::sketch_side(const Widened& side, std::size_t nseg,
+                                std::size_t s0, std::size_t s1,
+                                float* sketches) const {
+  for (std::size_t k = 0; k < d_; ++k) {
+    sketch_series_range(side.prefix.data() + k * (side.len + 1), s0, s1, m_,
+                        side.mu.data() + k * nseg, side.inv.data() + k * nseg,
+                        signs_.data(), kSketchComponents,
+                        sketches + k * nseg * kSketchComponents);
+  }
+}
+
+void TilePrefilter::sketch_rows(std::size_t i0, std::size_t i1) {
+  sketch_side(rows_, nr_, i0, i1, row_sketch_.data());
+}
+
+void TilePrefilter::sketch_cols(std::size_t j0, std::size_t j1) {
+  sketch_side(cols_, nq_, j0, j1, col_sketch_.data());
+}
+
+void TilePrefilter::finish_build() {
+  rows_ = {};
+  cols_ = {};
   // Static per-group component boxes over the column sketches.  Consecutive
   // columns' windows overlap by m-1 samples, so a group's box (32 columns,
   // kPrefilterColGroup) stays close to the individual sketches — tight
@@ -158,19 +191,12 @@ void TilePrefilter::build_column_boxes() {
   }
 }
 
-void TilePrefilter::score_batch_scored(std::size_t i0, std::size_t rows) {
+void TilePrefilter::set_row_box(std::size_t i0, std::size_t rows) {
   // Per-component bounding box of the batch's row sketches, per dim.
   // Consecutive rows' windows overlap by m-1 samples, so the box is tight.
   constexpr std::size_t P = kSketchComponents;
-  float rmin[/*d*/ 64 * P], rmax[64 * P];
-  std::vector<float> heap_box;
-  float* lo = rmin;
-  float* hi = rmax;
-  if (d_ > 64) {
-    heap_box.assign(2 * d_ * P, 0.0f);
-    lo = heap_box.data();
-    hi = heap_box.data() + d_ * P;
-  }
+  float* lo = row_box_.data();
+  float* hi = row_box_.data() + d_ * P;
   for (std::size_t k = 0; k < d_; ++k) {
     const float* first = row_sketch_.data() + (k * nr_ + i0) * P;
     for (std::size_t p = 0; p < P; ++p) {
@@ -185,46 +211,43 @@ void TilePrefilter::score_batch_scored(std::size_t i0, std::size_t rows) {
       }
     }
   }
+}
 
-  // Score every column group with ONE interval-product bound per dim:
-  // ub >= corr(i, j) estimate for every (row, column) in the block, up to
-  // sketch noise, which the eps guard band absorbs.  The block threshold
-  // is the weakest column's tau — the correlation a new match must EXCEED
-  // to beat the current profile entry (dist = sqrt(2m(1 - corr))).
+bool TilePrefilter::group_clears(std::size_t g, float pmax_weakest) const {
+  // ONE interval-product bound per dim: ub >= corr(i, j) estimate for
+  // every (row, column) in the block, up to sketch noise, which the eps
+  // guard band absorbs.  The block threshold is the weakest column's tau —
+  // the correlation a new match must EXCEED to beat the current profile
+  // entry (dist = sqrt(2m(1 - corr))).
+  constexpr std::size_t P = kSketchComponents;
+  const float* lo = row_box_.data();
+  const float* hi = row_box_.data() + d_ * P;
   const float inv_2m = 1.0f / (2.0f * float(m_));
   const float inv_p = 1.0f / float(P);
+  const float tau = 1.0f - pmax_weakest * pmax_weakest * inv_2m;
+  float ub = -std::numeric_limits<float>::infinity();
+  for (std::size_t k = 0; k < d_; ++k) {
+    const float* clo = col_lo_.data() + (g * d_ + k) * P;
+    const float* chi = col_hi_.data() + (g * d_ + k) * P;
+    float acc = 0.0f;
+    for (std::size_t p = 0; p < P; ++p) {
+      const float a = lo[k * P + p] * clo[p];
+      const float b = lo[k * P + p] * chi[p];
+      const float c = hi[k * P + p] * clo[p];
+      const float e = hi[k * P + p] * chi[p];
+      acc += std::max(std::max(a, b), std::max(c, e));
+    }
+    ub = std::max(ub, acc * inv_p);
+  }
+  return ub + eps_ <= tau;
+}
+
+void TilePrefilter::commit_verdicts() {
   for (std::size_t g = 0; g < groups_; ++g) {
     const std::size_t jb = g * kPrefilterColGroup;
     const std::size_t je = std::min(jb + kPrefilterColGroup, nq_);
-    // Weakest column: the largest profile distance has the LOWEST tau.
-    // Negative scratch entries mark unskippable columns (unset profile).
-    float pmax_weakest = 0.0f;
-    bool skippable = true;
-    for (std::size_t j = jb; j < je; ++j) {
-      const float p = pmax_scratch_[j];
-      skippable = skippable && p >= 0.0f;
-      pmax_weakest = std::max(pmax_weakest, p);
-    }
-    if (skippable) {
-      const float tau = 1.0f - pmax_weakest * pmax_weakest * inv_2m;
-      float ub = -std::numeric_limits<float>::infinity();
-      for (std::size_t k = 0; k < d_; ++k) {
-        const float* clo = col_lo_.data() + (g * d_ + k) * P;
-        const float* chi = col_hi_.data() + (g * d_ + k) * P;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < P; ++p) {
-          const float a = lo[k * P + p] * clo[p];
-          const float b = lo[k * P + p] * chi[p];
-          const float c = hi[k * P + p] * clo[p];
-          const float e = hi[k * P + p] * chi[p];
-          acc += std::max(std::max(a, b), std::max(c, e));
-        }
-        ub = std::max(ub, acc * inv_p);
-      }
-      skippable = ub + eps_ <= tau;
-    }
     ++stats_.blocks_total;
-    if (!skippable) {
+    if (flags_[g] == 0) {
       decisions_[g] = PrefilterDecision::kRun;
       continue;
     }

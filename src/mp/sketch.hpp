@@ -49,11 +49,13 @@
 // exact same decisions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "mp/options.hpp"
 
 namespace mpsim::mp {
@@ -112,6 +114,21 @@ std::vector<float> rademacher_signs(std::size_t chunks,
 /// storage formats.)
 float sketch_fp16_round(float v);
 
+/// Prefix sums of x in double (len adds of similar magnitude, no
+/// cancellation surprises): prefix[0] = 0, prefix[t + 1] = prefix[t] +
+/// x[t].  `prefix` holds len + 1 entries.
+void sketch_prefix(const float* x, std::size_t len, double* prefix);
+
+/// Range form of sketch_series over segments [s0, s1), from the series'
+/// prefix sums (sketch_prefix): writes out[j * components + p] for those
+/// segments only.  Every segment reads only prefix[j, j + m], mu[j] and
+/// inv[j], so disjoint ranges may run concurrently and any partition of
+/// [0, nseg) writes the same bytes as one call.
+void sketch_series_range(const double* prefix, std::size_t s0,
+                         std::size_t s1, std::size_t m, const float* mu,
+                         const float* inv, const float* signs,
+                         std::size_t components, float* out);
+
 /// Sketches every length-m segment of `x` (nseg = len - m + 1 of them):
 /// out[j * components + p] = fp16_round(inv[j] * sum_t g_p[t] *
 /// (x[j + t] - mu[j])) with g_p the chunked sign pattern.  One shared
@@ -130,9 +147,23 @@ enum class PrefilterDecision : std::uint8_t {
 
 /// Per-tile driver: builds the segment sketches once after precalc, then
 /// scores each row batch and hands the fused row loop a per-group
-/// decision vector.  All methods run on the tile's stream thread; the
-/// decision vector is read-only during each row batch's dispatch (the
-/// engine ends its temporal-blocked batches at score-batch ends).
+/// decision vector.
+///
+/// Both passes split into a serial part and a part that runs on disjoint
+/// ranges concurrently, so the engine can fold them into launches it
+/// already makes:
+///   - build = prepare (serial) -> sketch_rows / sketch_cols over any
+///     partition of the rows and columns (the GEMM-seed launch's chunks)
+///     -> finish_build (serial);
+///   - score = set_row_box (serial) -> flag_cols over a partition into
+///     whole column groups (the chunks of the dispatch that ends the
+///     previous score batch, each after its own rows) -> commit_verdicts
+///     (serial, scan order: the verify counter and every stats field).
+/// build() and score_batch() chain the pieces serially; they are the
+/// reference the split paths are tested against.  The decision vector is
+/// read-only during each row batch's dispatch (the engine ends its
+/// temporal-blocked batches at score-batch ends); flag_cols writes a
+/// separate flag vector, which only commit_verdicts turns into decisions.
 class TilePrefilter {
  public:
   TilePrefilter(const PrefilterConfig& config, std::size_t m, std::size_t d,
@@ -144,8 +175,7 @@ class TilePrefilter {
 
   /// Builds the FP16 sketches of every reference-row and query-column
   /// segment from the staged storage-precision tile + the precalc
-  /// mu/inv outputs.  Widening ST -> float goes through the mode's
-  /// compute type, the same conversion the kernels use.
+  /// mu/inv outputs, serially.
   template <typename Traits>
   void build(const typename Traits::Storage* host_r, std::size_t len_r,
              const typename Traits::Storage* mu_r,
@@ -153,30 +183,36 @@ class TilePrefilter {
              const typename Traits::Storage* host_q, std::size_t len_q,
              const typename Traits::Storage* mu_q,
              const typename Traits::Storage* inv_q) {
-    using CT = typename Traits::Compute;
-    std::vector<float> series(std::max(len_r, len_q));
-    std::vector<float> mu(std::max(nr_, nq_)), inv(std::max(nr_, nq_));
-    const auto one_side = [&](const typename Traits::Storage* x,
-                              std::size_t len,
-                              const typename Traits::Storage* mu_st,
-                              const typename Traits::Storage* inv_st,
-                              std::size_t nseg, float* out) {
-      for (std::size_t t = 0; t < len; ++t) series[t] = float(CT(x[t]));
-      for (std::size_t s = 0; s < nseg; ++s) {
-        mu[s] = float(CT(mu_st[s]));
-        inv[s] = float(CT(inv_st[s]));
-      }
-      sketch_series(series.data(), len, nseg, m_, mu.data(), inv.data(),
-                    signs_.data(), kSketchComponents, out);
-    };
-    for (std::size_t k = 0; k < d_; ++k) {
-      one_side(host_r + k * len_r, len_r, mu_r + k * nr_, inv_r + k * nr_,
-               nr_, row_sketch_.data() + k * nr_ * kSketchComponents);
-      one_side(host_q + k * len_q, len_q, mu_q + k * nq_, inv_q + k * nq_,
-               nq_, col_sketch_.data() + k * nq_ * kSketchComponents);
-    }
-    build_column_boxes();
+    prepare<Traits>(host_r, len_r, mu_r, inv_r, host_q, len_q, mu_q, inv_q);
+    sketch_rows(0, nr_);
+    sketch_cols(0, nq_);
+    finish_build();
   }
+
+  /// Build, serial first step (O(len * d)): widens the staged series and
+  /// mu/inv to float and builds the per-dimension prefix sums.  Widening
+  /// ST -> float goes through the mode's compute type, the same
+  /// conversion the kernels use.
+  template <typename Traits>
+  void prepare(const typename Traits::Storage* host_r, std::size_t len_r,
+               const typename Traits::Storage* mu_r,
+               const typename Traits::Storage* inv_r,
+               const typename Traits::Storage* host_q, std::size_t len_q,
+               const typename Traits::Storage* mu_q,
+               const typename Traits::Storage* inv_q) {
+    rows_.template widen<Traits>(host_r, len_r, mu_r, inv_r, nr_, d_);
+    cols_.template widen<Traits>(host_q, len_q, mu_q, inv_q, nq_, d_);
+  }
+
+  /// Build, concurrent step: sketches reference rows [i0, i1) / query
+  /// columns [j0, j1) in every dimension.  Needs prepare; disjoint ranges
+  /// may run concurrently.
+  void sketch_rows(std::size_t i0, std::size_t i1);
+  void sketch_cols(std::size_t j0, std::size_t j1);
+
+  /// Build, serial last step: the static column-group boxes.  Releases
+  /// prepare's widened inputs.
+  void finish_build();
 
   /// Refreshes the per-column skip thresholds from the current (stale —
   /// and therefore conservative) profile, then scores row batch
@@ -184,19 +220,58 @@ class TilePrefilter {
   template <typename Traits>
   void score_batch(const typename Traits::Storage* profile, std::size_t i0,
                    std::size_t rows) {
-    using CT = typename Traits::Compute;
-    for (std::size_t j = 0; j < nq_; ++j) {
-      float pmax = 0.0f;
-      for (std::size_t k = 0; k < d_; ++k) {
-        const float p = float(CT(profile[k * nq_ + j]));
-        pmax = p > pmax || !(p == p) ? p : pmax;  // NaN/inf -> not finite
-      }
-      // Unset (infinite) entries make the column unskippable: tau = -inf.
-      pmax_scratch_[j] =
-          pmax <= std::numeric_limits<float>::max() ? pmax : -1.0f;
-    }
-    score_batch_scored(i0, rows);
+    set_row_box(i0, rows);
+    flag_cols<Traits>(profile, 0, nq_);
+    commit_verdicts();
   }
+
+  /// Score, serial first step: the per-component box of row batch
+  /// [i0, i0 + rows)'s sketches, per dimension.
+  void set_row_box(std::size_t i0, std::size_t rows);
+
+  /// Score, concurrent step: flags each column group inside [c0, c1) as
+  /// skippable or not against the current row box.  c0 must start a
+  /// group and c1 must end one (or be the tile width), so each group's
+  /// weakest column is read by exactly one caller; the caller must own
+  /// the profile columns [c0, c1) (no concurrent writer).
+  template <typename Traits>
+  void flag_cols(const typename Traits::Storage* profile, std::size_t c0,
+                 std::size_t c1) {
+    using CT = typename Traits::Compute;
+    constexpr std::size_t G = kPrefilterColGroup;
+    MPSIM_CHECK(c0 % G == 0 && (c1 % G == 0 || c1 == nq_) && c1 <= nq_,
+                "flag_cols: [" << c0 << ", " << c1
+                               << ") does not cover whole column groups");
+    for (std::size_t g = c0 / G; g * G < c1; ++g) {
+      const std::size_t jb = g * G;
+      const std::size_t je = std::min(jb + G, nq_);
+      // Weakest column: the largest profile distance has the LOWEST tau.
+      // An unset (infinite) or NaN entry in any dimension makes its column
+      // — and so the group — unskippable.
+      float pmax_weakest = 0.0f;
+      bool skippable = true;
+      for (std::size_t j = jb; j < je; ++j) {
+        float pmax = 0.0f;
+        for (std::size_t k = 0; k < d_; ++k) {
+          const float p = float(CT(profile[k * nq_ + j]));
+          pmax = p > pmax || !(p == p) ? p : pmax;  // NaN/inf -> not finite
+        }
+        skippable =
+            skippable && pmax <= std::numeric_limits<float>::max();
+        pmax_weakest = std::max(pmax_weakest, pmax);
+      }
+      flags_[g] = skippable && group_clears(g, pmax_weakest);
+    }
+  }
+
+  /// Score, serial last step: turns the flags into the decision vector in
+  /// scan order (every kPrefilterVerifyStride-th skippable block becomes
+  /// kVerify) and tallies the stats.
+  void commit_verdicts();
+
+  /// The built sketches, [(k * nr + i) * P + p] and [(k * nq + j) * P + p].
+  const std::vector<float>& row_sketches() const { return row_sketch_; }
+  const std::vector<float>& col_sketches() const { return col_sketch_; }
 
   /// The current batch's decisions, one per kPrefilterColGroup columns
   /// (fused_rows_blocked runs kSkip groups QT-only).
@@ -225,19 +300,55 @@ class TilePrefilter {
                       std::int64_t row_hi);
 
  private:
-  void build_column_boxes();
-  void score_batch_scored(std::size_t i0, std::size_t rows);
+  /// One side's prepared build inputs: per-dimension prefix sums of the
+  /// widened series and the widened mu/inv.
+  struct Widened {
+    std::size_t len = 0;
+    std::vector<double> prefix;  // [k * (len + 1) + t]
+    std::vector<float> mu, inv;  // [k * nseg + s]
+
+    template <typename Traits>
+    void widen(const typename Traits::Storage* x, std::size_t n,
+               const typename Traits::Storage* mu_st,
+               const typename Traits::Storage* inv_st, std::size_t nseg,
+               std::size_t d) {
+      using CT = typename Traits::Compute;
+      len = n;
+      prefix.resize(d * (len + 1));
+      mu.resize(d * nseg);
+      inv.resize(d * nseg);
+      std::vector<float> series(len);
+      for (std::size_t k = 0; k < d; ++k) {
+        for (std::size_t t = 0; t < len; ++t) {
+          series[t] = float(CT(x[k * len + t]));
+        }
+        sketch_prefix(series.data(), len, prefix.data() + k * (len + 1));
+      }
+      for (std::size_t e = 0; e < d * nseg; ++e) {
+        mu[e] = float(CT(mu_st[e]));
+        inv[e] = float(CT(inv_st[e]));
+      }
+    }
+  };
+
+  void sketch_side(const Widened& side, std::size_t nseg, std::size_t s0,
+                   std::size_t s1, float* sketches) const;
+  /// The interval-product bound of group g against the row box: true when
+  /// no block update can beat the weakest column's profile entry.
+  bool group_clears(std::size_t g, float pmax_weakest) const;
 
   bool enabled_ = false;
   std::size_t m_ = 0, d_ = 0, nr_ = 0, nq_ = 0;
   std::size_t groups_ = 0;
   float eps_ = 0.0f;  ///< guard band from the miss budget
-  std::vector<float> signs_;        // [p * m + t]
+  std::vector<float> signs_;        // [p * chunks + q]
+  Widened rows_, cols_;             // prepare .. finish_build only
   std::vector<float> row_sketch_;   // [(k * nr + i) * P + p]
   std::vector<float> col_sketch_;   // [(k * nq + j) * P + p]
   std::vector<float> col_lo_;       // [(g * d + k) * P + p], static boxes
   std::vector<float> col_hi_;       // [(g * d + k) * P + p]
-  std::vector<float> pmax_scratch_;  // [j], <0 == unskippable
+  std::vector<float> row_box_;      // [k * P + p] lo, then [(d + k) * P + p] hi
+  std::vector<std::uint8_t> flags_;  // [group], 1 == skippable
   std::vector<PrefilterDecision> decisions_;  // [group]
   std::size_t verify_counter_ = 0;
   PrefilterStats stats_;
