@@ -6,11 +6,14 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/kernel.hpp"
+#include "mp/checkpoint.hpp"
 #include "mp/gemm.hpp"
 #include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
@@ -444,6 +447,50 @@ void BM_CoordinatorDispatch(benchmark::State& state) {
                           std::int64_t(config.tiles));
 }
 
+void BM_JournalRead(benchmark::State& state) {
+  // Checkpoint read throughput: read_checkpoint (file read, checksum,
+  // parse) of a 16-tile Mixed journal from the page cache, shaped like
+  // the elastic-resume workload's (an 8192-segment d=4 self-join on a
+  // 4x4 grid).  Items = journal bytes.
+  constexpr std::size_t kGrid = 4, kCols = 2048, kDims = 4;
+  CheckpointData data;
+  data.fingerprint = 1;
+  data.tile_count = kGrid * kGrid;
+  Rng rng(6);
+  for (std::size_t t = 0; t < data.tile_count; ++t) {
+    CheckpointSlice slice;
+    slice.tile_index = t;
+    slice.tile_id = std::int32_t(t);
+    slice.device = std::int32_t(t % 2);
+    slice.mode = PrecisionMode::Mixed;
+    slice.r_begin = t / kGrid * kCols;
+    slice.r_count = kCols;
+    slice.q_begin = t % kGrid * kCols;
+    slice.q_count = kCols;
+    slice.dims = kDims;
+    for (std::size_t e = 0; e < kCols * kDims; ++e) {
+      slice.profile.push_back(rng.uniform(0.0, 8.0));
+      slice.index.push_back(std::int64_t(rng.uniform(0.0, 8192.0)));
+      const auto qt = float16{rng.normal(0.0, 64.0)}.bits();
+      slice.qt.push_back(std::uint8_t(qt));
+      slice.qt.push_back(std::uint8_t(qt >> 8));
+    }
+    data.slices.push_back(std::move(slice));
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mpsim_bm_journal.ckpt")
+          .string();
+  write_checkpoint(path, data);
+  const auto bytes = std::int64_t(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    auto back = read_checkpoint(path);
+    benchmark::DoNotOptimize(back.slices.data());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * bytes);
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * bytes);
+  std::remove(path.c_str());
+}
+
 void BM_Float16Arithmetic(benchmark::State& state) {
   Rng rng(4);
   std::vector<float16> a(4096), b(4096);
@@ -495,6 +542,7 @@ BENCHMARK(BM_Float16Decode);
 BENCHMARK(BM_Float16Arithmetic);
 BENCHMARK(BM_ParallelForDispatch)->Arg(64)->Arg(4096);
 BENCHMARK(BM_RowBatchDispatch)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_JournalRead);
 BENCHMARK(BM_CoordinatorDispatch)->Arg(1)->Arg(2)->Arg(4);
 
 BENCHMARK_MAIN();

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -17,17 +16,46 @@ namespace mpsim::mp {
 
 namespace {
 
-constexpr char kMagic[] = "mpsim-ckpt-v3\n";
+constexpr char kMagic[] = "mpsim-ckpt-v4\n";
 constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t hash = 1469598103934665603ULL) {
+                    std::uint64_t hash = kFnvBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < bytes; ++i) {
     hash ^= p[i];
-    hash *= 1099511628211ULL;
+    hash *= kFnvPrime;
   }
   return hash;
+}
+
+/// The journal's trailing checksum (format in checkpoint.hpp): FNV-1a
+/// over 64-bit words in 4 interleaved lanes, then the payload length and
+/// the lanes folded word by word, then the sub-word tail bytewise.  Each
+/// step (xor, then multiply by the odd FNV prime) is a bijection of the
+/// state it updates, so a change confined to one word of the body or to
+/// one tail byte always changes the result.  The four lanes are
+/// independent dependency chains that the CPU overlaps.
+std::uint64_t journal_checksum(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t lane[4] = {kFnvBasis, kFnvBasis, kFnvBasis, kFnvBasis};
+  const std::size_t words = bytes / 8;
+  const auto fold = [p](std::uint64_t& h, std::size_t w) {
+    std::uint64_t v;
+    std::memcpy(&v, p + 8 * w, sizeof(v));
+    h = (h ^ v) * kFnvPrime;
+  };
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    for (std::size_t k = 0; k < 4; ++k) fold(lane[k], w + k);
+  }
+  for (; w < words; ++w) fold(lane[w % 4], w);
+  std::uint64_t h = (kFnvBasis ^ std::uint64_t(bytes)) * kFnvPrime;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kFnvPrime;
+  return fnv1a(p + 8 * words, bytes % 8, h);
 }
 
 /// Append-only little-endian serialiser over a byte buffer.
@@ -86,6 +114,7 @@ void serialize(Sink& w, const CheckpointData& data) {
     w.put(slice.dims);
     w.put_span(slice.profile.data(), slice.profile.size());
     w.put_span(slice.index.data(), slice.index.size());
+    w.put_span(slice.qt.data(), slice.qt.size());
     w.put(slice.prefilter.blocks_total);
     w.put(slice.prefilter.blocks_skipped);
     w.put(slice.prefilter.blocks_verified);
@@ -128,7 +157,9 @@ struct Reader {
                             std::to_string(pos) + " overruns the file");
     }
     std::vector<T> out(count);
-    std::memcpy(out.data(), buf.data() + pos, count * sizeof(T));
+    if (count != 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), buf.data() + pos, count * sizeof(T));
+    }
     pos += count * sizeof(T);
     return out;
   }
@@ -166,7 +197,7 @@ std::uint64_t checkpoint_fingerprint(const TimeSeries& reference,
   std::uint64_t budget_bits;
   static_assert(sizeof(budget_bits) == sizeof(config.prefilter.budget));
   std::memcpy(&budget_bits, &config.prefilter.budget, sizeof(budget_bits));
-  // The tile grid is deliberately absent: v3 slices are keyed by absolute
+  // The tile grid is deliberately absent: slices are keyed by absolute
   // ranges, so resuming onto a different `--tiles` grid is a feature.
   const std::uint64_t shape[] = {
       std::uint64_t(reference.length()), std::uint64_t(reference.dims()),
@@ -201,7 +232,7 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
   Writer w;
   w.buf.reserve(size.bytes + sizeof(std::uint64_t));
   serialize(w, data);
-  w.put(fnv1a(w.buf.data(), w.buf.size()));
+  w.put(journal_checksum(w.buf.data(), w.buf.size()));
 
   // Durable atomic replace: write the temp file, fsync it *before* the
   // rename (otherwise a crash shortly after can leave a zero-length or
@@ -258,26 +289,33 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
 CheckpointData read_checkpoint(const std::string& path) {
   std::string buf;
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in.good()) {
       throw CheckpointError("cannot open checkpoint '" + path + "'",
                             CheckpointError::Reason::kMissing);
     }
-    std::ostringstream os;
-    os << in.rdbuf();
-    buf = os.str();
+    // One sized read: streaming through a stringstream copies twice.
+    const std::streamoff size = in.tellg();
+    if (size >= 0) {
+      buf.resize(std::size_t(size));
+      in.seekg(0);
+      in.read(buf.data(), std::streamsize(buf.size()));
+    }
+    if (size < 0 || !in) {
+      throw CheckpointError("cannot read checkpoint '" + path + "'");
+    }
   }
   if (buf.size() < kMagicLen + sizeof(std::uint64_t) ||
       std::memcmp(buf.data(), kMagic, kMagicLen) != 0) {
     throw CheckpointError("'" + path +
-                          "' is not an mpsim-ckpt-v3 checkpoint (bad or "
+                          "' is not an mpsim-ckpt-v4 checkpoint (bad or "
                           "missing magic)");
   }
   // Checksum covers everything up to the trailing hash itself.
   const std::size_t payload = buf.size() - sizeof(std::uint64_t);
   std::uint64_t stored;
   std::memcpy(&stored, buf.data() + payload, sizeof(stored));
-  if (fnv1a(buf.data(), payload) != stored) {
+  if (journal_checksum(buf.data(), payload) != stored) {
     throw CheckpointError("checkpoint '" + path +
                           "' failed its checksum (corrupt or truncated)");
   }
@@ -294,7 +332,8 @@ CheckpointData read_checkpoint(const std::string& path) {
     slice.device = r.get<std::int32_t>();
     slice.node = r.get<std::int32_t>();
     slice.complete = r.get<std::uint8_t>();
-    slice.mode = PrecisionMode(r.get<std::int32_t>());
+    const auto mode = r.get<std::int32_t>();
+    slice.mode = PrecisionMode(mode);
     slice.r_begin = r.get<std::uint64_t>();
     slice.r_count = r.get<std::uint64_t>();
     slice.q_begin = r.get<std::uint64_t>();
@@ -302,14 +341,28 @@ CheckpointData read_checkpoint(const std::string& path) {
     slice.dims = r.get<std::uint64_t>();
     slice.profile = r.get_span<double>();
     slice.index = r.get_span<std::int64_t>();
+    slice.qt = r.get_span<std::uint8_t>();
     slice.prefilter.blocks_total = r.get<std::uint64_t>();
     slice.prefilter.blocks_skipped = r.get<std::uint64_t>();
     slice.prefilter.blocks_verified = r.get<std::uint64_t>();
     slice.prefilter.cols_skipped = r.get<std::uint64_t>();
     slice.prefilter.cols_verified = r.get<std::uint64_t>();
     slice.prefilter.cols_missed = r.get<std::uint64_t>();
+    // A checksum-valid journal can still carry values no writer emits
+    // (the mode and flag are used unchecked downstream): reject them here.
+    if (mode < int(PrecisionMode::FP64) || mode > int(PrecisionMode::TF32) ||
+        slice.complete > 1) {
+      throw CheckpointError("checkpoint '" + path +
+                            "' has a slice with precision mode " +
+                            std::to_string(mode) + " and complete flag " +
+                            std::to_string(int(slice.complete)) +
+                            " (index " + std::to_string(slice.tile_index) +
+                            ")");
+    }
     if (slice.tile_index >= data.tile_count ||
         slice.profile.size() != slice.index.size() ||
+        (!slice.qt.empty() &&
+         slice.qt.size() != slice.profile.size() * storage_bytes(slice.mode)) ||
         slice.profile.size() != slice.q_count * slice.dims ||
         slice.r_count == 0 || slice.q_count == 0 || slice.dims == 0) {
       throw CheckpointError("checkpoint '" + path +

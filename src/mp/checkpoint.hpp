@@ -1,26 +1,38 @@
 // Durable checkpoint journal of the resilient scheduler.
 //
-// Format `mpsim-ckpt-v3`: a little-endian binary journal holding, for
+// Format `mpsim-ckpt-v4`: a little-endian binary journal holding, for
 // every committed tile *or partially completed row slice*, the slice's
 // absolute row/column ranges, the node/device/precision rung that
 // produced it, the merged profile slice (binary64 bits + global
 // nearest-neighbour indices — exactly the TileResult the merge consumes,
 // so a resumed run reproduces the uninterrupted run's output bit for
-// bit) plus the tile's sketch-prefilter decision tallies and the
-// RunEvent history, ending with a trailing FNV-1a checksum over the
-// whole payload.  v3 extends v2 by the absolute range keys, the node id
-// and the `complete` flag that distinguish whole-tile commits from
-// mid-tile row-slice snapshots; v2 journals are rejected by magic, like
-// any foreign file.  Writes are atomic: the journal is written to
-// `<path>.tmp` and renamed over `path`, so a crash mid-write leaves the
-// previous journal intact.
+// bit), the raw storage-precision QT row after the slice's last row (the
+// one piece of state the Eq. (1) recurrence carries from row to row, so
+// a resumed tile continues from it instead of recomputing the prefix),
+// plus the tile's sketch-prefilter decision tallies and the RunEvent
+// history, ending with a trailing checksum over the whole payload.
+//
+// The checksum is FNV-1a over 64-bit little-endian words in 4
+// interleaved lanes (word i feeds lane i mod 4); the payload length and
+// the four lanes are then folded word by word into one FNV-1a state, and
+// the payload's final `size mod 8` bytes are hashed bytewise.  Every
+// step is a bijection of the state it updates, so a change confined to
+// one full word or to one tail byte — in particular any single-bit flip —
+// is always detected.
+//
+// v4 extends v3 by the QT row and the word-lane checksum; v3 extends v2
+// by the absolute range keys, the node id and the `complete` flag that
+// distinguish whole-tile commits from mid-tile row-slice snapshots.
+// Older journals are rejected by magic, like any foreign file.  Writes
+// are atomic: the journal is written to `<path>.tmp` and renamed over
+// `path`, so a crash mid-write leaves the previous journal intact.
 //
 // A fingerprint of the inputs and the output-affecting configuration
 // (series bytes, window, mode, exclusion, prefilter) is embedded;
 // resuming against a journal written for different inputs is rejected
 // the same way as a corrupt file — read_checkpoint throws CheckpointError
 // and the caller proceeds with a fresh run.  The tile *grid* is
-// deliberately NOT part of the fingerprint: v3 slices carry absolute
+// deliberately NOT part of the fingerprint: slices carry absolute
 // ranges, so a journal written under one `--tiles` grid (or node count)
 // can be re-keyed onto a different one at resume time.
 #pragma once
@@ -52,6 +64,12 @@ struct CheckpointSlice {
   std::uint64_t dims = 0;
   std::vector<double> profile;   ///< q_count * dims entries
   std::vector<std::int64_t> index;
+  /// Raw storage-precision bytes of the tile's QT row after row
+  /// r_count - 1: q_count * dims * storage_bytes(mode) bytes, or empty
+  /// when the producing attempt has no restorable row (CPU fallback,
+  /// memory-pressure split, fault-corrupted inputs).  Raw bits, so NaN
+  /// payloads survive exactly.
+  std::vector<std::uint8_t> qt;
   PrefilterStats prefilter;      ///< sketch decision tallies (0s if exact)
 };
 
@@ -96,8 +114,9 @@ void note_durable_sync();
 }  // namespace detail
 
 /// Parses a journal; throws CheckpointError when the file is missing
-/// (`Reason::kMissing`), truncated, checksum-corrupt or not an
-/// `mpsim-ckpt-v3` document (`Reason::kCorrupt`).
+/// (`Reason::kMissing`), truncated, checksum-corrupt, not an
+/// `mpsim-ckpt-v4` document, or holds a slice whose precision mode,
+/// `complete` flag or QT row length is out of range (`Reason::kCorrupt`).
 CheckpointData read_checkpoint(const std::string& path);
 
 }  // namespace mpsim::mp

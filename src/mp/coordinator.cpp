@@ -435,7 +435,8 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   // ---- Resume: re-key journalled slices onto this grid.  A bad journal
   // never takes the run down (every rejection is a kResumeFallback
   // event); exact-cover slices restore tiles whole, row prefixes
-  // partially (the tail replays QT-only), the rest is recomputed. ----
+  // partially (the tail continues from the journalled QT row), the rest
+  // is recomputed. ----
   if (!config.checkpoint.resume_path.empty()) {
     RestoredState restored = restore_from_journals(
         config.checkpoint.resume_path, run.fingerprint, tiles, d, config);

@@ -168,7 +168,7 @@ struct ResilienceConfig {
 };
 
 /// Durable checkpoint/resume of the resilient scheduler.  The journal
-/// (format `mpsim-ckpt-v3`, see mp/checkpoint.hpp) records every
+/// (format `mpsim-ckpt-v4`, see mp/checkpoint.hpp) records every
 /// completed tile's merged profile slice — and, with `slice_rows > 0`,
 /// mid-tile row-slice snapshots — plus the RunEvent history; it is
 /// written atomically (temp + rename) every `interval_tiles` completed
@@ -185,7 +185,8 @@ struct CheckpointConfig {
 
   /// Mid-tile durability: journal a partial row-slice snapshot of every
   /// in-flight tile each time this many rows complete (0 = whole-tile
-  /// commits only).  Resume replays the covered rows QT-only, so a
+  /// commits only).  Each snapshot carries the tile's QT row, so resume
+  /// restores the recurrence state and runs only the remaining rows; a
   /// sliced resume is bit-identical to the uninterrupted run.
   int slice_rows = 0;
 

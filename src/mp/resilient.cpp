@@ -283,6 +283,7 @@ void merge_sub_tiles(const TileResult& left, const TileResult& right,
       }
     }
   }
+  out.qt.clear();  // the right half restarted its own recurrence
   out.ledger.reset();
   out.ledger.merge_from(left.ledger);
   out.ledger.merge_from(right.ledger);
@@ -355,21 +356,34 @@ void write_checkpoint_now(const RunContext& ctx, SchedulerState& st) {
   st.health.checkpoint_writes += 1;
 }
 
+/// Stops the shard on a shutdown request: marks it interrupted and
+/// cancels every in-flight attempt.  Caller holds the lock.
+void interrupt_locked(const RunContext& ctx, SchedulerState& st) {
+  st.interrupted = true;
+  log_event(st, {RunEvent::Kind::kInterrupted, -1, -1,
+                 std::to_string(st.total_commits) + "/" +
+                     std::to_string(ctx.tiles->size()) + " tiles committed"});
+  for (auto& [id, attempt] : st.inflight) attempt.token->cancel();
+  st.cv.notify_all();
+}
+
 /// SliceProgress::on_slice sink: records the snapshot of rows
-/// [0, rows_done) of tile `t` as its journalled partial slice (keeping
-/// the furthest snapshot when concurrent attempts race), flushes the
-/// journal, and honours the kill_after_slices chaos hook.  `prefix`
-/// (optional) is the restored row prefix this attempt resumed from; its
-/// rows are folded in so the stored slice always covers rows from 0.
+/// [0, rows_done) of tile `t` (with its QT row) as its journalled partial
+/// slice, keeping the furthest snapshot when concurrent attempts race,
+/// flushes the journal, and honours the kill_after_slices chaos hook.
+/// `prefix` (optional) is the restored row prefix this attempt resumed
+/// from; its rows are folded in so the stored slice always covers rows
+/// from 0.  The snapshot's vectors are swapped with the slot's, so the
+/// engine refills the previous snapshot's buffers instead of allocating.
 void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
                          std::size_t t, int dev,
                          const CheckpointSlice* prefix,
-                         std::size_t rows_done, std::vector<double> profile,
-                         std::vector<std::int64_t> index) {
+                         SliceSnapshot& snap) {
   const Tile& tile = (*ctx.tiles)[t];
   if (prefix != nullptr) {
-    min_merge_into(profile, index, prefix->profile, prefix->index);
+    min_merge_into(snap.profile, snap.index, prefix->profile, prefix->index);
   }
+  const std::size_t rows_done = snap.rows_done;
   bool kill_due = false;
   {
     std::lock_guard lock(st.mutex);
@@ -387,8 +401,9 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
     slot.q_begin = tile.q_begin;
     slot.q_count = tile.q_count;
     slot.dims = ctx.reference->dims();
-    slot.profile = std::move(profile);
-    slot.index = std::move(index);
+    slot.profile.swap(snap.profile);
+    slot.index.swap(snap.index);
+    slot.qt.swap(snap.qt);
     st.health.slice_commits += 1;
     SchedulerMetrics::get().slice_commits.add();
     st.slice_commits_total += 1;
@@ -398,7 +413,15 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
             std::size_t(ctx.config->checkpoint.kill_after_slices);
   }
   write_checkpoint_now(ctx, st);
-  if (kill_due) request_shutdown();
+  if (!kill_due) return;
+  request_shutdown();
+  // Stop this shard now, not at the monitor's next poll: the snapshotting
+  // attempt then unwinds at its next row instead of racing on to commit
+  // its tile, so the slice just journalled is what a resume restores.
+  if (ctx.config->resilience.honor_shutdown) {
+    std::lock_guard lock(st.mutex);
+    if (!st.interrupted) interrupt_locked(ctx, st);
+  }
 }
 
 /// Watchdog + shutdown monitor.  Wakes every watchdog_poll_ms: propagates
@@ -416,13 +439,7 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
     if (st.stop_monitor) break;
 
     if (rc.honor_shutdown && !st.interrupted && shutdown_requested()) {
-      st.interrupted = true;
-      log_event(st, {RunEvent::Kind::kInterrupted, -1, -1,
-                     std::to_string(st.total_commits) + "/" +
-                         std::to_string(ctx.tiles->size()) +
-                         " tiles committed"});
-      for (auto& [id, attempt] : st.inflight) attempt.token->cancel();
-      st.cv.notify_all();
+      interrupt_locked(ctx, st);
     }
 
     // Withdraw local attempts of tiles another node already committed
@@ -633,17 +650,16 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
       SliceProgress progress;
       const SliceProgress* slice_ptr = nullptr;
       if (prefix != nullptr || journal_slices) {
-        progress.start_row =
-            prefix != nullptr ? std::size_t(prefix->r_count) : 0;
+        if (prefix != nullptr) {
+          progress.start_row = std::size_t(prefix->r_count);
+          progress.start_qt = prefix->qt;
+        }
         if (journal_slices) {
           progress.slice_rows =
               std::size_t(ctx.config->checkpoint.slice_rows);
-          progress.on_slice = [&ctx, &st, t = job.index, dev, prefix](
-                                  std::size_t rows_done,
-                                  std::vector<double> profile,
-                                  std::vector<std::int64_t> index) {
-            note_slice_snapshot(ctx, st, t, dev, prefix, rows_done,
-                                std::move(profile), std::move(index));
+          progress.on_slice = [&ctx, &st, t = job.index, dev,
+                               prefix](SliceSnapshot& snap) {
+            note_slice_snapshot(ctx, st, t, dev, prefix, snap);
           };
         }
         slice_ptr = &progress;
@@ -1077,6 +1093,7 @@ RestoredState restore_from_journals(const std::string& resume_path,
         out.committed[target] = 1;
         out.results[target].profile = slice.profile;
         out.results[target].index = slice.index;
+        out.results[target].qt = slice.qt;
         out.results[target].prefilter = slice.prefilter;
         out.executed_device[target] = int(slice.device);
         out.final_mode[target] = slice.mode;
@@ -1084,15 +1101,25 @@ RestoredState restore_from_journals(const std::string& resume_path,
         continue;
       }
       // Row prefix: only usable at the run's base precision and without
-      // the prefilter — the tail attempt's QT-only replay must reproduce
-      // the exact recurrence state the journalled rows were computed in.
+      // the prefilter, and only with its QT row — the tail attempt
+      // continues the recurrence from exactly that state.  The reader
+      // admits an empty or an exactly sized row; a prefix without one (a
+      // CPU-fallback, split or corrupted-input tile) is recomputed from
+      // row 0.
+      std::string unusable;
       if (slice.mode != config.mode || config.prefilter.enabled()) {
+        unusable = "row prefix at " + to_string(slice.mode) +
+                   " is not restorable under this configuration";
+      } else if (slice.qt.size() != std::size_t(slice.q_count) *
+                                        std::size_t(slice.dims) *
+                                        storage_bytes(slice.mode)) {
+        unusable = "row prefix carries no QT row (CPU-fallback, split or "
+                   "corrupted-input tile); recomputed from row 0";
+      }
+      if (!unusable.empty()) {
         out.discarded += 1;
-        out.log.push_back(
-            {RunEvent::Kind::kSliceDiscarded, int(slice.tile_id),
-             int(slice.device),
-             "row prefix at " + to_string(slice.mode) +
-                 " is not restorable under this configuration"});
+        out.log.push_back({RunEvent::Kind::kSliceDiscarded,
+                           int(slice.tile_id), int(slice.device), unusable});
         continue;
       }
       CheckpointSlice& best = out.prefixes[target];
@@ -1114,7 +1141,7 @@ RestoredState restore_from_journals(const std::string& resume_path,
          int(out.prefixes[t].device),
          "rows [0, +" + std::to_string(out.prefixes[t].r_count) + ") of " +
              std::to_string(tiles[t].r_count) +
-             " restored; tail resumes after a QT-only replay"});
+             " restored; tail resumes from the journalled QT row"});
   }
   return out;
 }
@@ -1227,6 +1254,7 @@ void compute_tile_on_cpu(const TimeSeries& reference, const TimeSeries& query,
   const CpuReferenceResult cpu =
       compute_matrix_profile_cpu(sub_ref, sub_query, cc);
   result.profile = cpu.profile;
+  result.qt.clear();  // the CPU reference runs no reduced-precision QT row
   result.ledger.reset();
   result.prefilter = {};  // the CPU fallback always runs every column exact
   result.index.resize(cpu.index.size());
@@ -1249,6 +1277,7 @@ void CommittedTiles::commit(std::size_t t, TileResult& result, int device,
   TileResult& slot = results[t];
   slot.profile = std::move(result.profile);
   slot.index = std::move(result.index);
+  slot.qt = std::move(result.qt);
   slot.ledger.reset();
   slot.ledger.merge_from(result.ledger);
   slot.prefilter = result.prefilter;
@@ -1299,6 +1328,7 @@ CheckpointData journal_data(const ShardRun& run, const CommittedTiles& done,
     entry.dims = run.reference->dims();
     entry.profile = done.results[t].profile;
     entry.index = done.results[t].index;
+    entry.qt = done.results[t].qt;
     entry.prefilter = done.results[t].prefilter;
     data.slices.push_back(std::move(entry));
   }

@@ -74,12 +74,14 @@ struct CommittedTiles {
               PrecisionMode mode);
 };
 
-/// Journal state restored against the *current* tile grid.  v3 journals
-/// key slices by absolute row/column ranges, so a journal written under a
+/// Journal state restored against the *current* tile grid.  Journals key
+/// slices by absolute row/column ranges, so a journal written under a
 /// different grid (or node count) re-keys here: slices that exactly cover
 /// a current tile restore it whole (CommittedTiles); row-prefix slices
-/// seed a partial restore (the tail rows re-execute after a QT-only
-/// replay); everything else is discarded with a kSliceDiscarded record.
+/// with a QT row seed a partial restore (the tail rows continue the
+/// recurrence from that row); everything else — including a prefix with
+/// no QT row, or one at another precision — is discarded with a
+/// kSliceDiscarded record and its tile recomputed from row 0.
 struct RestoredState : CommittedTiles {
   std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
   std::vector<RunEvent> events;       ///< prior run's event history

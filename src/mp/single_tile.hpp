@@ -16,10 +16,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpusim/faults.hpp"
@@ -39,36 +41,103 @@ namespace mpsim::mp {
 struct TileResult {
   std::vector<double> profile;       // [k * q_count + j], binary64 view
   std::vector<std::int64_t> index;   // global reference segment indices
+  /// Raw storage-precision bytes of the QT row after the tile's last row
+  /// (the recurrence state a longer tile with the same origin would carry
+  /// on from).  Empty when the staged inputs were fault-corrupted, and on
+  /// the CPU-fallback and memory-pressure-split paths.
+  std::vector<std::uint8_t> qt;
   gpusim::KernelLedger ledger;       // this tile's modelled launches
   PrefilterStats prefilter;          // sketch-prefilter decision tallies
+};
+
+/// One row-slice snapshot: the tile's profile/index widened to binary64
+/// after rows [start_row, rows_done), plus the raw QT row after row
+/// rows_done - 1.  The engine refills the same object at every slice
+/// boundary (resizing its vectors first), so a sink may modify it in
+/// place or swap its vectors out instead of copying them.
+struct SliceSnapshot {
+  std::size_t rows_done = 0;
+  std::vector<double> profile;
+  std::vector<std::int64_t> index;
+  std::vector<std::uint8_t> qt;
 };
 
 /// Mid-tile durability hooks (opt-in, scheduler-provided).
 ///
 /// `start_row > 0` resumes the tile from a journalled row-slice prefix:
-/// rows [0, start_row) are *replayed QT-only* — the diagonal recurrence
-/// is advanced through them op-for-op (`qt_only_row_body`) without
-/// touching the profile — so row start_row sees exactly the QT state the
-/// uninterrupted run would have handed it, and the freshly computed tail
-/// is bit-identical.  The engine's result then covers only rows
+/// `start_qt` holds the raw QT row after row start_row - 1 (a snapshot's
+/// `qt`: q_count * dims values, storage_bytes(mode) bytes each).  It is copied into the
+/// recurrence's row buffer with one modelled H2D transfer, so row
+/// start_row sees exactly the QT state the uninterrupted run handed it
+/// and the freshly computed tail is bit-identical; rows [0, start_row)
+/// are never re-run.  The engine's result then covers only rows
 /// [start_row, nr); the caller min-merges its stored prefix back in (the
 /// merge rule is associative, so prefix ⊕ tail ≡ the uninterrupted run).
 ///
 /// `on_slice` (with `slice_rows > 0`) is invoked every slice_rows rows
 /// past start_row (row batches end at those boundaries), except at the
-/// tile's last row, with a widened copy of the tile's current profile/index —
-/// the contribution of rows [start_row, rows_done).  Snapshots are
-/// pure reads: they cannot move output bits.  The engine suppresses
-/// snapshots when the staged inputs were fault-corrupted (a poisoned
-/// prefix must never become durable) and under the sketch prefilter
-/// (whose skipped columns make mid-tile state non-restorable).
+/// tile's last row, with a snapshot of the contribution of rows
+/// [start_row, rows_done).  Snapshots are pure reads: they cannot move
+/// output bits.  The engine suppresses snapshots when the staged inputs
+/// were fault-corrupted (a poisoned prefix must never become durable) and
+/// under the sketch prefilter (whose skipped columns make mid-tile state
+/// non-restorable).
 struct SliceProgress {
   std::size_t start_row = 0;
+  std::span<const std::uint8_t> start_qt;
   std::size_t slice_rows = 0;
-  std::function<void(std::size_t rows_done, std::vector<double> profile,
-                     std::vector<std::int64_t> index)>
-      on_slice;
+  std::function<void(SliceSnapshot& snapshot)> on_slice;
 };
+
+namespace detail {
+
+/// A storage value's raw format bits: binary64/binary32 by bit_cast, the
+/// emulated formats through their bit accessors.
+template <typename ST>
+std::uint64_t storage_bits(ST v) {
+  if constexpr (std::is_same_v<ST, double>) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else if constexpr (std::is_same_v<ST, float>) {
+    return std::bit_cast<std::uint32_t>(v);
+  } else {
+    return v.bits();
+  }
+}
+
+/// Packs `n` storage values as `width` little-endian bytes each: the
+/// format's width (storage_bytes), which can be narrower than the
+/// emulating type's (bfloat16 is held in a 32-bit word).
+template <typename ST>
+void pack_storage(const ST* src, std::size_t n, std::size_t width,
+                  std::uint8_t* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bits = storage_bits(src[i]);
+    for (std::size_t b = 0; b < width; ++b) {
+      dst[i * width + b] = std::uint8_t(bits >> (8 * b));
+    }
+  }
+}
+
+/// Inverse of pack_storage.
+template <typename ST>
+void unpack_storage(const std::uint8_t* src, std::size_t n, std::size_t width,
+                    ST* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < width; ++b) {
+      bits |= std::uint64_t(src[i * width + b]) << (8 * b);
+    }
+    if constexpr (std::is_same_v<ST, double>) {
+      dst[i] = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_same_v<ST, float>) {
+      dst[i] = std::bit_cast<float>(std::uint32_t(bits));
+    } else {
+      dst[i] = ST::from_bits(decltype(ST().bits())(bits));
+    }
+  }
+}
+
+}  // namespace detail
 
 template <typename Traits>
 class SingleTileEngine {
@@ -286,44 +355,52 @@ class SingleTileEngine {
     const auto upd_cost = update_cost<Traits>(nq, d);
 
     // ---- Mid-tile durability (SliceProgress, opt-in). ----
-    // Prefix replay: advance the QT recurrence through the already
-    // journalled rows without touching the profile, so the tail rows see
-    // bit-identical recurrence state (see SliceProgress).
+    // Prefix restore: the journalled QT row after row start_row - 1 is
+    // the whole recurrence state the tail rows need (see SliceProgress).
     const std::size_t start_row =
         slice != nullptr ? std::min(slice->start_row, nr) : 0;
-    for (std::size_t i = 0; i < start_row; ++i) {
-      const ST* qp = qt_prev;
-      ST* qn = qt_next;
-      gpusim::launch_grid_stride(
-          device, nullptr, "qt_replay", config, std::int64_t(nq), dist_cost,
-          [&, i, qp, qn](std::int64_t begin, std::int64_t end) {
-            qt_only_row_body<Traits>(begin, end, i, nq, d, qt_row.data(),
-                                     qt_col.data(), nr, df_r.data(),
-                                     dg_r.data(), df_q.data(), dg_q.data(),
-                                     qp, qn);
-          },
-          tl, cancel);
-      std::swap(qt_prev, qt_next);
+    const std::size_t width = storage_bytes(Traits::kMode);
+    if (start_row > 0) {
+      MPSIM_CHECK(slice->start_qt.size() == nq * d * width,
+                  "resuming at row " << start_row << " needs a "
+                                     << nq * d * width
+                                     << "-byte QT row, got "
+                                     << slice->start_qt.size());
+      std::vector<ST> host_qt(nq * d);
+      detail::unpack_storage(slice->start_qt.data(), nq * d, width,
+                             host_qt.data());
+      gpusim::async_copy_h2d(device, nullptr, host_qt.data(), qt_a,
+                             host_qt.size(), tl, cancel);
     }
+    // Direct reads of simulated device state: durability bookkeeping,
+    // deliberately not modelled as D2H traffic.
+    const auto read_qt = [&](std::vector<std::uint8_t>& out) {
+      out.resize(nq * d * width);
+      detail::pack_storage(qt_prev, nq * d, width, out.data());
+    };
     // Snapshot emission: disabled when the staged inputs were corrupted
     // by fault injection (a poisoned prefix must never become durable).
     bool emit_slices = slice != nullptr && slice->on_slice &&
                        slice->slice_rows > 0 && corrupted == 0;
     std::size_t last_emitted = start_row;
+    SliceSnapshot snap;
     const auto maybe_slice = [&](std::size_t rows_done) {
       if (!emit_slices || rows_done >= nr) return;
       if (rows_done - last_emitted < slice->slice_rows) return;
       last_emitted = rows_done;
-      // Direct widened reads of simulated device state: durability
-      // bookkeeping, deliberately not modelled as D2H traffic.
-      std::vector<double> snap_profile(nq * d);
-      std::vector<std::int64_t> snap_index(nq * d);
+      snap.rows_done = rows_done;
+      snap.profile.resize(nq * d);
+      snap.index.resize(nq * d);
       for (std::size_t e = 0; e < nq * d; ++e) {
-        snap_profile[e] = double(profile[e]);
-        snap_index[e] = index[e];
+        snap.profile[e] = double(profile[e]);
+        snap.index[e] = index[e];
       }
-      slice->on_slice(rows_done, std::move(snap_profile),
-                      std::move(snap_index));
+      read_qt(snap.qt);
+      slice->on_slice(snap);
+    };
+    // The final row's QT state, kept under the same rule as snapshots.
+    const auto keep_final_qt = [&] {
+      if (corrupted == 0) read_qt(result.qt);
     };
     // Single-dimensional fast path: sorting/scanning one value per column
     // is the identity, so the kernel is skipped entirely (the paper's
@@ -468,6 +545,7 @@ class SingleTileEngine {
       }
 
       result.prefilter = pf.stats();
+      keep_final_qt();
       finish_tile(device, nq, d, profile, index, result, tl, cancel);
       return;
     }
@@ -517,6 +595,7 @@ class SingleTileEngine {
       maybe_slice(i + 1);
     }
 
+    keep_final_qt();
     finish_tile(device, nq, d, profile, index, result, tl, cancel);
   }
 

@@ -66,8 +66,8 @@ enum class SliceFit {
   /// Covers the whole tile: restore it outright and skip execution.
   kComplete,
   /// Same seed origin (r_begin, q_begin, exact column range) but fewer
-  /// rows than the tile: a bit-exact prefix — execution may replay the
-  /// QT recurrence through the covered rows and compute only the
+  /// rows than the tile: a bit-exact prefix — execution may continue the
+  /// QT recurrence from the slice's journalled row and compute only the
   /// remainder.
   kPrefix,
 };

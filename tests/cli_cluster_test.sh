@@ -55,7 +55,10 @@ done
 
 # --- Requirement 2: kill mid-tile on 3 nodes (sub-tile row slices in the
 # journal), resume on 2 nodes.  The kill exits 130 unless the run won the
-# race and completed (0); either way the resumed bytes must match.
+# race and completed (0); either way the resumed bytes must match.  After
+# a kill the resume must restore at least one row slice from its QT row
+# (a discarded prefix gives the same bytes, so only the counters show
+# it) and never re-run a prefix.
 status=0
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=3 \
     --checkpoint="$WORK/elastic.ckpt" --checkpoint-interval=1 \
@@ -68,8 +71,17 @@ fi
 [ -f "$WORK/elastic.ckpt" ]
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 \
     --resume="$WORK/elastic.ckpt" --output="$WORK/elastic_resumed.csv" \
+    --metrics-out="$WORK/elastic_resumed.json" \
     > "$WORK/elastic_resumed.log"
 cmp "$WORK/one_Mixed_auto.csv" "$WORK/elastic_resumed.csv"
+if [ "$status" -eq 130 ]; then
+  python3 - "$WORK/elastic_resumed.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("resilient.slices_partial", 0) >= 1, c
+assert "kernel.qt_replay.launches" not in c, c
+EOF
+fi
 
 # --- Requirement 3: the same journal re-keyed onto a *different grid*
 # (tiles=6 -> tiles=4) and yet another node count.  The bytes must match

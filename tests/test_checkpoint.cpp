@@ -1,11 +1,13 @@
-// Durable checkpoint/resume: the v3 slice journal round-trips bit-exactly,
-// damaged or foreign journals fall back to a fresh run through a structured
-// RunEvent (distinguishing missing vs corrupt vs fingerprint-mismatch), a
-// killed-then-resumed computation produces the same profile/index bits as
-// the uninterrupted run in every precision mode and on both row paths, and
-// slices written under one tile grid re-key onto a different grid (whole
-// tiles restore outright, row prefixes replay only their tail, everything
-// else is discarded and recomputed).
+// Durable checkpoint/resume: the v4 slice journal round-trips bit-exactly
+// (QT rows included), every single-bit flip or truncation of a journal is
+// rejected, damaged or foreign journals fall back to a fresh run through a
+// structured RunEvent (distinguishing missing vs corrupt vs
+// fingerprint-mismatch), a killed-then-resumed computation produces the
+// same profile/index bits as the uninterrupted run in every precision mode
+// and on both row paths, and slices written under one tile grid re-key
+// onto a different grid (whole tiles restore outright, row prefixes with a
+// QT row run only their tail, everything else is discarded and
+// recomputed).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -67,6 +69,9 @@ CheckpointData sample_data() {
   slice.dims = 1;
   slice.profile = {0.5, 1.25, std::numeric_limits<double>::infinity()};
   slice.index = {7, -1, 3};
+  // Mixed stores QT in binary16: 3 columns x 1 dim x 2 bytes, one a NaN
+  // with a payload.
+  slice.qt = {0x00, 0x3c, 0x01, 0x7e, 0x00, 0xc0};
   slice.prefilter.blocks_total = 9;
   slice.prefilter.blocks_skipped = 4;
   slice.prefilter.cols_skipped = 12;
@@ -103,6 +108,7 @@ TEST(CheckpointJournal, RoundTripsBitExactly) {
   EXPECT_EQ(s.dims, 1u);
   EXPECT_EQ(s.profile, data.slices[0].profile);
   EXPECT_EQ(s.index, data.slices[0].index);
+  EXPECT_EQ(s.qt, data.slices[0].qt);
   EXPECT_EQ(s.prefilter.blocks_total, 9u);
   EXPECT_EQ(s.prefilter.blocks_skipped, 4u);
   EXPECT_EQ(s.prefilter.cols_skipped, 12u);
@@ -187,11 +193,43 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   write_file(path, corrupt);
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
   // A different magic is not an mpsim checkpoint at all (this also covers
-  // v2 journals: the old "mpsim-ckpt-v2" magic no longer matches).
+  // older journals: the "mpsim-ckpt-v2"/"-v3" magics no longer match).
   std::string foreign = good;
   foreign[0] = 'X';
   write_file(path, foreign);
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
+  std::string v3 = good;
+  v3[std::string("mpsim-ckpt-v").size()] = '3';
+  write_file(path, v3);
+  EXPECT_THROW(read_checkpoint(path), CheckpointError);
+  // Checksum-valid journals carrying values no writer emits: an
+  // out-of-range precision mode, a `complete` flag outside {0, 1}, a QT
+  // row of the wrong length.
+  const auto expect_corrupt = [&](const CheckpointData& bad,
+                                  const std::string& what) {
+    write_checkpoint(path, bad);
+    try {
+      read_checkpoint(path);
+      FAIL() << what << " parsed";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.reason(), CheckpointError::Reason::kCorrupt) << what;
+    }
+  };
+  CheckpointData bad = sample_data();
+  bad.slices[0].mode = PrecisionMode(99);
+  expect_corrupt(bad, "mode 99");
+  bad = sample_data();
+  bad.slices[0].mode = PrecisionMode(-1);
+  expect_corrupt(bad, "mode -1");
+  bad = sample_data();
+  bad.slices[0].complete = 2;
+  expect_corrupt(bad, "complete 2");
+  bad = sample_data();
+  bad.slices[0].qt.pop_back();
+  expect_corrupt(bad, "short QT row");
+  bad = sample_data();
+  bad.slices[0].qt.resize(bad.slices[0].qt.size() * 2);
+  expect_corrupt(bad, "long QT row");
   // Trailing garbage after the journal is rejected too (the checksum is
   // recomputed over everything before the trailer, so append + re-hash
   // could otherwise smuggle bytes past it).
@@ -199,6 +237,49 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   padded.insert(padded.size() - 8, "????");
   write_file(path, padded);
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointJournal, EveryBitFlipAndTruncationIsRejected) {
+  // A small v4 journal: two tiles, one committed and one a partial row
+  // slice with its QT row, plus an event.  The checksum folds 64-bit
+  // words, so this sweeps every word lane, the byte tail and the
+  // trailer itself.
+  CheckpointData data = sample_data();
+  data.tile_count = 2;
+  data.slices[0].tile_index = 1;
+  CheckpointSlice whole = data.slices[0];
+  whole.tile_index = 0;
+  whole.tile_id = 0;
+  whole.complete = 1;
+  whole.r_begin = 0;
+  whole.r_count = 40;
+  data.slices.insert(data.slices.begin(), whole);
+  const std::string path = temp_path("sweep");
+  write_checkpoint(path, data);
+  const std::string good = read_file(path);
+  ASSERT_EQ(read_checkpoint(path).slices.size(), 2u);
+  ASSERT_NE((good.size() - sizeof(std::uint64_t)) % 8, 0u)
+      << "the payload should end in a sub-word tail";
+
+  const auto rejected = [&](const std::string& bytes) {
+    write_file(path, bytes);
+    try {
+      read_checkpoint(path);
+    } catch (const CheckpointError& e) {
+      return e.reason() == CheckpointError::Reason::kCorrupt;
+    }
+    return false;
+  };
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] = char(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(rejected(flipped)) << "bit " << bit << " of " << good.size()
+                                   << " bytes";
+  }
+  for (std::size_t keep = 0; keep < good.size(); ++keep) {
+    EXPECT_TRUE(rejected(good.substr(0, keep))) << "truncated to " << keep;
+  }
   std::remove(path.c_str());
 }
 
@@ -213,7 +294,7 @@ TEST(CheckpointJournal, FingerprintTracksInputsNotShape) {
   MatrixProfileConfig other = config;
   other.mode = PrecisionMode::FP16;
   EXPECT_NE(fp_a, checkpoint_fingerprint(a.reference, a.query, other));
-  // The tile grid is deliberately NOT part of the fingerprint: v3 slices
+  // The tile grid is deliberately NOT part of the fingerprint: slices
   // carry absolute ranges, so a journal re-keys onto a different grid.
   other = config;
   other.tiles = 4;
@@ -247,7 +328,7 @@ TEST(CheckpointSliceFit, RekeyingEdgeCases) {
   // Exact cover — zero-width remainder — restores the tile outright.
   EXPECT_EQ(classify_slice(100, 50, 0, 40, dims, tile, dims),
             SliceFit::kComplete);
-  // Proper row prefix: the tail [130, 150) replays from the prefix.
+  // Proper row prefix: the tail [130, 150) continues from the prefix.
   EXPECT_EQ(classify_slice(100, 30, 0, 40, dims, tile, dims),
             SliceFit::kPrefix);
   // A slice spanning exactly past the tile's row boundary is unusable:
@@ -331,35 +412,40 @@ TEST(CheckpointResume, KilledRunResumesBitIdenticallyAllModesBothPaths) {
 TEST(CheckpointResume, MidTileSliceKillResumesBitIdentically) {
   // Sub-tile durability: kill after a handful of journalled row slices —
   // mid-tile, before every tile committed — then resume.  The journalled
-  // prefix seeds its tile (the tail replays QT-only) and the final bits
-  // match the uninterrupted run.
+  // prefix seeds its tile (the tail continues from its QT row) and the
+  // final bits match the uninterrupted run.  A silently discarded prefix
+  // would give the same bytes, so the restore is checked in the counters.
   const auto data = small_dataset(160, 2, 16, 9);
-  MatrixProfileConfig config;
-  config.window = 16;
-  config.tiles = 2;
-  const auto clean =
-      compute_matrix_profile(data.reference, data.query, config);
+  for (const PrecisionMode mode : kExtendedPrecisionModes) {
+    MatrixProfileConfig config;
+    config.window = 16;
+    config.tiles = 2;
+    config.mode = mode;
+    const auto clean =
+        compute_matrix_profile(data.reference, data.query, config);
 
-  const std::string ckpt = temp_path("slicekill");
-  config.checkpoint.write_path = ckpt;
-  config.checkpoint.slice_rows = 8;
-  config.checkpoint.kill_after_slices = 2;
-  clear_shutdown();
-  try {
-    compute_matrix_profile(data.reference, data.query, config);
-  } catch (const InterruptedError&) {
+    const std::string ckpt = temp_path("slicekill_" + to_string(mode));
+    config.checkpoint.write_path = ckpt;
+    config.checkpoint.slice_rows = 8;
+    config.checkpoint.kill_after_slices = 2;
+    clear_shutdown();
+    try {
+      compute_matrix_profile(data.reference, data.query, config);
+    } catch (const InterruptedError&) {
+    }
+    clear_shutdown();
+
+    config.checkpoint.kill_after_slices = 0;
+    config.checkpoint.slice_rows = 0;
+    config.checkpoint.resume_path = ckpt;
+    const auto resumed =
+        compute_matrix_profile(data.reference, data.query, config);
+    EXPECT_EQ(resumed.profile, clean.profile) << to_string(mode);
+    EXPECT_EQ(resumed.index, clean.index) << to_string(mode);
+    EXPECT_GE(resumed.health.partial_slices, 1) << to_string(mode);
+    EXPECT_EQ(resumed.health.slices_discarded, 0) << to_string(mode);
+    std::remove(ckpt.c_str());
   }
-  clear_shutdown();
-
-  config.checkpoint.kill_after_slices = 0;
-  config.checkpoint.slice_rows = 0;
-  config.checkpoint.resume_path = ckpt;
-  const auto resumed =
-      compute_matrix_profile(data.reference, data.query, config);
-  EXPECT_EQ(resumed.profile, clean.profile);
-  EXPECT_EQ(resumed.index, clean.index);
-  EXPECT_GT(resumed.health.partial_slices + resumed.health.resumed_tiles, 0);
-  std::remove(ckpt.c_str());
 }
 
 TEST(CheckpointResume, CompletedJournalSkipsAllWork) {
@@ -485,7 +571,8 @@ TEST(CheckpointResume, GridChangeReusesPrefixesAndDiscardsTheRest) {
   // tiles=8 → a 4x2 grid, tiles=4 → 2x2: the column split is identical,
   // each coarse tile's rows are two fine tiles' rows.  Of each pair of
   // fine complete slices, the first is an exact row *prefix* of the
-  // coarse tile (same seed origin — restorable, tail replays QT-only)
+  // coarse tile (same seed origin — restorable, the tail continues from
+  // its QT row)
   // and the second is seeded mid-tile (unusable, discarded).
   const auto data = small_dataset(160, 2, 16, 8);
   MatrixProfileConfig fine;
@@ -520,6 +607,59 @@ TEST(CheckpointResume, GridChangeReusesPrefixesAndDiscardsTheRest) {
   std::remove(ckpt.c_str());
 }
 
+TEST(CheckpointResume, PrefixWithoutQtRowIsDiscardedAndRecomputed) {
+  // The grid change of the test above yields four restorable prefixes.
+  // Strip their QT rows (what a CPU-fallback, split or corrupted-input
+  // tile journals): each is discarded with an event and its tile
+  // recomputed from row 0, to the same bytes.  A QT row of the wrong
+  // length never gets that far: the reader rejects the journal.
+  const auto data = small_dataset(160, 2, 16, 8);
+  MatrixProfileConfig fine;
+  fine.window = 16;
+  fine.tiles = 8;
+  const std::string ckpt = temp_path("noqt");
+  fine.checkpoint.write_path = ckpt;
+  compute_matrix_profile(data.reference, data.query, fine);
+  CheckpointData journal = read_checkpoint(ckpt);
+  ASSERT_EQ(journal.slices.size(), 8u);
+  for (CheckpointSlice& slice : journal.slices) {
+    EXPECT_FALSE(slice.qt.empty());
+    slice.qt.clear();
+  }
+  write_checkpoint(ckpt, journal);
+
+  MatrixProfileConfig coarse;
+  coarse.window = 16;
+  coarse.tiles = 4;
+  const auto clean = compute_matrix_profile(data.reference, data.query,
+                                            coarse);
+  coarse.checkpoint.resume_path = ckpt;
+  const auto resumed = compute_matrix_profile(data.reference, data.query,
+                                              coarse);
+  EXPECT_EQ(resumed.health.partial_slices, 0);
+  EXPECT_EQ(resumed.health.slices_discarded, 8);
+  EXPECT_EQ(resumed.profile, clean.profile);
+  EXPECT_EQ(resumed.index, clean.index);
+  int no_qt = 0;
+  for (const auto& event : resumed.health.events) {
+    if (event.kind == RunEvent::Kind::kSliceDiscarded &&
+        event.detail.find("no QT row") != std::string::npos) {
+      ++no_qt;
+    }
+  }
+  EXPECT_EQ(no_qt, 4);
+
+  journal.slices[0].qt.assign(3, 0);
+  write_checkpoint(ckpt, journal);
+  const auto fallback = compute_matrix_profile(data.reference, data.query,
+                                               coarse);
+  EXPECT_EQ(fallback.health.partial_slices, 0);
+  EXPECT_EQ(count_fallbacks(fallback.health, "is unreadable"), 1);
+  EXPECT_EQ(fallback.profile, clean.profile);
+  EXPECT_EQ(fallback.index, clean.index);
+  std::remove(ckpt.c_str());
+}
+
 TEST(CheckpointResume, DimsMismatchedSliceIsDiscardedNotRestored) {
   const auto data = small_dataset(120, 2, 16, 4);
   MatrixProfileConfig config;
@@ -539,6 +679,8 @@ TEST(CheckpointResume, DimsMismatchedSliceIsDiscardedNotRestored) {
   widened.dims += 1;
   widened.profile.resize(widened.q_count * widened.dims, 0.0);
   widened.index.resize(widened.q_count * widened.dims, -1);
+  widened.qt.resize(widened.q_count * widened.dims *
+                    storage_bytes(widened.mode));
   write_checkpoint(ckpt, journal);
 
   config.checkpoint.write_path.clear();

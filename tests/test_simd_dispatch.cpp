@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -383,10 +384,10 @@ TEST(BlockedRows, PrefilterGroupsOverChunkPartitions) {
   }
 }
 
-// Engine level: slice snapshots and a mid-tile resume.  With slices on, a
-// batch ends at the next slice boundary, so snapshots land every 100 rows
-// past the start row whatever bt is, and every snapshot and the resumed
-// tail equal the cooperative path's bytes.
+// Engine level: slice snapshots and a mid-tile resume from a snapshot's
+// QT row.  With slices on, a batch ends at the next slice boundary, so
+// snapshots land every 100 rows past the start row whatever bt is, and
+// every snapshot and the resumed tail equal the cooperative path's bytes.
 TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
   DispatchGuard guard;
   using Traits = PrecisionTraits<PrecisionMode::FP16>;
@@ -400,47 +401,100 @@ TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
   gpusim::Device device(gpusim::a100(), 0, 4);
   mp::Tile tile;
   tile.r_count = tile.q_count = spec.segments;
+  const std::size_t qt_bytes =
+      spec.segments * spec.dims * storage_bytes(PrecisionMode::FP16);
 
   struct Run {
-    std::vector<std::size_t> rows;
-    std::vector<std::vector<double>> profiles;
-    std::vector<std::vector<std::int64_t>> indexes;
+    std::vector<mp::SliceSnapshot> snaps;
     mp::TileResult result;
   };
-  const auto run = [&](Run& out, mp::RowPath path, std::size_t start_row) {
+  const auto run = [&](Run& out, mp::RowPath path, std::size_t start_row,
+                       std::span<const std::uint8_t> start_qt) {
     mp::SliceProgress slice;
     slice.start_row = start_row;
+    slice.start_qt = start_qt;
     slice.slice_rows = 100;
-    slice.on_slice = [&](std::size_t rows_done, std::vector<double> profile,
-                         std::vector<std::int64_t> index) {
-      out.rows.push_back(rows_done);
-      out.profiles.push_back(std::move(profile));
-      out.indexes.push_back(std::move(index));
+    slice.on_slice = [&](mp::SliceSnapshot& snap) {
+      out.snaps.push_back(snap);
     };
     mp::SingleTileEngine<Traits>::enqueue(
         device, nullptr, data.reference, data.reference, spec.window, tile,
         /*exclusion=*/8, out.result, nullptr, path, {}, nullptr, &slice);
   };
-  for (const std::size_t start_row : {std::size_t(0), std::size_t(137)}) {
+  const auto same_snaps = [](const Run& a, const Run& b) {
+    if (a.snaps.size() != b.snaps.size()) return false;
+    for (std::size_t s = 0; s < a.snaps.size(); ++s) {
+      if (a.snaps[s].rows_done != b.snaps[s].rows_done ||
+          a.snaps[s].profile != b.snaps[s].profile ||
+          a.snaps[s].index != b.snaps[s].index ||
+          a.snaps[s].qt != b.snaps[s].qt) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // The uninterrupted tile: snapshots at rows 100..400, each with the QT
+  // row after its last row, and the final row in the result.
+  Run whole;
+  run(whole, mp::RowPath::kCooperative, 0, {});
+  ASSERT_EQ(whole.snaps.size(), 4u);
+  for (const auto& snap : whole.snaps) EXPECT_EQ(snap.qt.size(), qt_bytes);
+  EXPECT_EQ(whole.result.qt.size(), qt_bytes);
+  const mp::SliceSnapshot& cut = whole.snaps[1];
+  ASSERT_EQ(cut.rows_done, 200u);
+
+  // Legs: a fresh tile, and a tile resumed at the row-200 slice boundary
+  // from that snapshot's QT row.  Every row path and batch size must
+  // emit the same snapshots and result bytes.
+  for (const std::size_t start_row : {std::size_t(0), cut.rows_done}) {
+    const std::span<const std::uint8_t> start_qt =
+        start_row == 0 ? std::span<const std::uint8_t>() : cut.qt;
     Run cooperative;
-    run(cooperative, mp::RowPath::kCooperative, start_row);
+    run(cooperative, mp::RowPath::kCooperative, start_row, start_qt);
     for (const std::size_t bt : {0ul, 7ul, 64ul}) {
       mp::set_row_batch_override(bt);
       Run fused;
-      run(fused, mp::RowPath::kAuto, start_row);
-      EXPECT_EQ(fused.rows, cooperative.rows) << "bt=" << bt;
-      for (const std::size_t rows : fused.rows) {
-        EXPECT_EQ((rows - start_row) % 100, 0u) << "bt=" << bt;
+      run(fused, mp::RowPath::kAuto, start_row, start_qt);
+      EXPECT_TRUE(same_snaps(fused, cooperative))
+          << "bt=" << bt << " start_row=" << start_row;
+      for (const auto& snap : fused.snaps) {
+        EXPECT_EQ((snap.rows_done - start_row) % 100, 0u) << "bt=" << bt;
       }
-      EXPECT_EQ(fused.rows.size(), (spec.segments - 1 - start_row) / 100);
-      EXPECT_EQ(fused.profiles, cooperative.profiles) << "bt=" << bt;
-      EXPECT_EQ(fused.indexes, cooperative.indexes) << "bt=" << bt;
+      EXPECT_EQ(fused.snaps.size(), (spec.segments - 1 - start_row) / 100);
       EXPECT_EQ(fused.result.profile, cooperative.result.profile)
           << "bt=" << bt << " start_row=" << start_row;
       EXPECT_EQ(fused.result.index, cooperative.result.index)
           << "bt=" << bt << " start_row=" << start_row;
+      EXPECT_EQ(fused.result.qt, cooperative.result.qt)
+          << "bt=" << bt << " start_row=" << start_row;
     }
     mp::set_row_batch_override(0);
+
+    // The restored prefix folded into the tail (the scheduler's min-merge
+    // rule) is the uninterrupted tile, and the tail carries on the same
+    // QT rows.
+    std::vector<double> profile = cooperative.result.profile;
+    std::vector<std::int64_t> index = cooperative.result.index;
+    if (start_row > 0) {
+      for (std::size_t e = 0; e < profile.size(); ++e) {
+        const double p = cut.profile[e];
+        const std::int64_t idx = cut.index[e];
+        if (p < profile[e] || (p == profile[e] && idx >= 0 &&
+                               (index[e] < 0 || idx < index[e]))) {
+          profile[e] = p;
+          index[e] = idx;
+        }
+      }
+    }
+    EXPECT_EQ(profile, whole.result.profile) << start_row;
+    EXPECT_EQ(index, whole.result.index) << start_row;
+    EXPECT_EQ(cooperative.result.qt, whole.result.qt) << start_row;
+    const std::size_t skipped = start_row / 100;
+    ASSERT_EQ(cooperative.snaps.size() + skipped, whole.snaps.size());
+    for (std::size_t s = 0; s < cooperative.snaps.size(); ++s) {
+      EXPECT_EQ(cooperative.snaps[s].qt, whole.snaps[s + skipped].qt) << s;
+    }
   }
 }
 
