@@ -27,13 +27,15 @@ run_one() {
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
-  # The chaos and cluster legs must be deterministic, not merely pass
-  # once: node faults fire at claims fixed when the tiles are dealt, so a
-  # seeded fault fires the same under any interleaving.  Repeat them 20
-  # times or until one fails.
+  # The chaos, cluster and resume legs must be deterministic, not merely
+  # pass once: node faults fire at claims fixed when the tiles are dealt,
+  # so a seeded fault fires the same under any interleaving, and every
+  # node's commits, side journal (ElasticCoordinator.SideJournals*) and
+  # kill hooks go through the one scheduler lock.  Repeat them 20 times or
+  # until one fails.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
       --repeat until-fail:20 \
-      -R '^(ElasticCoordinator\.|tool_cli_cluster$|tool_cli_chaos_soak$)'
+      -R '^(ElasticCoordinator\.|CheckpointResume\.|tool_cli_cluster$|tool_cli_chaos_soak$)'
   # The explicit SIMD kernels do raw intrinsic loads/stores and the
   # engine's row loop (fused_rows_blocked) hands column chunks of a row
   # batch, halo recomputation included, to pool workers; run the dispatch
@@ -64,9 +66,9 @@ run_one() {
         --gtest_filter='ResilientScheduler.Watchdog*:ResilientScheduler.RepeatedHangs*' \
         --gtest_repeat=5
     bash tests/chaos_soak_test.sh "$dir"
-    # The elastic coordinator runs a monitor thread plus one shard
-    # scheduler (monitor + device workers) per simulated node; soak the
-    # cross-node recovery paths and the full multi-node identity leg.
+    # A multi-node run is one scheduler state under one lock: the device
+    # workers of every simulated node plus a single monitor thread; soak
+    # the cross-node recovery paths and the full multi-node identity leg.
     "$dir"/tests/test_cluster --gtest_filter='ElasticCoordinator.*' \
         --gtest_repeat=3
     bash tests/cli_cluster_test.sh "$dir"

@@ -85,11 +85,11 @@ class CheckpointError : public Error {
   Reason reason_;
 };
 
-/// Raised when a whole simulated *node* (a device fleet running its own
-/// resilient scheduler) crashes via an injected `node_crash` fault.  The
-/// coordinator marks the node dead and re-shards its uncommitted tiles;
-/// within the node the error unwinds the shard without flushing its
-/// journal — exactly what a real process crash would leave behind.
+/// Raised when a whole simulated *node* (one device fleet of the run)
+/// crashes via an injected `node_crash` fault.  The scheduler stops the
+/// node's workers, drops its partial slices and releases its uncommitted
+/// tiles to the other nodes, without flushing its journal — exactly what
+/// a real process crash would leave behind.
 class NodeFailedError : public Error {
  public:
   explicit NodeFailedError(const std::string& what) : Error(what) {}

@@ -1,21 +1,33 @@
-// The execution driver behind mp::compute_matrix_profile.  Every run is a
+// The scheduler behind mp::compute_matrix_profile.  Every run is a
 // coordinator run over config.nodes simulated nodes — a single-node run
-// is simply the one-node case of the same dispatch, as the paper's
-// multi-node extension (§VII) only adds one more level of tile
-// assignment to Pseudocode 2:
+// is simply the one-node case, as the paper's multi-node extension (§VII)
+// only adds one more level of tile dealing to Pseudocode 2:
 //
-//   validate → plan tiles → restore journals → run N shards →
-//   interrupt flush / CPU fallback → journal → assemble → health
+//   validate → plan tiles → restore journals → deal tiles to nodes and
+//   devices → device workers + one monitor → interrupt flush / CPU
+//   fallback → journal → assemble → health
 //
-// Each node is a private gpusim::System fleet running the resilient
-// scheduler as one *shard* (mp/resilient.hpp): retries, per-device
-// blacklisting, the hang watchdog, in-node speculation and row-slice
-// journalling all live there.  The coordinator owns the global tile grid
-// and arbitrates through the ShardHooks:
+// One Scheduler holds every decision of the run under one mutex and one
+// condition variable: the global tile table (commit, owner, started,
+// duplicate, pooled, deferral bits and planned node fault per tile), the
+// per-device queues of every node, blacklists, watchdog strikes, the
+// in-flight attempt map, each node's partial slices and crash flag, and
+// one RunHealth.  Each node is a private gpusim::System fleet whose
+// device workers pop, run and commit tiles against that state directly;
+// any commit, crash or interrupt wakes every idle worker at once.  A
+// single monitor thread handles shutdown, the per-attempt watchdog,
+// in-node speculation and cross-node straggler duplication.
 //
-//  * shard ownership — tiles are dealt to nodes up front (round-robin or
-//    LPT over nodes; each shard then spreads its share over its devices);
-//    a node's claim on an *unstarted* tile can be revoked at any time;
+//  * dealing — tiles are dealt to nodes (config.assignment: round-robin
+//    or LPT over nodes), then each node's share is spread over its
+//    devices by the same rule, over the whole share (restored tiles
+//    included) so a resume places tiles where a fresh run did; a node's
+//    claim on an *unstarted* tile can be revoked at any time;
+//  * per-tile supervision — retries with backoff, requeue onto the
+//    node's healthiest device, blacklisting, precision escalation, the
+//    watchdog and speculative backups all stay inside the tile's node;
+//    a tile no device of a node can finish is deferred to the other
+//    nodes and never handed back to the deferring one;
 //  * cross-node work stealing — an idle node takes an unstarted tile
 //    from the most-loaded live peer (config.steal = false disables this,
 //    but not the recovery pool below);
@@ -24,39 +36,44 @@
 //    fires on node k's n-th claim whatever the thread interleaving (a
 //    crash claim is never stolen; a stall claim fires only if its node
 //    still runs it);
-//  * recovery — a node lost to a crash (or one that exits with
-//    uncommitted claims) has its tiles released into a pool every live
-//    node drains; a tile no live node can finish is completed on the CPU
-//    reference path after the shards return;
+//  * recovery — a crashed node's workers stop, its attempts are
+//    cancelled, its partial slices dropped and its claims released at
+//    once into a pool every live node drains (a node whose workers all
+//    exit releases its claims the same way); a tile no live node can
+//    finish is completed on the CPU reference path after the workers
+//    exit;
 //  * straggler re-execution — with the watchdog on, an EWMA of per-tile
 //    commit wall time flags overdue started tiles, which are re-dispatched
-//    once to a second node; first commit wins, the loser is cancelled;
-//  * commit ordering — on_commit is the single serialization point: the
-//    first node to commit a tile stores its result in the global arrays,
-//    every later finisher is dropped (node.commit_conflicts).
+//    once to a second node;
+//  * commit — the first attempt to finish a tile stores its result and
+//    cancels every other attempt of it on any node; a finisher on another
+//    node that still arrives later is dropped (node.commit_conflicts).
 //
-// Durability: shards journal their commits and row-slice snapshots every
-// checkpoint.interval_tiles commits — straight to write_path in a
-// one-node run, to the side journal `<write_path>.node<k>` otherwise —
-// and the coordinator writes the journal of the whole run (committed
-// tiles, the shards' partial slices, the event history) to write_path at
-// interruption and completion.  Resume reads it plus every readable side
-// journal and re-keys the slices onto the current grid
-// (restore_from_journals), so a run killed at any point resumes onto a
-// different node count — or tile grid — bit-identically.
+// Durability: every checkpoint.interval_tiles commits a node journals its
+// commits and row-slice snapshots — straight to write_path in a one-node
+// run, to the side journal `<write_path>.node<k>` otherwise — and the
+// driver writes the journal of the whole run (committed tiles, the live
+// nodes' partial slices, the event history) to write_path at interruption
+// and completion.  Resume reads it plus every readable side journal and
+// re-keys the slices onto the current grid (restore_from_journals), so a
+// run killed at any point resumes onto a different node count — or tile
+// grid — bit-identically.
 //
 // Bit-identity argument: a tile's output bits depend only on its seed
 // origin and column range, never on which node/device computed it, how
 // often it was retried or duplicated, or how its rows were sliced for
-// journalling.  First-wins arbitration keeps exactly one result per tile
-// and the final column merge (assemble_tile_results) consumes the tiles
-// in grid order — so any node count, M≠N-node resumes and regridded
-// resumes all reproduce the same bytes.
+// journalling.  First-wins commits keep exactly one result per tile and
+// the final column merge (assemble_tile_results) consumes the tiles in
+// grid order — so any node count, M≠N-node resumes and regridded resumes
+// all reproduce the same bytes.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -70,28 +87,79 @@
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
 #include "common/stopwatch.hpp"
+#include "gpusim/cancel.hpp"
 #include "gpusim/faults.hpp"
 #include "gpusim/spec.hpp"
+#include "gpusim/stream.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/matrix_profile.hpp"
+#include "mp/model.hpp"
 #include "mp/resilient.hpp"
 #include "mp/staging.hpp"
+#include "mp/tile_merge.hpp"
 #include "mp/tile_plan.hpp"
 
 namespace mpsim::mp {
 
 namespace {
 
-/// Coordinator instruments, registered once (additive on the v2 metrics
+/// Per-tile scheduler instruments, registered once in the global registry
+/// (per-call cost: relaxed atomics, nothing when the registry is
+/// disabled).
+struct SchedulerMetrics {
+  Counter& tiles_completed;
+  Counter& attempts;
+  Counter& retries;
+  Counter& reassigned;
+  Counter& blacklists;
+  Counter& cpu_fallback;
+  Counter& escalations;
+  Counter& checkpoint_writes;
+  Counter& tiles_resumed;
+  Counter& watchdog_fires;
+  Counter& speculative_wins;
+  Counter& speculative_losses;
+  Counter& tile_splits;
+  Counter& resume_fallback;
+  Counter& slice_commits;
+  Counter& slices_partial;
+  Counter& slices_discarded;
+  Histogram& tile_seconds;
+
+  static SchedulerMetrics& get() {
+    auto& reg = MetricsRegistry::global();
+    static SchedulerMetrics m{reg.counter("resilient.tiles_completed"),
+                              reg.counter("resilient.attempts"),
+                              reg.counter("resilient.retries"),
+                              reg.counter("resilient.reassigned_tiles"),
+                              reg.counter("resilient.blacklist_events"),
+                              reg.counter("resilient.cpu_fallback_tiles"),
+                              reg.counter("resilient.escalations"),
+                              reg.counter("resilient.checkpoint_writes"),
+                              reg.counter("resilient.tiles_resumed"),
+                              reg.counter("resilient.watchdog_fires"),
+                              reg.counter("resilient.speculative_wins"),
+                              reg.counter("resilient.speculative_losses"),
+                              reg.counter("resilient.tile_splits"),
+                              reg.counter("resilient.resume_fallback"),
+                              reg.counter("resilient.slice_commits"),
+                              reg.counter("resilient.slices_partial"),
+                              reg.counter("resilient.slices_discarded"),
+                              reg.histogram("resilient.tile_seconds")};
+    return m;
+  }
+};
+
+/// Cross-node instruments, registered once (additive on the v2 metrics
 /// schema).
 struct CoordinatorMetrics {
   Counter& tiles_dispatched;  ///< tiles a node actually started
   Counter& steals;            ///< cross-node steals of unstarted tiles
   Counter& duplicates;        ///< straggler tiles re-dispatched
-  Counter& node_crashes;      ///< shards lost to NodeFailedError
+  Counter& node_crashes;      ///< nodes lost to NodeFailedError
   Counter& cpu_fallback_tiles;///< tiles the coordinator finished on CPU
-  Counter& node_commits;      ///< winning shard commits
-  Counter& node_commit_conflicts;  ///< commits that lost the global race
+  Counter& node_commits;      ///< winning commits
+  Counter& node_commit_conflicts;  ///< finishers that lost to another node
   Gauge& nodes;               ///< node count of the current run
 
   static CoordinatorMetrics& get() {
@@ -109,7 +177,30 @@ struct CoordinatorMetrics {
   }
 };
 
-/// Per-tile dispatch state, all guarded by Coord::mutex.
+/// A unit of schedulable work: one tile at its current precision rung.
+struct TileJob {
+  std::size_t index = 0;       ///< into the tile/result arrays
+  PrecisionMode mode = PrecisionMode::FP64;
+  int retries_here = 0;        ///< attempts burned on the current device
+  bool speculative = false;    ///< watchdog-launched backup attempt
+  std::set<int> exhausted;     ///< devices whose retry budget this tile spent
+};
+
+/// One in-flight attempt, visible to the monitor and to commits.  The
+/// token is owned by the executing worker's stack frame; the record is
+/// erased before that frame unwinds, so the pointer cannot dangle.
+struct AttemptRecord {
+  std::size_t job_index = 0;
+  int tile_id = 0;
+  int device = -1;               ///< global device index
+  PrecisionMode mode = PrecisionMode::FP64;
+  double start_seconds = 0.0;    ///< run-clock time the attempt started
+  double modeled_seconds = 0.0;  ///< perf-model estimate for the deadline
+  gpusim::CancellationToken* token = nullptr;
+  bool fired = false;            ///< watchdog already flagged this attempt
+};
+
+/// Per-tile dispatch state.
 struct TileState {
   int owner = -1;        ///< node currently responsible (-1 = pooled)
   int dup_runner = -1;   ///< second node racing a straggler (-1 = none)
@@ -126,224 +217,114 @@ struct TileState {
   std::uint64_t claim = 0;    ///< that node's claim number (1-based)
 };
 
-/// Global coordinator state shared by every node's hooks, the straggler
-/// monitor and the driver.  One mutex; the lock order is always
-/// shard mutex → Coord::mutex → EventLog (hooks run under the shard's
-/// lock).
-struct Coord {
-  std::mutex mutex;
-  const MatrixProfileConfig* config = nullptr;
-  const ShardRun* run = nullptr;
-  const std::vector<Tile>* tiles = nullptr;
+/// Per-node state.  Everything but the journal I/O lock is guarded by
+/// Scheduler::mutex; system, streams and journal_path are fixed before
+/// the workers start.
+struct NodeState {
+  std::unique_ptr<gpusim::System> system;
+  std::vector<std::unique_ptr<gpusim::StreamPool>> streams;  ///< per device
+  std::string journal_path;          ///< "" = not journalling
+  std::mutex journal_io;             ///< serialises this node's writes
+  std::set<std::size_t> unstarted;   ///< owned, queued, stealable tiles
+  /// Per tile: furthest row-slice snapshot (r_count == 0 = none).
+  std::vector<CheckpointSlice> partials;
+  std::vector<int> backups;          ///< per tile: queued/running backups
+  std::size_t slice_commits = 0;     ///< what kill_after_slices counts
+  std::size_t commits_since_checkpoint = 0;
+  double wall_per_modeled = 0.0;     ///< EWMA calibration of the perf model
+  int live_workers = 0;
+  bool crashed = false;              ///< NodeFailedError took it down
+  std::unique_ptr<ScopedEvent> span; ///< the "node k" trace span
+};
+
+/// The whole run's scheduler state: one mutex, one condition variable.
+/// The lock order is mutex → EventLog; a node's journal_io is taken
+/// before the mutex and only around journal I/O.
+struct Scheduler {
+  RunInputs run;
+  const std::vector<CheckpointSlice>* prefixes = nullptr;  ///< per tile
   const Stopwatch* clock = nullptr;
   EventLog* log = nullptr;
   gpusim::FaultInjector* node_faults = nullptr;
+  int devices = 1;  ///< per node; global device g is on node g / devices
+
+  std::mutex mutex;
+  std::condition_variable cv;
 
   CommittedTiles done;               ///< what assemble_tile_results merges
   std::vector<TileState> state;
-  /// Per node: owned, queued, stealable tiles.
-  std::vector<std::set<std::size_t>> unstarted;
-  std::deque<std::size_t> pool;      ///< released / duplicated tiles
+  std::deque<std::size_t> pool;      ///< released / deferred / duplicated
   std::uint64_t alive = 0;           ///< bit k = node k still running
   std::size_t outstanding = 0;       ///< tiles not committed yet
-  std::uint64_t total_commits = 0;
+  std::uint64_t total_commits = 0;   ///< restored tiles included
+  double wall_ewma = 0.0;            ///< started→committed, straggler base
 
-  int steals = 0;
-  int duplicates = 0;
-  int crashes = 0;
+  std::vector<NodeState> nodes;
+  std::vector<std::deque<TileJob>> queues;  ///< per global device
+  std::vector<char> blacklisted;
+  std::vector<int> consecutive_failed_tiles;
+  std::vector<int> watchdog_strikes;
+  std::uint64_t next_attempt_id = 0;
+  std::map<std::uint64_t, AttemptRecord> inflight;
 
-  /// EWMA of started→committed wall seconds, the straggler baseline.
-  double wall_ewma = 0.0;
+  RunHealth health;  ///< counters only; events go to `log`
+  bool interrupted = false;  ///< shutdown observed; the run is unwinding
+  bool stop_monitor = false;
 
-  /// No tile needs device work any more: each uncommitted one was
-  /// deferred by every live node.  Caller holds the lock.
-  bool all_done_locked() const {
-    if (outstanding == 0) return true;
-    for (std::size_t t = 0; t < state.size(); ++t) {
-      if (!done.committed[t] && (alive & ~state[t].deferred_by) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
+  const MatrixProfileConfig& config() const { return *run.config; }
 };
 
 std::uint64_t node_bit(int k) { return std::uint64_t(1) << k; }
 
-/// Builds the ShardHooks of node `k` — the entire cross-node protocol.
-ShardHooks make_hooks(Coord& coord, int k) {
-  ShardHooks hooks;
+void log_event(Scheduler& s, RunEvent event) { s.log->add(std::move(event)); }
 
-  hooks.should_run = [&coord, k](std::size_t t) {
-    std::lock_guard lock(coord.mutex);
-    if (coord.done.committed[t]) return false;
-    TileState& ts = coord.state[t];
-    if (ts.owner != k && ts.dup_runner != k) return false;  // claim revoked
-    if (!ts.started) {
-      ts.started = true;
-      ts.start_seconds = coord.clock->seconds();
-      coord.unstarted[std::size_t(k)].erase(t);
-      CoordinatorMetrics::get().tiles_dispatched.add();
-    }
-    return true;
-  };
-
-  hooks.on_commit = [&coord](std::size_t t, TileResult& result, int device,
-                             PrecisionMode mode, bool& kill) {
-    std::lock_guard lock(coord.mutex);
-    if (coord.done.committed[t]) {
-      CoordinatorMetrics::get().node_commit_conflicts.add();
+/// No tile needs device work any more: each uncommitted one was deferred
+/// by every live node.  Caller holds the lock.
+bool all_done_locked(const Scheduler& s) {
+  if (s.outstanding == 0) return true;
+  for (std::size_t t = 0; t < s.state.size(); ++t) {
+    if (!s.done.committed[t] && (s.alive & ~s.state[t].deferred_by) != 0) {
       return false;
     }
-    coord.done.commit(t, result, device, mode);
-    coord.outstanding -= 1;
-    coord.total_commits += 1;
-    TileState& ts = coord.state[t];
-    if (ts.started) {
-      const double elapsed = coord.clock->seconds() - ts.start_seconds;
-      coord.wall_ewma = coord.wall_ewma <= 0.0
-                            ? elapsed
-                            : 0.7 * coord.wall_ewma + 0.3 * elapsed;
-    }
-    CoordinatorMetrics::get().node_commits.add();
-    // Chaos kill at the Nth commit of the whole run (resumed tiles
-    // included), whichever node made it.
-    kill = coord.config->checkpoint.kill_after_tiles > 0 &&
-           coord.total_commits ==
-               std::uint64_t(coord.config->checkpoint.kill_after_tiles);
-    return true;
-  };
+  }
+  return true;
+}
 
-  hooks.on_deferred = [&coord, k](std::size_t t) {
-    std::lock_guard lock(coord.mutex);
-    if (coord.done.committed[t]) return;
-    TileState& ts = coord.state[t];
-    ts.deferred_by |= node_bit(k);
-    if (ts.dup_runner == k) ts.dup_runner = -1;
-    if (ts.owner != k) return;  // a peer still runs it
-    // Offer it to the other nodes; the CPU takes it if none can.
-    ts.owner = ts.dup_runner;
-    ts.dup_runner = -1;
-    if (ts.owner != -1) return;
-    ts.started = false;
-    if (!ts.pooled) {
-      ts.pooled = true;
-      coord.pool.push_back(t);
-    }
-  };
+/// Stops the run on a shutdown request: marks it interrupted and cancels
+/// every in-flight attempt on every node.  Caller holds the lock.
+void interrupt_locked(Scheduler& s) {
+  s.interrupted = true;
+  log_event(s, {RunEvent::Kind::kInterrupted, -1, -1,
+                std::to_string(s.total_commits) + "/" +
+                    std::to_string(s.state.size()) + " tiles committed"});
+  for (auto& [id, attempt] : s.inflight) attempt.token->cancel();
+  s.cv.notify_all();
+}
 
-  hooks.committed_elsewhere = [&coord](std::size_t t) {
-    std::lock_guard lock(coord.mutex);
-    return coord.done.committed[t] != 0;
-  };
-
-  hooks.journal = [&coord, k](const std::vector<CheckpointSlice>& partials) {
-    std::lock_guard lock(coord.mutex);
-    return journal_data(*coord.run, coord.done, partials,
-                        coord.config->nodes > 1 ? k : -1);
-  };
-
-  hooks.all_done = [&coord] {
-    std::lock_guard lock(coord.mutex);
-    return coord.all_done_locked();
-  };
-
-  hooks.acquire_more = [&coord, k]() -> std::optional<std::size_t> {
-    std::lock_guard lock(coord.mutex);
-    // Recovery pool first — released tiles of crashed nodes, deferred
-    // tiles and straggler duplicates.  Always active: steal = false only
-    // disables peer stealing.
-    const std::size_t scan = coord.pool.size();
-    for (std::size_t i = 0; i < scan; ++i) {
-      const std::size_t t = coord.pool.front();
-      coord.pool.pop_front();
-      TileState& ts = coord.state[t];
-      ts.pooled = false;
-      if (coord.done.committed[t]) continue;  // stale entry, drop
-      if ((ts.deferred_by & node_bit(k)) != 0 ||
-          (ts.started && ts.owner == k)) {
-        coord.pool.push_back(t);  // leave it for another node
-        ts.pooled = true;
-        continue;
-      }
-      if (ts.started) {
-        // Straggler duplicate: races the node already running it.
-        if (ts.dup_runner != -1) continue;  // already claimed, drop
-        ts.dup_runner = k;
-        coord.duplicates += 1;
-        CoordinatorMetrics::get().duplicates.add();
-        coord.log->add({RunEvent::Kind::kNodeDuplicated, (*coord.tiles)[t].id,
-                        k, "owner node " + std::to_string(ts.owner) +
-                               " overdue"});
-        return t;
-      }
-      // Unstarted release (crashed, early-exited or deferring owner).
-      ts.owner = k;
-      coord.unstarted[std::size_t(k)].insert(t);
-      return t;
-    }
-    if (!coord.config->steal) return std::nullopt;
-    // Steal one unstarted tile from the most-loaded live peer.
-    int victim = -1;
-    std::size_t best = 0;
-    for (int j = 0; j < int(coord.unstarted.size()); ++j) {
-      if (j == k || (coord.alive & node_bit(j)) == 0) continue;
-      if (coord.unstarted[std::size_t(j)].size() > best) {
-        best = coord.unstarted[std::size_t(j)].size();
-        victim = j;
-      }
-    }
-    if (victim < 0) return std::nullopt;
-    auto& set = coord.unstarted[std::size_t(victim)];
-    auto it = std::prev(set.end());
-    const std::size_t t = *it;
-    set.erase(it);
-    coord.state[t].owner = k;
-    coord.unstarted[std::size_t(k)].insert(t);
-    coord.steals += 1;
-    CoordinatorMetrics::get().steals.add();
-    coord.log->add({RunEvent::Kind::kNodeStolen, (*coord.tiles)[t].id, k,
-                    "from node " + std::to_string(victim)});
-    return t;
-  };
-
-  hooks.on_tile_start = [&coord, k](std::size_t t,
-                                    const gpusim::CancellationToken* token) {
-    if (coord.node_faults == nullptr) return;
-    std::optional<gpusim::FaultRule> fault;
-    std::uint64_t claim = 0;
-    {
-      std::lock_guard lock(coord.mutex);
-      TileState& ts = coord.state[t];
-      if (!ts.node_fault || ts.fault_node != k) return;
-      fault = ts.node_fault;
-      claim = ts.claim;
-      ts.node_fault.reset();
-    }
-    coord.node_faults->inject(*fault, k,
-                              "tile " + std::to_string((*coord.tiles)[t].id),
-                              claim, token);
-  };
-
-  return hooks;
+/// A chaos kill hook fired: request the shutdown and, when the run
+/// honours it, stop every node now rather than at the monitor's next
+/// poll, so the attempt that triggered it unwinds instead of racing on.
+void kill_run(Scheduler& s) {
+  request_shutdown();
+  if (!s.config().resilience.honor_shutdown) return;
+  std::lock_guard lock(s.mutex);
+  if (!s.interrupted) interrupt_locked(s);
 }
 
 /// Marks node `k` gone and releases its uncommitted claims into the
 /// recovery pool (promoting a live duplicate runner to owner when one
-/// exists).  Called by the node-runner thread the moment its shard
-/// returns, so recovery overlaps the surviving nodes' execution.
-void release_node(Coord& coord, int k) {
-  std::lock_guard lock(coord.mutex);
-  coord.alive &= ~node_bit(k);
-  for (std::size_t t = 0; t < coord.state.size(); ++t) {
-    if (coord.done.committed[t]) continue;
-    TileState& ts = coord.state[t];
+/// exists).  Caller holds the lock.
+void release_node_locked(Scheduler& s, int k) {
+  s.alive &= ~node_bit(k);
+  for (std::size_t t = 0; t < s.state.size(); ++t) {
+    if (s.done.committed[t]) continue;
+    TileState& ts = s.state[t];
     if (ts.dup_runner == k) {
       ts.dup_runner = -1;
       ts.dup_issued = false;  // the monitor may re-duplicate
     }
     if (ts.owner != k) continue;
-    if (ts.dup_runner != -1 && (coord.alive & node_bit(ts.dup_runner)) != 0) {
+    if (ts.dup_runner != -1 && (s.alive & node_bit(ts.dup_runner)) != 0) {
       ts.owner = ts.dup_runner;  // promote the backup runner
       ts.dup_runner = -1;
       continue;
@@ -353,10 +334,741 @@ void release_node(Coord& coord, int k) {
     ts.dup_issued = false;
     if (!ts.pooled) {
       ts.pooled = true;
-      coord.pool.push_back(t);
+      s.pool.push_back(t);
     }
   }
-  coord.unstarted[std::size_t(k)].clear();
+  s.nodes[std::size_t(k)].unstarted.clear();
+  s.cv.notify_all();
+}
+
+/// Node `k` is gone (NodeFailedError): its workers stop, its attempts are
+/// cancelled, its in-memory partial slices die with it — exactly what
+/// elastic resume has to survive — and its claims are released now.
+/// Caller holds the lock.
+void crash_node_locked(Scheduler& s, int k, const std::string& reason) {
+  NodeState& node = s.nodes[std::size_t(k)];
+  node.crashed = true;
+  s.health.node_crashes += 1;
+  CoordinatorMetrics::get().node_crashes.add();
+  log_event(s, {RunEvent::Kind::kNodeCrashed, -1, k, reason});
+  node.partials.assign(node.partials.size(), CheckpointSlice{});
+  for (auto& [id, attempt] : s.inflight) {
+    if (attempt.device / s.devices == k) attempt.token->cancel();
+  }
+  release_node_locked(s, k);
+}
+
+/// No device of node `k` can finish tile `t`: offer it to the other
+/// nodes; the CPU takes it if none can.  Caller holds the lock.
+void defer_locked(Scheduler& s, std::size_t t, int k) {
+  TileState& ts = s.state[t];
+  ts.deferred_by |= node_bit(k);
+  if (ts.dup_runner == k) ts.dup_runner = -1;
+  if (ts.owner != k) return;  // a peer still runs it
+  ts.owner = ts.dup_runner;
+  ts.dup_runner = -1;
+  if (ts.owner != -1) return;
+  ts.started = false;
+  if (!ts.pooled) {
+    ts.pooled = true;
+    s.pool.push_back(t);
+  }
+}
+
+/// Picks the healthiest device of node `k` for a requeued job (fewest
+/// pending tiles, skipping blacklisted devices and devices the job has
+/// already exhausted); defers the tile to the other nodes when none
+/// remain.  Caller holds the lock and notifies.
+void requeue_locked(Scheduler& s, TileJob job, int tile_id, int k) {
+  if (s.done.committed[job.index]) return;  // another attempt already won
+  NodeState& node = s.nodes[std::size_t(k)];
+  if (job.speculative) {
+    // A requeued backup becomes an ordinary job; the backup slot frees up
+    // so the watchdog may speculate again if the primary stays stuck.
+    node.backups[job.index] -= 1;
+    job.speculative = false;
+  }
+  int target = -1;
+  std::size_t best = 0;
+  for (int g = k * s.devices; g < (k + 1) * s.devices; ++g) {
+    if (s.blacklisted[std::size_t(g)] != 0) continue;
+    if (job.exhausted.count(g) != 0) continue;
+    const std::size_t depth = s.queues[std::size_t(g)].size();
+    if (target < 0 || depth < best) {
+      target = g;
+      best = depth;
+    }
+  }
+  job.retries_here = 0;
+  s.health.reassigned_tiles += 1;
+  SchedulerMetrics::get().reassigned.add();
+  if (target < 0) {
+    if ((s.state[job.index].deferred_by & node_bit(k)) != 0) return;
+    log_event(s, {RunEvent::Kind::kDeferredToCpu, tile_id, -1, ""});
+    defer_locked(s, job.index, k);
+  } else {
+    log_event(s, {RunEvent::Kind::kReassigned, tile_id, target % s.devices,
+                  ""});
+    s.queues[std::size_t(target)].push_back(std::move(job));
+  }
+}
+
+/// Marks global device `g` blacklisted.  Orphans still queued on it are
+/// work-stolen by its node's healthy workers.  Caller holds the lock.
+void blacklist_locked(Scheduler& s, int g, bool offline,
+                      const std::string& why) {
+  s.blacklisted[std::size_t(g)] = 1;
+  s.health.blacklist_events += 1;
+  SchedulerMetrics::get().blacklists.add();
+  auto& status = s.health.devices[std::size_t(g)];
+  status.blacklisted = true;
+  status.offline = offline;
+  log_event(s, {RunEvent::Kind::kBlacklisted, -1, g % s.devices, why});
+}
+
+/// Hands an idle node `k` one more tile: from the recovery pool first
+/// (released tiles of crashed nodes, deferred tiles and straggler
+/// duplicates — always active), then, with config.steal, an unstarted
+/// tile of the most-loaded live peer.  nullopt = nothing to hand out.
+/// Caller holds the lock.
+std::optional<std::size_t> acquire_locked(Scheduler& s, int k) {
+  const std::size_t scan = s.pool.size();
+  for (std::size_t i = 0; i < scan; ++i) {
+    const std::size_t t = s.pool.front();
+    s.pool.pop_front();
+    TileState& ts = s.state[t];
+    ts.pooled = false;
+    if (s.done.committed[t]) continue;  // stale entry, drop
+    if ((ts.deferred_by & node_bit(k)) != 0 ||
+        (ts.started && ts.owner == k)) {
+      s.pool.push_back(t);  // leave it for another node
+      ts.pooled = true;
+      continue;
+    }
+    if (ts.started) {
+      // Straggler duplicate: races the node already running it.
+      if (ts.dup_runner != -1) continue;  // already claimed, drop
+      ts.dup_runner = k;
+      s.health.node_duplicates += 1;
+      CoordinatorMetrics::get().duplicates.add();
+      log_event(s, {RunEvent::Kind::kNodeDuplicated, (*s.run.tiles)[t].id, k,
+                    "owner node " + std::to_string(ts.owner) + " overdue"});
+      return t;
+    }
+    // Unstarted release (crashed, early-exited or deferring owner).
+    ts.owner = k;
+    s.nodes[std::size_t(k)].unstarted.insert(t);
+    return t;
+  }
+  if (!s.config().steal) return std::nullopt;
+  int victim = -1;
+  std::size_t best = 0;
+  for (int j = 0; j < int(s.nodes.size()); ++j) {
+    if (j == k || (s.alive & node_bit(j)) == 0) continue;
+    if (s.nodes[std::size_t(j)].unstarted.size() > best) {
+      best = s.nodes[std::size_t(j)].unstarted.size();
+      victim = j;
+    }
+  }
+  if (victim < 0) return std::nullopt;
+  auto& set = s.nodes[std::size_t(victim)].unstarted;
+  auto it = std::prev(set.end());
+  const std::size_t t = *it;
+  set.erase(it);
+  s.state[t].owner = k;
+  s.nodes[std::size_t(k)].unstarted.insert(t);
+  s.health.node_steals += 1;
+  CoordinatorMetrics::get().steals.add();
+  log_event(s, {RunEvent::Kind::kNodeStolen, (*s.run.tiles)[t].id, k,
+                "from node " + std::to_string(victim)});
+  return t;
+}
+
+/// Final gate before a popped job of node `k` executes: false (the job
+/// is dropped) when its tile committed while queued or the node's claim
+/// was revoked; otherwise the tile counts as started.  Caller holds the
+/// lock.
+bool claim_locked(Scheduler& s, const TileJob& job, int k) {
+  const std::size_t t = job.index;
+  TileState& ts = s.state[t];
+  NodeState& node = s.nodes[std::size_t(k)];
+  if (s.done.committed[t] || (ts.owner != k && ts.dup_runner != k)) {
+    if (job.speculative) node.backups[t] -= 1;
+    return false;
+  }
+  if (!ts.started) {
+    ts.started = true;
+    ts.start_seconds = s.clock->seconds();
+    node.unstarted.erase(t);
+    CoordinatorMetrics::get().tiles_dispatched.add();
+  }
+  return true;
+}
+
+/// Node-level fault hook, fired once per popped job of node `k` after its
+/// attempt registered `token`: may stall in a cancellable sleep
+/// (node_stall/node_slow) or throw NodeFailedError (node_crash).  Runs
+/// unlocked.
+void fire_node_fault(Scheduler& s, int k, std::size_t t,
+                     const gpusim::CancellationToken* token) {
+  if (s.node_faults == nullptr) return;
+  std::optional<gpusim::FaultRule> fault;
+  std::uint64_t claim = 0;
+  {
+    std::lock_guard lock(s.mutex);
+    TileState& ts = s.state[t];
+    if (!ts.node_fault || ts.fault_node != k) return;
+    fault = ts.node_fault;
+    claim = ts.claim;
+    ts.node_fault.reset();
+  }
+  s.node_faults->inject(*fault, k,
+                        "tile " + std::to_string((*s.run.tiles)[t].id), claim,
+                        token);
+}
+
+/// Feeds one finished attempt into node `k`'s wall-per-modelled EWMA (the
+/// watchdog's deadline calibration; hung attempts never get here, so a
+/// hang cannot poison the deadline upward).  Caller holds the lock.
+void calibrate_locked(NodeState& node, double modeled_seconds,
+                      double wall_seconds) {
+  if (modeled_seconds <= 0.0 || wall_seconds <= 0.0) return;
+  const double rate = wall_seconds / modeled_seconds;
+  node.wall_per_modeled = node.wall_per_modeled <= 0.0
+                              ? rate
+                              : 0.7 * node.wall_per_modeled + 0.3 * rate;
+}
+
+/// Journals node `k`'s view: the committed tiles (all of them in a
+/// one-node run, the node's own in a side journal) as complete slices
+/// plus the node's partial slices and the event history.  The copy is
+/// taken under the lock; the file I/O runs outside it, serialised per
+/// journal file so concurrent writers cannot interleave temp files.
+void write_checkpoint_now(Scheduler& s, int k) {
+  NodeState& node = s.nodes[std::size_t(k)];
+  if (node.journal_path.empty()) return;
+  std::lock_guard io(node.journal_io);
+  CheckpointData data;
+  {
+    std::lock_guard lock(s.mutex);
+    if (node.crashed) return;
+    data = journal_data(s.run, s.done, node.partials,
+                        s.nodes.size() > 1 ? k : -1);
+    data.events = s.log->snapshot();
+    node.commits_since_checkpoint = 0;
+  }
+  write_journal(node.journal_path, data, *s.log);
+  std::lock_guard lock(s.mutex);
+  s.health.checkpoint_writes += 1;
+  SchedulerMetrics::get().checkpoint_writes.add();
+}
+
+/// SliceProgress::on_slice sink: records the snapshot of rows
+/// [0, rows_done) of tile `t` (with its QT row) as the partial slice of
+/// device `g`'s node, keeping the furthest snapshot when concurrent
+/// attempts race, flushes the node's journal, and honours the
+/// kill_after_slices chaos hook (counted per node).  `prefix` (optional)
+/// is the restored row prefix this attempt resumed from; its rows are
+/// folded in so the stored slice always covers rows from 0.  The
+/// snapshot's vectors are swapped with the slot's, so the engine refills
+/// the previous snapshot's buffers instead of allocating.
+void note_slice_snapshot(Scheduler& s, std::size_t t, int g,
+                         const CheckpointSlice* prefix, SliceSnapshot& snap) {
+  const Tile& tile = (*s.run.tiles)[t];
+  const int k = g / s.devices;
+  if (prefix != nullptr) {
+    merge_min_into(snap.profile, snap.index, prefix->profile, prefix->index);
+  }
+  const std::size_t rows_done = snap.rows_done;
+  bool kill_due = false;
+  {
+    std::lock_guard lock(s.mutex);
+    NodeState& node = s.nodes[std::size_t(k)];
+    if (s.done.committed[t] || s.interrupted || node.crashed) return;
+    CheckpointSlice& slot = node.partials[t];
+    if (slot.r_count >= rows_done) return;  // a racing attempt got further
+    slot.tile_index = t;
+    slot.tile_id = std::int32_t(tile.id);
+    slot.device = std::int32_t(g);
+    slot.node = std::int32_t(s.nodes.size() > 1 ? k : -1);
+    slot.complete = 0;
+    slot.mode = s.config().mode;
+    slot.r_begin = tile.r_begin;
+    slot.r_count = rows_done;
+    slot.q_begin = tile.q_begin;
+    slot.q_count = tile.q_count;
+    slot.dims = s.run.reference->dims();
+    slot.profile.swap(snap.profile);
+    slot.index.swap(snap.index);
+    slot.qt.swap(snap.qt);
+    s.health.slice_commits += 1;
+    SchedulerMetrics::get().slice_commits.add();
+    node.slice_commits += 1;
+    const int kill_after = s.config().checkpoint.kill_after_slices;
+    kill_due = kill_after > 0 && node.slice_commits == std::size_t(kill_after);
+  }
+  write_checkpoint_now(s, k);
+  if (kill_due) kill_run(s);
+}
+
+/// Watchdog: flags attempts that overran their deadline (slack × the
+/// node's wall-per-modelled calibration × the attempt's modelled time),
+/// blacklists devices that keep hanging and launches one speculative
+/// backup per tile on the least-loaded other healthy device of the node.
+/// Caller holds the lock.
+void watchdog_locked(Scheduler& s) {
+  const ResilienceConfig& rc = s.config().resilience;
+  const double now = s.clock->seconds();
+  for (auto& [id, attempt] : s.inflight) {
+    if (attempt.fired) continue;
+    const int g = attempt.device;
+    const int k = g / s.devices;
+    NodeState& node = s.nodes[std::size_t(k)];
+    if (node.wall_per_modeled <= 0.0) continue;  // no calibration yet
+    const double deadline =
+        std::max(rc.watchdog_min_deadline_ms * 1e-3,
+                 rc.watchdog_slack * node.wall_per_modeled *
+                     attempt.modeled_seconds);
+    const double elapsed = now - attempt.start_seconds;
+    if (elapsed < deadline) continue;
+
+    attempt.fired = true;
+    s.health.watchdog_fires += 1;
+    SchedulerMetrics::get().watchdog_fires.add();
+    log_event(s, {RunEvent::Kind::kWatchdogFired, attempt.tile_id,
+                  g % s.devices,
+                  "attempt overran its deadline (" + std::to_string(elapsed) +
+                      " s vs " + std::to_string(deadline) + " s)"});
+    if (MetricsRegistry::global().enabled()) {
+      auto& reg = MetricsRegistry::global();
+      reg.record_event({"watchdog fire tile " +
+                            std::to_string(attempt.tile_id),
+                        g % s.devices, "watchdog", reg.now_seconds(), 0.0});
+    }
+
+    // Repeated hangs feed the blacklist exactly like failed tiles.
+    s.watchdog_strikes[std::size_t(g)] += 1;
+    const bool drop = s.blacklisted[std::size_t(g)] == 0 &&
+                      s.watchdog_strikes[std::size_t(g)] >= rc.blacklist_after;
+    if (drop) {
+      blacklist_locked(s, g, /*offline=*/false,
+                       std::to_string(rc.blacklist_after) +
+                           " watchdog deadline overruns");
+      for (auto& [other_id, other] : s.inflight) {
+        if (other.device == g) other.token->cancel();
+      }
+    }
+
+    // Speculative re-execution: one backup per tile at a time.  With no
+    // other healthy device the overdue attempt is cancelled instead,
+    // turning the hang into an ordinary retry on whatever device remains.
+    const std::size_t t = attempt.job_index;
+    if (rc.speculate && s.done.committed[t] == 0 && node.backups[t] == 0) {
+      int target = -1;
+      std::size_t best = 0;
+      for (int dev = k * s.devices; dev < (k + 1) * s.devices; ++dev) {
+        if (dev == g || s.blacklisted[std::size_t(dev)] != 0) continue;
+        const std::size_t depth = s.queues[std::size_t(dev)].size();
+        if (target < 0 || depth < best) {
+          target = dev;
+          best = depth;
+        }
+      }
+      if (target >= 0) {
+        TileJob backup;
+        backup.index = t;
+        backup.mode = attempt.mode;
+        backup.speculative = true;
+        node.backups[t] += 1;
+        s.queues[std::size_t(target)].push_back(std::move(backup));
+        log_event(s, {RunEvent::Kind::kSpeculated, attempt.tile_id,
+                      target % s.devices,
+                      "backup of the attempt on device " +
+                          std::to_string(g % s.devices)});
+      } else if (!drop) {
+        attempt.token->cancel();
+      }
+    }
+    s.cv.notify_all();
+  }
+}
+
+/// Straggler re-execution across nodes: once the commit EWMA is
+/// calibrated, an overdue started tile is offered once to a second node
+/// through the recovery pool; first commit wins.  Caller holds the lock.
+void duplicate_stragglers_locked(Scheduler& s) {
+  if (s.wall_ewma <= 0.0) return;
+  const ResilienceConfig& rc = s.config().resilience;
+  const double deadline = std::max(s.wall_ewma * rc.watchdog_slack,
+                                   rc.watchdog_min_deadline_ms / 1000.0);
+  const double now = s.clock->seconds();
+  bool offered = false;
+  for (std::size_t t = 0; t < s.state.size(); ++t) {
+    TileState& ts = s.state[t];
+    if (s.done.committed[t] || !ts.started || ts.dup_issued || ts.pooled ||
+        ts.dup_runner != -1) {
+      continue;
+    }
+    if (now - ts.start_seconds <= deadline) continue;
+    ts.dup_issued = true;
+    ts.pooled = true;
+    s.pool.push_back(t);
+    offered = true;
+  }
+  if (offered) s.cv.notify_all();
+}
+
+/// The run's one monitor.  Wakes every watchdog_poll_ms: propagates a
+/// requested shutdown (a signal cannot notify the condition variable) to
+/// every node, and — when the watchdog is enabled — runs the per-attempt
+/// watchdog and, over several nodes with speculation, straggler
+/// duplication.
+void monitor_thread(Scheduler& s) {
+  const ResilienceConfig& rc = s.config().resilience;
+  const auto poll =
+      std::chrono::duration<double, std::milli>(rc.watchdog_poll_ms);
+  std::unique_lock lock(s.mutex);
+  for (;;) {
+    s.cv.wait_for(lock, poll, [&] { return s.stop_monitor; });
+    if (s.stop_monitor) return;
+    if (rc.honor_shutdown && !s.interrupted && shutdown_requested()) {
+      interrupt_locked(s);
+    }
+    if (rc.watchdog && !s.interrupted) watchdog_locked(s);
+    if (rc.watchdog && rc.speculate && s.nodes.size() > 1) {
+      duplicate_stragglers_locked(s);
+    }
+  }
+}
+
+/// Worker of global device `g`: pulls tiles from its own queue (or steals
+/// orphans from its node's blacklisted devices), retries transient faults
+/// with exponential backoff, escalates numerically poisoned tiles, commits
+/// first-wins, and exits when blacklisted, interrupted, when its node
+/// crashed, or when no tile needs device work any more.
+void device_worker(Scheduler& s, int g) {
+  const MatrixProfileConfig& config = s.config();
+  const ResilienceConfig& rc = config.resilience;
+  const int k = g / s.devices;
+  const int local = g % s.devices;
+  const int first = k * s.devices;
+  NodeState& node = s.nodes[std::size_t(k)];
+  gpusim::Device& device = node.system->device(local);
+  gpusim::StreamPool& streams = *node.streams[std::size_t(local)];
+  gpusim::CancellationToken token;
+  for (;;) {
+    TileJob job;
+    {
+      std::unique_lock lock(s.mutex);
+      // An empty backlog is not the end: tiles may still arrive (released
+      // by a crashed node, deferred by a peer, duplicated from a
+      // straggler, stolen from a loaded peer), so idle workers wait and
+      // exit only once no tile needs device work any more.  Every change
+      // that can hand out work notifies; the timeout is a backstop.
+      int orphan = -1;
+      for (;;) {
+        if (s.blacklisted[std::size_t(g)] != 0 || s.interrupted ||
+            node.crashed) {
+          return;
+        }
+        if (!s.queues[std::size_t(g)].empty()) break;
+        for (int other = first; other < first + s.devices; ++other) {
+          if (s.blacklisted[std::size_t(other)] != 0 &&
+              !s.queues[std::size_t(other)].empty()) {
+            orphan = other;
+            break;
+          }
+        }
+        if (orphan >= 0) break;
+        if (all_done_locked(s)) return;
+        if (std::optional<std::size_t> extra = acquire_locked(s, k)) {
+          TileJob fetched;
+          fetched.index = *extra;
+          fetched.mode = config.mode;
+          s.queues[std::size_t(g)].push_back(std::move(fetched));
+          continue;
+        }
+        s.cv.wait_for(lock, std::chrono::milliseconds(25));
+      }
+      std::deque<TileJob>& from =
+          s.queues[std::size_t(orphan < 0 ? g : orphan)];
+      job = std::move(from.front());
+      from.pop_front();
+      if (!claim_locked(s, job, k)) continue;
+      if (orphan >= 0) {
+        s.health.reassigned_tiles += 1;
+        SchedulerMetrics::get().reassigned.add();
+        log_event(s, {RunEvent::Kind::kStolen,
+                      (*s.run.tiles)[job.index].id, local, ""});
+      }
+    }
+    const std::size_t t = job.index;
+    const Tile& tile = (*s.run.tiles)[t];
+    const std::function<void(const std::string&)> on_split =
+        [&s, &tile, local](const std::string& detail) {
+          std::lock_guard lock(s.mutex);
+          s.health.tile_splits += 1;
+          SchedulerMetrics::get().tile_splits.add();
+          log_event(s, {RunEvent::Kind::kTileSplit, tile.id, local, detail});
+        };
+
+    // ---- Attempt loop: retries and precision escalations. ----
+    bool announced = false;  ///< node-fault hook fired for this popped job
+    for (;;) {
+      // Attempts run into a local result so concurrent attempts of the
+      // same tile (primary + backups) never share state; the winner moves
+      // its vectors into the committed slot under the lock.
+      TileResult attempt;
+      token.reset();
+      std::uint64_t attempt_id;
+      const double modeled_seconds =
+          model_tile_seconds(device.spec(), tile, s.run.reference->dims(),
+                             config.window, job.mode);
+
+      // Row-slice durability for this attempt.  A restored prefix only
+      // applies at its own precision (escalated attempts recompute the
+      // whole tile); snapshots are only emitted at the run's base mode
+      // (an escalated tile's partial state would not be restorable) and
+      // never under the sketch prefilter (the engine refuses anyway).
+      const CheckpointSlice& restored = (*s.prefixes)[t];
+      const CheckpointSlice* prefix =
+          restored.r_count > 0 && restored.mode == job.mode ? &restored
+                                                            : nullptr;
+      const bool journal_slices = config.checkpoint.enabled() &&
+                                  config.checkpoint.slice_rows > 0 &&
+                                  job.mode == config.mode &&
+                                  !config.prefilter.enabled();
+      SliceProgress progress;
+      const SliceProgress* slice_ptr = nullptr;
+      if (prefix != nullptr || journal_slices) {
+        if (prefix != nullptr) {
+          progress.start_row = std::size_t(prefix->r_count);
+          progress.start_qt = prefix->qt;
+        }
+        if (journal_slices) {
+          progress.slice_rows = std::size_t(config.checkpoint.slice_rows);
+          progress.on_slice = [&s, t, g, prefix](SliceSnapshot& snap) {
+            note_slice_snapshot(s, t, g, prefix, snap);
+          };
+        }
+        slice_ptr = &progress;
+      }
+
+      {
+        std::lock_guard lock(s.mutex);
+        if (s.done.committed[t] || s.interrupted || node.crashed) {
+          if (job.speculative) node.backups[t] -= 1;
+          break;
+        }
+        attempt_id = s.next_attempt_id++;
+        s.inflight.emplace(attempt_id,
+                           AttemptRecord{t, tile.id, g, job.mode,
+                                         s.clock->seconds(), modeled_seconds,
+                                         &token, false});
+      }
+      Stopwatch attempt_wall;
+      try {
+        // Measured wall-clock span of this attempt: the trace line every
+        // Fig.4/Fig.5-style analysis of a *real* run is built from.
+        ScopedEvent span(MetricsRegistry::global(),
+                         "tile " + std::to_string(tile.id) + " " +
+                             to_string(job.mode) +
+                             (job.speculative ? " speculative" : ""),
+                         local, "tile", &SchedulerMetrics::get().tile_seconds);
+        SchedulerMetrics::get().attempts.add();
+        // Node-level fault hook, once per popped job, registered in
+        // inflight first so an injected node stall stays cancellable
+        // (watchdog, a commit on another node, shutdown).
+        if (!announced) {
+          announced = true;
+          fire_node_fault(s, k, t, &token);
+        }
+        execute_with_split(s.run, device, streams, job.mode, tile, attempt,
+                           &token, slice_ptr, on_split);
+      } catch (const NodeFailedError& e) {
+        // The simulated *node* is gone.  Its journal is deliberately NOT
+        // flushed (a crashed node does not get a last orderly write).
+        std::lock_guard lock(s.mutex);
+        s.inflight.erase(attempt_id);
+        if (!node.crashed) crash_node_locked(s, k, e.what());
+        return;
+      } catch (const CancelledError&) {
+        // Not a fault: the scheduler itself withdrew this attempt.
+        std::lock_guard lock(s.mutex);
+        s.inflight.erase(attempt_id);
+        if (s.done.committed[t]) {
+          if (job.speculative) {
+            node.backups[t] -= 1;
+            s.health.speculative_losses += 1;
+            SchedulerMetrics::get().speculative_losses.add();
+            log_event(s,
+                      {RunEvent::Kind::kSpeculationLost, tile.id, local, ""});
+          }
+          break;  // tile done elsewhere; fetch the next job
+        }
+        if (s.interrupted || node.crashed) {
+          if (job.speculative) node.backups[t] -= 1;
+          break;  // run is unwinding; the wait loop exits the worker
+        }
+        if (s.blacklisted[std::size_t(g)] != 0) {
+          requeue_locked(s, std::move(job), tile.id, k);
+          s.cv.notify_all();
+          return;  // this worker is done for good
+        }
+        continue;  // cancelled to break a hang: retry on the same device
+      } catch (const DeviceFailedError& e) {
+        std::lock_guard lock(s.mutex);
+        s.inflight.erase(attempt_id);
+        s.health.devices[std::size_t(g)].faults += 1;
+        blacklist_locked(s, g, /*offline=*/true, e.what());
+        requeue_locked(s, std::move(job), tile.id, k);
+        s.cv.notify_all();
+        return;  // this worker is done for good
+      } catch (const std::exception& e) {
+        std::unique_lock lock(s.mutex);
+        s.inflight.erase(attempt_id);
+        s.health.devices[std::size_t(g)].faults += 1;
+        if (job.retries_here < rc.max_retries) {
+          job.retries_here += 1;
+          s.health.retries += 1;
+          SchedulerMetrics::get().retries.add();
+          log_event(s, {RunEvent::Kind::kRetry, tile.id, local,
+                        std::string(e.what()) + " — retry " +
+                            std::to_string(job.retries_here) + "/" +
+                            std::to_string(rc.max_retries)});
+          lock.unlock();
+          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+              std::ldexp(rc.backoff_ms, job.retries_here - 1)));
+          continue;  // retry on the same device
+        }
+        // Retry budget spent here: the device failed this whole tile.
+        s.consecutive_failed_tiles[std::size_t(g)] += 1;
+        job.exhausted.insert(g);
+        log_event(s, {RunEvent::Kind::kRetriesExhausted, tile.id, local,
+                      e.what()});
+        const bool drop = s.consecutive_failed_tiles[std::size_t(g)] >=
+                          rc.blacklist_after;
+        if (drop) {
+          blacklist_locked(s, g, /*offline=*/false,
+                           std::to_string(rc.blacklist_after) +
+                               " consecutive failed tiles");
+        }
+        requeue_locked(s, std::move(job), tile.id, k);
+        s.cv.notify_all();
+        if (drop) return;
+        break;  // fetch the next job
+      }
+      const double attempt_seconds = attempt_wall.seconds();
+
+      // Fold the restored row-prefix into the tail rows' result so the
+      // committed tile covers rows from 0.  A no-op after a
+      // memory-pressure split (whose sub-tiles recomputed every row —
+      // with identical bits, the recurrence only depends on the seed
+      // origin, so re-folding the prefix is idempotent).
+      if (prefix != nullptr) {
+        merge_min_into(attempt.profile, attempt.index, prefix->profile,
+                       prefix->index);
+      }
+
+      // ---- Success: numerical self-healing, then commit. ----
+      const double bad = non_finite_fraction(attempt.profile);
+      if (rc.escalate_precision && bad > rc.non_finite_threshold) {
+        const PrecisionMode next = escalated_precision(job.mode);
+        if (next != job.mode) {
+          std::lock_guard lock(s.mutex);
+          s.inflight.erase(attempt_id);
+          s.health.escalations.push_back(
+              RunHealth::Escalation{tile.id, job.mode, next, bad});
+          SchedulerMetrics::get().escalations.add();
+          log_event(s, {RunEvent::Kind::kEscalated, tile.id, local,
+                        std::to_string(int(100.0 * bad)) +
+                            "% non-finite, escalating " +
+                            to_string(job.mode) + " -> " + to_string(next)});
+          job.mode = next;
+          continue;  // re-run one rung up
+        }
+      }
+      bool checkpoint_due = false;
+      bool kill_due = false;
+      {
+        std::lock_guard lock(s.mutex);
+        s.inflight.erase(attempt_id);
+        if (job.speculative) node.backups[t] -= 1;
+        if (node.crashed) break;  // a crashed node commits nothing
+        if (s.done.committed[t]) {
+          if (s.done.executed_device[t] / s.devices == k) {
+            // Lost the race against another attempt on this node.
+            if (job.speculative) {
+              s.health.speculative_losses += 1;
+              SchedulerMetrics::get().speculative_losses.add();
+              log_event(s, {RunEvent::Kind::kSpeculationLost, tile.id, local,
+                            ""});
+            }
+            break;
+          }
+          // Another node committed first; this device still succeeded.
+          CoordinatorMetrics::get().node_commit_conflicts.add();
+          s.consecutive_failed_tiles[std::size_t(g)] = 0;
+          s.watchdog_strikes[std::size_t(g)] = 0;
+          calibrate_locked(node, modeled_seconds, attempt_seconds);
+          break;
+        }
+        s.done.commit(t, attempt, g, job.mode);
+        s.outstanding -= 1;
+        s.total_commits += 1;
+        TileState& ts = s.state[t];
+        if (ts.started) {
+          const double elapsed = s.clock->seconds() - ts.start_seconds;
+          s.wall_ewma = s.wall_ewma <= 0.0
+                            ? elapsed
+                            : 0.7 * s.wall_ewma + 0.3 * elapsed;
+        }
+        CoordinatorMetrics::get().node_commits.add();
+        // Chaos kill at the Nth commit of the whole run (resumed tiles
+        // included), whichever node made it.
+        kill_due = config.checkpoint.kill_after_tiles > 0 &&
+                   s.total_commits ==
+                       std::uint64_t(config.checkpoint.kill_after_tiles);
+        node.partials[t] = CheckpointSlice{};  // superseded
+        s.health.devices[std::size_t(g)].tiles_completed += 1;
+        SchedulerMetrics::get().tiles_completed.add();
+        s.consecutive_failed_tiles[std::size_t(g)] = 0;
+        s.watchdog_strikes[std::size_t(g)] = 0;
+        if (job.speculative) {
+          s.health.speculative_wins += 1;
+          SchedulerMetrics::get().speculative_wins.add();
+          log_event(s, {RunEvent::Kind::kSpeculationWon, tile.id, local, ""});
+        }
+        // First finisher wins: withdraw every other attempt of this tile,
+        // on any node.
+        for (auto& [other_id, other] : s.inflight) {
+          if (other.job_index == t) other.token->cancel();
+        }
+        calibrate_locked(node, modeled_seconds, attempt_seconds);
+        node.commits_since_checkpoint += 1;
+        checkpoint_due = config.checkpoint.enabled() &&
+                         node.commits_since_checkpoint >=
+                             std::size_t(config.checkpoint.interval_tiles);
+        s.cv.notify_all();
+      }
+      if (checkpoint_due) write_checkpoint_now(s, k);
+      if (kill_due) kill_run(s);
+      break;  // fetch the next job
+    }
+  }
+}
+
+/// Runs device_worker for global device `g`; the last worker of a node to
+/// exit releases the node's claims and closes its trace span.
+void worker_main(Scheduler& s, int g) {
+  device_worker(s, g);
+  const int k = g / s.devices;
+  std::unique_ptr<ScopedEvent> span;  // closed after the lock is released
+  std::lock_guard lock(s.mutex);
+  NodeState& node = s.nodes[std::size_t(k)];
+  if (--node.live_workers > 0) return;
+  release_node_locked(s, k);
+  span = std::move(node.span);
 }
 
 gpusim::MachineSpec node_spec(const MatrixProfileConfig& config) {
@@ -383,6 +1095,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
                                            const MatrixProfileConfig& config) {
   validate_config(reference, query, config);
   const int nodes = config.nodes;
+  const int devices = config.devices;
   const std::size_t m = config.window;
   const std::size_t d = reference.dims();
   const std::size_t n_q = query.segment_count(m);
@@ -393,7 +1106,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   CoordinatorMetrics::get().nodes.set(double(nodes));
 
   // ---- Plan: tiles → nodes here (Tile::device holds the owning *node*);
-  // each shard spreads its share over its devices.  Assignment never
+  // each node's share is spread over its devices below.  Assignment never
   // affects output bits. ----
   auto tiles = compute_tile_list(reference.segment_count(m), n_q,
                                  config.tiles);
@@ -408,29 +1121,23 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   // with a caller-provided cache such as the serve daemon's).
   StagingCache local_staging(reference, query);
   std::vector<CheckpointSlice> prefixes(tiles.size());
-  ShardRun run;
-  run.reference = &reference;
-  run.query = &query;
-  run.config = &config;
-  run.tiles = &tiles;
-  run.prefixes = &prefixes;
-  run.staging = config.staging_cache != nullptr ? config.staging_cache
-                                                : &local_staging;
-  run.events = &log;
-  run.fingerprint = checkpoint_fingerprint(reference, query, config);
-
-  Coord coord;
-  coord.config = &config;
-  coord.run = &run;
-  coord.tiles = &tiles;
-  coord.clock = &wall;
-  coord.log = &log;
-  coord.done.reset(tiles.size(), config.mode);
-  coord.state.assign(tiles.size(), TileState{});
-  coord.unstarted.assign(std::size_t(nodes), {});
-  coord.alive = nodes == 64 ? ~std::uint64_t(0) : node_bit(nodes) - 1;
-
-  RunHealth health;
+  Scheduler s;
+  s.run.reference = &reference;
+  s.run.query = &query;
+  s.run.config = &config;
+  s.run.tiles = &tiles;
+  s.run.staging = config.staging_cache != nullptr ? config.staging_cache
+                                                  : &local_staging;
+  s.run.fingerprint = checkpoint_fingerprint(reference, query, config);
+  s.prefixes = &prefixes;
+  s.clock = &wall;
+  s.log = &log;
+  s.devices = devices;
+  s.done.reset(tiles.size(), config.mode);
+  s.state.assign(tiles.size(), TileState{});
+  s.nodes = std::vector<NodeState>(std::size_t(nodes));
+  s.alive = nodes == 64 ? ~std::uint64_t(0) : node_bit(nodes) - 1;
+  RunHealth& health = s.health;
 
   // ---- Resume: re-key journalled slices onto this grid.  A bad journal
   // never takes the run down (every rejection is a kResumeFallback
@@ -439,7 +1146,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   // is recomputed. ----
   if (!config.checkpoint.resume_path.empty()) {
     RestoredState restored = restore_from_journals(
-        config.checkpoint.resume_path, run.fingerprint, tiles, d, config);
+        config.checkpoint.resume_path, s.run.fingerprint, tiles, d, config);
     for (RunEvent& event : restored.events) log.add(std::move(event));
     for (RunEvent& event : restored.log) log.add(std::move(event));
     if (restored.resumed > 0 || restored.partial > 0) {
@@ -450,7 +1157,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
                    config.checkpoint.resume_path});
     }
     prefixes = std::move(restored.prefixes);
-    coord.total_commits = restored.resumed;
+    s.total_commits = restored.resumed;
     health.resumed_tiles = int(restored.resumed);
     health.partial_slices = int(restored.partial);
     health.resume_fallbacks = int(restored.fallbacks);
@@ -461,11 +1168,11 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     registry.counter("resilient.slices_discarded").add(restored.discarded);
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       if (!restored.committed[t]) continue;
-      coord.done.commit(t, restored.results[t], restored.executed_device[t],
-                        restored.final_mode[t]);
+      s.done.commit(t, restored.results[t], restored.executed_device[t],
+                    restored.final_mode[t]);
     }
   }
-  coord.outstanding = tiles.size() - std::size_t(coord.total_commits);
+  s.outstanding = tiles.size() - std::size_t(s.total_commits);
 
   // ---- Deal the claims and plan the node faults over them.  The node
   // injector is separate from config.fault_injector, which keeps
@@ -473,7 +1180,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   gpusim::FaultInjector node_injector;
   if (!config.node_faults.empty()) {
     node_injector.configure(config.node_faults);
-    coord.node_faults = &node_injector;
+    s.node_faults = &node_injector;
   }
   std::vector<std::vector<std::size_t>> shares(static_cast<std::size_t>(nodes));
   std::vector<std::uint64_t> claims(static_cast<std::size_t>(nodes), 0);
@@ -481,11 +1188,11 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const int owner = tiles[t].device;
     shares[std::size_t(owner)].push_back(t);
-    if (coord.done.committed[t]) continue;
-    TileState& ts = coord.state[t];
+    if (s.done.committed[t]) continue;
+    TileState& ts = s.state[t];
     ts.owner = owner;
     const std::uint64_t claim = ++claims[std::size_t(owner)];
-    if (coord.node_faults != nullptr && !crash_planned[std::size_t(owner)]) {
+    if (s.node_faults != nullptr && !crash_planned[std::size_t(owner)]) {
       ts.node_fault =
           node_injector.plan(gpusim::FaultSite::kNodeTile, owner, claim);
       ts.fault_node = owner;
@@ -495,136 +1202,109 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
       crash_planned[std::size_t(owner)] = 1;
       continue;  // pinned: a crash claim is never stolen
     }
-    coord.unstarted[std::size_t(owner)].insert(t);
+    s.nodes[std::size_t(owner)].unstarted.insert(t);
   }
 
-  std::vector<ShardOutcome> outcomes(static_cast<std::size_t>(nodes));
-  if (coord.outstanding > 0) {
-    std::vector<std::unique_ptr<gpusim::System>> systems;
+  if (s.outstanding > 0) {
+    const std::size_t fleet = std::size_t(nodes) * std::size_t(devices);
+    s.queues.resize(fleet);
+    s.blacklisted.assign(fleet, 0);
+    s.consecutive_failed_tiles.assign(fleet, 0);
+    s.watchdog_strikes.assign(fleet, 0);
     for (int k = 0; k < nodes; ++k) {
-      systems.push_back(std::make_unique<gpusim::System>(
-          node_spec(config), config.devices, node_workers(config),
-          /*index_base=*/k * config.devices));
-      systems.back()->attach_fault_injector(config.fault_injector);
+      NodeState& node = s.nodes[std::size_t(k)];
+      node.system = std::make_unique<gpusim::System>(
+          node_spec(config), devices, node_workers(config),
+          /*index_base=*/k * devices);
+      node.system->attach_fault_injector(config.fault_injector);
+      // One stream pool per device; a tile occupies one stream per
+      // attempt so the stream's error capture isolates failures per tile.
+      for (int dev = 0; dev < devices; ++dev) {
+        node.streams.push_back(std::make_unique<gpusim::StreamPool>(
+            node.system->device(dev), config.streams_per_device));
+        RunHealth::DeviceStatus status;
+        status.device = k * devices + dev;
+        health.devices.push_back(status);
+      }
+      const std::string& path = config.checkpoint.write_path;
+      node.journal_path = path.empty() || nodes == 1
+                              ? path
+                              : path + ".node" + std::to_string(k);
+      node.partials.assign(tiles.size(), CheckpointSlice{});
+      node.backups.assign(tiles.size(), 0);
       if (nodes > 1) {
         log.add({RunEvent::Kind::kNodeJoined, -1, k,
-                 std::to_string(config.devices) + " device(s), global ids " +
-                     std::to_string(k * config.devices) + ".." +
-                     std::to_string((k + 1) * config.devices - 1)});
+                 std::to_string(devices) + " device(s), global ids " +
+                     std::to_string(k * devices) + ".." +
+                     std::to_string((k + 1) * devices - 1)});
       }
+
+      // Spread the node's share over its devices.  The rule runs over the
+      // whole share, tiles restored from a journal included, so a resumed
+      // run places its remaining tiles where the fresh run did.
+      const std::vector<std::size_t>& share = shares[std::size_t(k)];
+      std::vector<Tile> placed;
+      placed.reserve(share.size());
+      for (const std::size_t t : share) placed.push_back(tiles[t]);
+      if (config.assignment == TileAssignment::kLpt) {
+        assign_tiles_lpt(placed, devices);
+      } else {
+        assign_tiles_round_robin(placed, devices);
+      }
+      for (std::size_t i = 0; i < share.size(); ++i) {
+        if (s.done.committed[share[i]]) continue;  // restored from a journal
+        TileJob job;
+        job.index = share[i];
+        job.mode = config.mode;
+        s.queues[std::size_t(k * devices + placed[i].device)].push_back(
+            std::move(job));
+      }
+      node.live_workers = devices;
+      node.span = std::make_unique<ScopedEvent>(
+          registry, "node " + std::to_string(k), k, "node");
     }
 
-    // ---- Straggler monitor (opt-in with the watchdog, like in-node
-    // speculation).  Re-dispatches an overdue started tile to the
-    // recovery pool once; the claiming node races the owner, first
-    // commit wins. ----
-    std::atomic<bool> stop_monitor{false};
-    std::thread monitor;
-    if (config.resilience.watchdog && config.resilience.speculate &&
-        nodes > 1) {
-      monitor = std::thread([&coord, &config, &wall, &stop_monitor] {
-        const auto poll = std::chrono::duration<double, std::milli>(
-            config.resilience.watchdog_poll_ms);
-        while (!stop_monitor.load(std::memory_order_relaxed)) {
-          {
-            std::lock_guard lock(coord.mutex);
-            // Duplicate only once calibrated: the EWMA needs at least one
-            // commit before "overdue" means anything.
-            if (coord.wall_ewma > 0.0) {
-              const double deadline = std::max(
-                  coord.wall_ewma * config.resilience.watchdog_slack,
-                  config.resilience.watchdog_min_deadline_ms / 1000.0);
-              const double now = wall.seconds();
-              for (std::size_t t = 0; t < coord.state.size(); ++t) {
-                TileState& ts = coord.state[t];
-                if (coord.done.committed[t] || !ts.started ||
-                    ts.dup_issued || ts.pooled || ts.dup_runner != -1) {
-                  continue;
-                }
-                if (now - ts.start_seconds <= deadline) continue;
-                ts.dup_issued = true;
-                ts.pooled = true;
-                coord.pool.push_back(t);
-              }
-            }
-          }
-          std::this_thread::sleep_for(poll);
-        }
-      });
+    // Workers always start, even with an empty initial backlog: a node
+    // may receive all of its work from the pool or by stealing.
+    std::vector<std::thread> workers;
+    workers.reserve(fleet);
+    for (int g = 0; g < int(fleet); ++g) {
+      workers.emplace_back([&s, g] { worker_main(s, g); });
     }
-
-    // ---- Run the shards, one thread per node.  Each thread releases its
-    // node's claims the moment the shard returns, so crash recovery
-    // overlaps the survivors' execution. ----
-    std::vector<std::thread> runners;
-    runners.reserve(std::size_t(nodes));
-    for (int k = 0; k < nodes; ++k) {
-      runners.emplace_back([&, k] {
-        ScopedEvent span(registry, "node " + std::to_string(k), k, "node");
-        const ShardHooks hooks = make_hooks(coord, k);
-        ShardOutcome& outcome = outcomes[std::size_t(k)];
-        outcome = run_resilient_shard(*systems[std::size_t(k)], run, k,
-                                      shares[std::size_t(k)], hooks);
-        if (outcome.crashed) {
-          std::lock_guard lock(coord.mutex);
-          coord.crashes += 1;
-          CoordinatorMetrics::get().node_crashes.add();
-          log.add({RunEvent::Kind::kNodeCrashed, -1, k, outcome.crash_reason});
-        }
-        release_node(coord, k);
-      });
+    std::thread monitor([&s] { monitor_thread(s); });
+    for (auto& w : workers) w.join();
+    {
+      std::lock_guard lock(s.mutex);
+      s.stop_monitor = true;
     }
-    for (auto& runner : runners) runner.join();
-    stop_monitor.store(true, std::memory_order_relaxed);
-    if (monitor.joinable()) monitor.join();
+    s.cv.notify_all();
+    monitor.join();
   }
-
-  // ---- Merge the shards' health reports. ----
-  bool any_interrupted = false;
-  for (ShardOutcome& outcome : outcomes) {
-    any_interrupted = any_interrupted || outcome.interrupted;
-    RunHealth& h = outcome.health;
-    health.retries += h.retries;
-    health.reassigned_tiles += h.reassigned_tiles;
-    health.blacklist_events += h.blacklist_events;
-    health.checkpoint_writes += h.checkpoint_writes;
-    health.watchdog_fires += h.watchdog_fires;
-    health.speculative_wins += h.speculative_wins;
-    health.speculative_losses += h.speculative_losses;
-    health.tile_splits += h.tile_splits;
-    health.slice_commits += h.slice_commits;
-    for (auto& escalation : h.escalations) {
-      health.escalations.push_back(escalation);
-    }
-    for (auto& device : h.devices) health.devices.push_back(device);
-  }
-  health.node_crashes = coord.crashes;
-  health.node_steals = coord.steals;
-  health.node_duplicates = coord.duplicates;
 
   // The journal of the whole run: committed tiles plus the furthest
-  // row-slice snapshot any live shard holds of each uncommitted tile.
+  // row-slice snapshot any live node holds of each uncommitted tile.
   const auto write_run_journal = [&] {
     std::vector<CheckpointSlice> partials(tiles.size());
-    for (ShardOutcome& outcome : outcomes) {
-      for (std::size_t t = 0; t < outcome.partials.size(); ++t) {
-        if (outcome.partials[t].r_count > partials[t].r_count) {
-          partials[t] = std::move(outcome.partials[t]);
+    for (NodeState& node : s.nodes) {
+      for (std::size_t t = 0; t < node.partials.size(); ++t) {
+        if (node.partials[t].r_count > partials[t].r_count) {
+          partials[t] = std::move(node.partials[t]);
         }
       }
     }
-    CheckpointData data = journal_data(run, coord.done, partials);
+    CheckpointData data = journal_data(s.run, s.done, partials);
     data.events = log.snapshot();
     write_journal(config.checkpoint.write_path, data, log);
     health.checkpoint_writes += 1;
+    SchedulerMetrics::get().checkpoint_writes.add();
   };
 
   // ---- Interruption: flush the journal and unwind. ----
-  if (coord.outstanding > 0 && config.resilience.honor_shutdown &&
-      (any_interrupted || shutdown_requested())) {
+  if (s.outstanding > 0 && config.resilience.honor_shutdown &&
+      (s.interrupted || shutdown_requested())) {
     if (config.checkpoint.enabled()) write_run_journal();
     std::string what = "run interrupted: " +
-                       std::to_string(coord.total_commits) + "/" +
+                       std::to_string(s.total_commits) + "/" +
                        std::to_string(tiles.size()) + " tiles committed";
     if (config.checkpoint.enabled()) {
       what += "; checkpoint flushed to " + config.checkpoint.write_path +
@@ -635,12 +1315,12 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
 
   // ---- Graceful degradation: finish what no node could on the CPU
   // reference path. ----
-  if (coord.outstanding > 0 && !config.resilience.cpu_fallback) {
+  if (s.outstanding > 0 && !config.resilience.cpu_fallback) {
     throw Error("all devices failed and the CPU fallback is disabled (" +
-                std::to_string(coord.outstanding) + " tiles incomplete)");
+                std::to_string(s.outstanding) + " tiles incomplete)");
   }
-  for (std::size_t t = 0; t < tiles.size() && coord.outstanding > 0; ++t) {
-    if (coord.done.committed[t]) continue;
+  for (std::size_t t = 0; t < tiles.size() && s.outstanding > 0; ++t) {
+    if (s.done.committed[t]) continue;
     const Tile& tile = tiles[t];
     {
       ScopedEvent span(registry,
@@ -648,13 +1328,13 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
                        -1, "cpu",
                        &registry.histogram("resilient.tile_seconds"));
       compute_tile_on_cpu(reference, query, m, tile, config.exclusion,
-                          coord.done.results[t]);
+                          s.done.results[t]);
     }
-    coord.done.committed[t] = 1;
-    coord.done.executed_device[t] = -1;
-    coord.done.final_mode[t] = PrecisionMode::FP64;
-    coord.outstanding -= 1;
-    coord.total_commits += 1;
+    s.done.committed[t] = 1;
+    s.done.executed_device[t] = -1;
+    s.done.final_mode[t] = PrecisionMode::FP64;
+    s.outstanding -= 1;
+    s.total_commits += 1;
     health.cpu_fallback_tiles += 1;
     registry.counter("resilient.cpu_fallback_tiles").add();
     CoordinatorMetrics::get().cpu_fallback_tiles.add();
@@ -665,7 +1345,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   if (config.checkpoint.enabled()) write_run_journal();
 
   MatrixProfileResult out = assemble_tile_results(
-      tiles, coord.done.results, coord.done.executed_device, n_q, d,
+      tiles, s.done.results, s.done.executed_device, n_q, d,
       config.streams_per_device);
 
   // ---- Health report. ----

@@ -27,8 +27,13 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.streams_per_device < 1 || config.streams_per_device > 16) {
     throw ConfigError("streams_per_device must be in [1, 16]");
   }
-  if (config.resilience.max_retries < 0) {
-    throw ConfigError("resilience.max_retries must be >= 0");
+  // The backoff doubles per retry: 16 retries already sleep
+  // 2^15 x backoff_ms before the last one.
+  if (config.resilience.max_retries < 0 ||
+      config.resilience.max_retries > 16) {
+    throw ConfigError("resilience.max_retries (--max-retries) must be in "
+                      "[0, 16], got " +
+                      std::to_string(config.resilience.max_retries));
   }
   if (config.resilience.blacklist_after < 1) {
     throw ConfigError("resilience.blacklist_after must be >= 1");

@@ -22,8 +22,9 @@ namespace mpsim::mp {
 
 /// Computes the matrix profile on `config.nodes` simulated nodes of
 /// `config.devices` devices each (built from config.machine): validate →
-/// plan tiles → restore journals → run the node shards → interrupt flush
-/// / CPU fallback → journal → assemble → health (see mp/coordinator.cpp).
+/// plan tiles → restore journals → run every node's devices under one
+/// scheduler → interrupt flush / CPU fallback → journal → assemble →
+/// health (see mp/coordinator.cpp).
 /// Output bits never depend on the node or device count.  Throws
 /// InterruptedError after flushing the journal when a shutdown request
 /// (or a kill_after_tiles / kill_after_slices chaos kill) stops the run.

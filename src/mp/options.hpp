@@ -115,7 +115,7 @@ struct PrefilterStats {
 struct ResilienceConfig {
   /// Bounded retries of a tile on one device after transient faults
   /// (TransientFaultError, DeviceMemoryError, ...), with exponential
-  /// backoff between attempts.
+  /// backoff between attempts.  At most 16.
   int max_retries = 3;
 
   /// A device with this many *consecutive* failed tile attempts is
@@ -190,8 +190,11 @@ struct CheckpointConfig {
   /// sliced resume is bit-identical to the uninterrupted run.
   int slice_rows = 0;
 
-  /// Chaos hook: request a shutdown after this many journalled row-slice
-  /// snapshots (0 = never) — the mid-tile analogue of kill_after_tiles.
+  /// Chaos hook: request a shutdown once any one node has journalled this
+  /// many row-slice snapshots of its own (0 = never).  Unlike
+  /// kill_after_tiles, which counts the commits of the whole run, this
+  /// counts per node (in a one-node run: the run's snapshots).  Either
+  /// kill stops every node at once when the run honours shutdowns.
   int kill_after_slices = 0;
 
   bool enabled() const { return !write_path.empty(); }
@@ -293,7 +296,7 @@ struct RunEvent {
     kResumeFallback,    ///< --resume journal unusable; fresh run instead
     kSliceRestored,     ///< tile seeded from a journalled row-slice prefix
     kSliceDiscarded,    ///< journalled slice unusable on the current grid
-    kNodeJoined,        ///< node's shard scheduler came up (device = node)
+    kNodeJoined,        ///< node's device fleet came up (device = node)
     kNodeCrashed,       ///< node lost to an injected crash (device = node)
     kNodeStolen,        ///< tile stolen across nodes (device = thief node)
     kNodeDuplicated,    ///< straggler tile re-dispatched to another node

@@ -1,9 +1,12 @@
-// CPU-side merge of per-tile results (Pseudocode 2, lines 6-8), shared by
-// the resilient scheduler and the merge-semantics tests.
+// CPU-side merge of per-tile results (Pseudocode 2, lines 6-8) and the one
+// min/argmin fold behind it, which the scheduler's row-prefix fold and
+// memory-pressure sub-tile merge reuse.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -14,6 +17,39 @@
 #include "mp/tile_plan.hpp"
 
 namespace mpsim::mp {
+
+/// The one min/argmin fold of (src_p, src_i) into (dst_p, dst_i) over n
+/// entries: smaller distance wins; on equal distance the smaller
+/// non-negative index wins; NaN on either side keeps the destination (the
+/// strict compares are false).  The rule is a lexicographic min, hence
+/// associative, so folding row sub-tiles, a journalled row prefix or whole
+/// tiles in any grouping yields the same bits.  The vector span implements
+/// the identical rule; the scalar loop finishes the tail.
+inline void merge_min_span(const double* src_p, const std::int64_t* src_i,
+                           double* dst_p, std::int64_t* dst_i,
+                           std::size_t n) {
+  const auto count = std::int64_t(n);
+  for (std::int64_t c = simd::merge_tile_span(src_p, src_i, dst_p, dst_i,
+                                              count);
+       c < count; ++c) {
+    const double p = src_p[c];
+    const std::int64_t idx = src_i[c];
+    if (p < dst_p[c] ||
+        (p == dst_p[c] && idx >= 0 && (dst_i[c] < 0 || idx < dst_i[c]))) {
+      dst_p[c] = p;
+      dst_i[c] = idx;
+    }
+  }
+}
+
+/// merge_min_span over whole equal-length profile/index vectors.
+inline void merge_min_into(std::vector<double>& dst_profile,
+                           std::vector<std::int64_t>& dst_index,
+                           const std::vector<double>& src_profile,
+                           const std::vector<std::int64_t>& src_index) {
+  merge_min_span(src_profile.data(), src_index.data(), dst_profile.data(),
+                 dst_index.data(), dst_profile.size());
+}
 
 /// Column-wise min/argmin merge of `results[t]` (one per tile) into the
 /// full profile.  Smaller distance wins; equal distances prefer the
@@ -42,28 +78,14 @@ inline void merge_tile_results(const std::vector<Tile>& tiles,
       const std::size_t je = std::min(col_end, tile.q_begin + tile.q_count);
       if (jb >= je) continue;
       for (std::size_t k = 0; k < d; ++k) {
-        // Both sides are column-contiguous over [jb, je); the vector span
-        // implements the identical strict-</equal-distance-earlier-index
-        // rule (NaN on either side keeps the destination), the scalar
-        // loop finishes the tail.
+        // Both sides are column-contiguous over [jb, je).
         const std::size_t j0 = jb - tile.q_begin;
         const double* const src_p = r.profile.data() + k * tile.q_count + j0;
         const std::int64_t* const src_i =
             r.index.data() + k * tile.q_count + j0;
         double* const dst_p = out.profile.data() + k * n_q + jb;
         std::int64_t* const dst_i = out.index.data() + k * n_q + jb;
-        const auto n = std::int64_t(je - jb);
-        std::int64_t c = simd::merge_tile_span(src_p, src_i, dst_p, dst_i, n);
-        for (; c < n; ++c) {
-          const double p = src_p[c];
-          const std::int64_t idx = src_i[c];
-          if (p < dst_p[c] ||
-              (p == dst_p[c] && idx >= 0 &&
-               (dst_i[c] < 0 || idx < dst_i[c]))) {
-            dst_p[c] = p;
-            dst_i[c] = idx;
-          }
-        }
+        merge_min_span(src_p, src_i, dst_p, dst_i, je - jb);
       }
     }
   };

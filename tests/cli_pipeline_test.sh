@@ -82,4 +82,15 @@ grep -q "run health: DEGRADED" "$WORK/faults.log"
 grep -q "retry" "$WORK/faults.log"
 cmp "$WORK/tiled.csv" "$WORK/faulty.csv"
 
+# An out-of-range retry budget is rejected up front (exit 1, naming the
+# field) instead of retrying a persistent fault with an ever-doubling
+# backoff.
+rc=0
+"$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
+    --query="$WORK/qry.csv" --window=32 --repair --tiles=4 \
+    --faults="kernel@0:every=1" --max-retries=40 \
+    > "$WORK/retries.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ]
+grep -q "max_retries" "$WORK/retries.log"
+
 echo "cli pipeline OK"

@@ -4,12 +4,16 @@
 // grid/node-count-changing resume — all bit-identical to one node).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "cluster/cluster.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
+#include "mp/checkpoint.hpp"
 #include "mp/matrix_profile.hpp"
 #include "tsdata/synthetic.hpp"
 
@@ -129,7 +133,7 @@ TEST(Cluster, ValidatesConfiguration) {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator: simulated *nodes* running real shard schedulers.
+// Coordinator: simulated *nodes* running real device fleets.
 // The hard invariant everywhere: bits identical to the single-node run.
 // ---------------------------------------------------------------------
 
@@ -277,6 +281,55 @@ TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
     std::remove((ckpt + ".node" + std::to_string(node)).c_str());
   }
   std::remove(ckpt.c_str());
+}
+
+TEST(ElasticCoordinator, SideJournalsHoldEachNodesOwnCommits) {
+  const auto data = small_dataset();
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 4;
+  config.devices = 1;
+  config.nodes = 2;
+  config.steal = false;  // tiles 0, 2 stay on node 0 and 1, 3 on node 1
+  const std::string ckpt = testing::TempDir() + "mpsim_side_journals.ckpt";
+  config.checkpoint.write_path = ckpt;
+  config.checkpoint.interval_tiles = 1;
+  const auto remove_journals = [&] {
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".node0").c_str());
+    std::remove((ckpt + ".node1").c_str());
+  };
+
+  // A journal's complete tiles: tile index -> the node it is tagged with.
+  using Tiles = std::map<std::uint64_t, int>;
+  const auto complete_tiles = [](const std::string& path) {
+    Tiles out;
+    for (const mp::CheckpointSlice& slice : mp::read_checkpoint(path).slices) {
+      EXPECT_EQ(slice.complete, 1) << path;
+      out[slice.tile_index] = slice.node;
+    }
+    return out;
+  };
+
+  remove_journals();
+  const auto clean =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(complete_tiles(ckpt + ".node0"), (Tiles{{0, 0}, {2, 0}}));
+  EXPECT_EQ(complete_tiles(ckpt + ".node1"), (Tiles{{1, 1}, {3, 1}}));
+  EXPECT_EQ(complete_tiles(ckpt).size(), 4u);
+
+  // Node 1 journals tile 1, then crashes on its second claim (tile 3): its
+  // side journal gets no final flush, and node 0 takes tile 3 over.
+  remove_journals();
+  config.node_faults = "node_crash@1:at=2";
+  const auto crashed =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(crashed.health.node_crashes, 1);
+  EXPECT_EQ(complete_tiles(ckpt + ".node1"), (Tiles{{1, 1}}));
+  EXPECT_EQ(complete_tiles(ckpt + ".node0"), (Tiles{{0, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(crashed.profile, clean.profile);
+  EXPECT_EQ(crashed.index, clean.index);
+  remove_journals();
 }
 
 TEST(ElasticCoordinator, CountersAreAdditiveOnTheMetricsSchema) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "mp/brute_force.hpp"
 #include "mp/cpu_reference.hpp"
@@ -233,6 +234,20 @@ TEST(MatrixProfile, ValidatesConfiguration) {
   config.window = 16;
   EXPECT_THROW(compute_matrix_profile(data.reference, mismatched, config),
                ConfigError);
+
+  // The retry backoff doubles per retry; past 16 retries a persistent
+  // fault would sleep for hours (and shift past the int width).
+  config.resilience.max_retries = 17;
+  try {
+    compute_matrix_profile(data.reference, data.query, config);
+    ADD_FAILURE() << "max_retries = 17 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("max_retries"), std::string::npos)
+        << e.what();
+  }
+  config.resilience.max_retries = 16;
+  EXPECT_NO_THROW(compute_matrix_profile(data.reference, data.query, config));
+  config.resilience.max_retries = 3;
 
   // A NaN prefilter budget used to pass and silently disable every skip.
   config.prefilter.mode = PrefilterMode::kSketch;

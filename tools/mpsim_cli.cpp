@@ -88,7 +88,11 @@ int run(int argc, char** argv) {
         "  cross-node work stealing; --node-faults injects node-level\n"
         "  chaos (node_crash|node_stall|node_slow, \"@k\" selects a node);\n"
         "  --slice-rows=R journals mid-tile row slices every R rows so a\n"
-        "  kill mid-tile resumes without recomputing the covered rows\n");
+        "  kill mid-tile resumes without recomputing the covered rows\n"
+        "chaos: --kill-after-tiles=N stops the run after its N-th tile\n"
+        "  commit (all nodes counted together); --kill-after-slices=N after\n"
+        "  any one node's N-th row-slice snapshot (counted per node); both\n"
+        "  stop every node at once, flush the checkpoint and exit 130\n");
     return args.has("reference") ? 0 : 2;
   }
 
