@@ -35,7 +35,7 @@ double reduction_merge_seconds(std::size_t n_q, std::size_t dims,
                                int nodes) {
   if (nodes <= 1) return 0.0;
   return double(reduction_rounds(nodes)) *
-         mp::model_merge_seconds(1, n_q, dims);
+         mp::model_merge_seconds(n_q, dims);
 }
 
 }  // namespace
@@ -51,7 +51,8 @@ ClusterModelReport model_cluster(std::size_t n_r, std::size_t n_q,
   model.window = window;
   model.mode = config.mode;
   model.tiles = config.tiles;
-  model.devices = config.nodes * config.devices_per_node;
+  model.nodes = config.nodes;
+  model.devices = config.devices_per_node;
   model.streams_per_device = config.streams_per_device;
   const auto report = mp::model_matrix_profile(model);
 

@@ -5,9 +5,10 @@
 // tile grid across config.nodes simulated nodes (mp/coordinator.cpp) and
 // min-merges the tiles exactly as MPI ranks would, bit-identical to one
 // node.  What the simulator does not execute is the interconnect, so this
-// module models the cluster run analytically: per-node makespans from
-// the roofline model, plus a binomial-tree reduction of the
-// (n_q * d)-entry profile/index arrays over the network
+// module models the cluster run analytically: the roofline makespan of
+// the tiles dealt exactly as an executed run deals them (mp::deal_tiles:
+// nodes first, then each node's devices), plus a binomial-tree reduction
+// of the (n_q * d)-entry profile/index arrays over the network
 // (ceil(log2 nodes) rounds of latency + bytes/bandwidth), plus the
 // per-round CPU merge cost.
 #pragma once

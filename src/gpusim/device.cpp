@@ -53,10 +53,4 @@ void System::attach_fault_injector(FaultInjector* injector) {
   for (auto& d : devices_) d->attach_fault_injector(injector);
 }
 
-double System::total_modeled_seconds() const {
-  double total = 0.0;
-  for (const auto& d : devices_) total += d->ledger().total_modeled_seconds();
-  return total;
-}
-
 }  // namespace mpsim::gpusim

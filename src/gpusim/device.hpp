@@ -139,9 +139,6 @@ class System {
   /// Attaches the injector to every device (nullptr detaches).
   void attach_fault_injector(FaultInjector* injector);
 
-  /// Sum of all devices' modelled kernel seconds.
-  double total_modeled_seconds() const;
-
  private:
   std::vector<std::unique_ptr<Device>> devices_;
 };

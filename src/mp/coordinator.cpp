@@ -3,9 +3,10 @@
 // is simply the one-node case, as the paper's multi-node extension (§VII)
 // only adds one more level of tile dealing to Pseudocode 2:
 //
-//   validate → plan tiles → restore journals → deal tiles to nodes and
-//   devices → device workers + one monitor → interrupt flush / CPU
-//   fallback → journal → assemble → health
+//   validate → plan (tiles dealt to nodes and devices) → restore
+//   journals → queue the unrestored tiles → device workers + one monitor
+//   → interrupt flush / CPU fallback → journal → assemble + the plan's
+//   model → health
 //
 // One Scheduler holds every decision of the run under one mutex and one
 // condition variable: the global tile table (commit, owner, started,
@@ -18,11 +19,14 @@
 // single monitor thread handles shutdown, the per-attempt watchdog,
 // in-node speculation and cross-node straggler duplication.
 //
-//  * dealing — tiles are dealt to nodes (config.assignment: round-robin
-//    or LPT over nodes), then each node's share is spread over its
-//    devices by the same rule, over the whole share (restored tiles
-//    included) so a resume places tiles where a fresh run did; a node's
-//    claim on an *unstarted* tile can be revoked at any time;
+//  * dealing — mp::plan_tiles (deal_tiles: config.assignment over
+//    nodes, then over each node's whole share of devices, restored tiles
+//    included, so a resume places tiles where a fresh run did) fixes each
+//    tile's device queue; a node's claim on an *unstarted* tile can be
+//    revoked at any time;
+//  * modelled seconds — the run reports the roofline model of that plan
+//    (mp::model_tiles), so faults, steals, speculation, resume and the
+//    CPU fallback never move them;
 //  * per-tile supervision — retries with backoff, requeue onto the
 //    node's healthiest device, blacklisting, precision escalation, the
 //    watchdog and speculative backups all stay inside the tile's node;
@@ -407,8 +411,7 @@ void requeue_locked(Scheduler& s, TileJob job, int tile_id, int k) {
     log_event(s, {RunEvent::Kind::kDeferredToCpu, tile_id, -1, ""});
     defer_locked(s, job.index, k);
   } else {
-    log_event(s, {RunEvent::Kind::kReassigned, tile_id, target % s.devices,
-                  ""});
+    log_event(s, {RunEvent::Kind::kReassigned, tile_id, target, ""});
     s.queues[std::size_t(target)].push_back(std::move(job));
   }
 }
@@ -423,7 +426,7 @@ void blacklist_locked(Scheduler& s, int g, bool offline,
   auto& status = s.health.devices[std::size_t(g)];
   status.blacklisted = true;
   status.offline = offline;
-  log_event(s, {RunEvent::Kind::kBlacklisted, -1, g % s.devices, why});
+  log_event(s, {RunEvent::Kind::kBlacklisted, -1, g, why});
 }
 
 /// Hands an idle node `k` one more tile: from the recovery pool first
@@ -635,15 +638,14 @@ void watchdog_locked(Scheduler& s) {
     attempt.fired = true;
     s.health.watchdog_fires += 1;
     SchedulerMetrics::get().watchdog_fires.add();
-    log_event(s, {RunEvent::Kind::kWatchdogFired, attempt.tile_id,
-                  g % s.devices,
+    log_event(s, {RunEvent::Kind::kWatchdogFired, attempt.tile_id, g,
                   "attempt overran its deadline (" + std::to_string(elapsed) +
                       " s vs " + std::to_string(deadline) + " s)"});
     if (MetricsRegistry::global().enabled()) {
       auto& reg = MetricsRegistry::global();
       reg.record_event({"watchdog fire tile " +
                             std::to_string(attempt.tile_id),
-                        g % s.devices, "watchdog", reg.now_seconds(), 0.0});
+                        g, "watchdog", reg.now_seconds(), 0.0});
     }
 
     // Repeated hangs feed the blacklist exactly like failed tiles.
@@ -681,10 +683,9 @@ void watchdog_locked(Scheduler& s) {
         backup.speculative = true;
         node.backups[t] += 1;
         s.queues[std::size_t(target)].push_back(std::move(backup));
-        log_event(s, {RunEvent::Kind::kSpeculated, attempt.tile_id,
-                      target % s.devices,
+        log_event(s, {RunEvent::Kind::kSpeculated, attempt.tile_id, target,
                       "backup of the attempt on device " +
-                          std::to_string(g % s.devices)});
+                          std::to_string(g)});
       } else if (!drop) {
         attempt.token->cancel();
       }
@@ -799,17 +800,17 @@ void device_worker(Scheduler& s, int g) {
         s.health.reassigned_tiles += 1;
         SchedulerMetrics::get().reassigned.add();
         log_event(s, {RunEvent::Kind::kStolen,
-                      (*s.run.tiles)[job.index].id, local, ""});
+                      (*s.run.tiles)[job.index].id, g, ""});
       }
     }
     const std::size_t t = job.index;
     const Tile& tile = (*s.run.tiles)[t];
     const std::function<void(const std::string&)> on_split =
-        [&s, &tile, local](const std::string& detail) {
+        [&s, &tile, g](const std::string& detail) {
           std::lock_guard lock(s.mutex);
           s.health.tile_splits += 1;
           SchedulerMetrics::get().tile_splits.add();
-          log_event(s, {RunEvent::Kind::kTileSplit, tile.id, local, detail});
+          log_event(s, {RunEvent::Kind::kTileSplit, tile.id, g, detail});
         };
 
     // ---- Attempt loop: retries and precision escalations. ----
@@ -874,7 +875,7 @@ void device_worker(Scheduler& s, int g) {
                          "tile " + std::to_string(tile.id) + " " +
                              to_string(job.mode) +
                              (job.speculative ? " speculative" : ""),
-                         local, "tile", &SchedulerMetrics::get().tile_seconds);
+                         g, "tile", &SchedulerMetrics::get().tile_seconds);
         SchedulerMetrics::get().attempts.add();
         // Node-level fault hook, once per popped job, registered in
         // inflight first so an injected node stall stays cancellable
@@ -902,7 +903,7 @@ void device_worker(Scheduler& s, int g) {
             s.health.speculative_losses += 1;
             SchedulerMetrics::get().speculative_losses.add();
             log_event(s,
-                      {RunEvent::Kind::kSpeculationLost, tile.id, local, ""});
+                      {RunEvent::Kind::kSpeculationLost, tile.id, g, ""});
           }
           break;  // tile done elsewhere; fetch the next job
         }
@@ -932,7 +933,7 @@ void device_worker(Scheduler& s, int g) {
           job.retries_here += 1;
           s.health.retries += 1;
           SchedulerMetrics::get().retries.add();
-          log_event(s, {RunEvent::Kind::kRetry, tile.id, local,
+          log_event(s, {RunEvent::Kind::kRetry, tile.id, g,
                         std::string(e.what()) + " — retry " +
                             std::to_string(job.retries_here) + "/" +
                             std::to_string(rc.max_retries)});
@@ -944,7 +945,7 @@ void device_worker(Scheduler& s, int g) {
         // Retry budget spent here: the device failed this whole tile.
         s.consecutive_failed_tiles[std::size_t(g)] += 1;
         job.exhausted.insert(g);
-        log_event(s, {RunEvent::Kind::kRetriesExhausted, tile.id, local,
+        log_event(s, {RunEvent::Kind::kRetriesExhausted, tile.id, g,
                       e.what()});
         const bool drop = s.consecutive_failed_tiles[std::size_t(g)] >=
                           rc.blacklist_after;
@@ -980,7 +981,7 @@ void device_worker(Scheduler& s, int g) {
           s.health.escalations.push_back(
               RunHealth::Escalation{tile.id, job.mode, next, bad});
           SchedulerMetrics::get().escalations.add();
-          log_event(s, {RunEvent::Kind::kEscalated, tile.id, local,
+          log_event(s, {RunEvent::Kind::kEscalated, tile.id, g,
                         std::to_string(int(100.0 * bad)) +
                             "% non-finite, escalating " +
                             to_string(job.mode) + " -> " + to_string(next)});
@@ -1001,7 +1002,7 @@ void device_worker(Scheduler& s, int g) {
             if (job.speculative) {
               s.health.speculative_losses += 1;
               SchedulerMetrics::get().speculative_losses.add();
-              log_event(s, {RunEvent::Kind::kSpeculationLost, tile.id, local,
+              log_event(s, {RunEvent::Kind::kSpeculationLost, tile.id, g,
                             ""});
             }
             break;
@@ -1037,7 +1038,7 @@ void device_worker(Scheduler& s, int g) {
         if (job.speculative) {
           s.health.speculative_wins += 1;
           SchedulerMetrics::get().speculative_wins.add();
-          log_event(s, {RunEvent::Kind::kSpeculationWon, tile.id, local, ""});
+          log_event(s, {RunEvent::Kind::kSpeculationWon, tile.id, g, ""});
         }
         // First finisher wins: withdraw every other attempt of this tile,
         // on any node.
@@ -1105,16 +1106,23 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   ScopedEvent run_span(registry, "coordinator", -1, "cpu");
   CoordinatorMetrics::get().nodes.set(double(nodes));
 
-  // ---- Plan: tiles → nodes here (Tile::device holds the owning *node*);
-  // each node's share is spread over its devices below.  Assignment never
+  // ---- Plan: tiles dealt to nodes, then over each node's devices
+  // (Tile::device is the global device; its node is device / devices).
+  // The run's modelled seconds are this plan's model.  Assignment never
   // affects output bits. ----
-  auto tiles = compute_tile_list(reference.segment_count(m), n_q,
-                                 config.tiles);
-  if (config.assignment == TileAssignment::kLpt) {
-    assign_tiles_lpt(tiles, nodes);
-  } else {
-    assign_tiles_round_robin(tiles, nodes);
-  }
+  ModelConfig plan;
+  plan.spec = node_spec(config);
+  plan.n_r = reference.segment_count(m);
+  plan.n_q = n_q;
+  plan.dims = d;
+  plan.window = m;
+  plan.mode = config.mode;
+  plan.tiles = config.tiles;
+  plan.nodes = nodes;
+  plan.devices = devices;
+  plan.streams_per_device = config.streams_per_device;
+  plan.assignment = config.assignment;
+  const std::vector<Tile> tiles = plan_tiles(plan);
 
   EventLog log;
   // Conversions are staged once per run for every node (or across runs,
@@ -1182,13 +1190,19 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     node_injector.configure(config.node_faults);
     s.node_faults = &node_injector;
   }
-  std::vector<std::vector<std::size_t>> shares(static_cast<std::size_t>(nodes));
+  // Tiles restored from a journal keep their place in the deal, so a
+  // resumed run places its remaining tiles where the fresh run did.
+  const std::size_t fleet = std::size_t(nodes) * std::size_t(devices);
+  s.queues.resize(fleet);
   std::vector<std::uint64_t> claims(static_cast<std::size_t>(nodes), 0);
   std::vector<char> crash_planned(static_cast<std::size_t>(nodes), 0);
   for (std::size_t t = 0; t < tiles.size(); ++t) {
-    const int owner = tiles[t].device;
-    shares[std::size_t(owner)].push_back(t);
     if (s.done.committed[t]) continue;
+    const int owner = tiles[t].device / devices;
+    TileJob job;
+    job.index = t;
+    job.mode = config.mode;
+    s.queues[std::size_t(tiles[t].device)].push_back(std::move(job));
     TileState& ts = s.state[t];
     ts.owner = owner;
     const std::uint64_t claim = ++claims[std::size_t(owner)];
@@ -1206,8 +1220,6 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   }
 
   if (s.outstanding > 0) {
-    const std::size_t fleet = std::size_t(nodes) * std::size_t(devices);
-    s.queues.resize(fleet);
     s.blacklisted.assign(fleet, 0);
     s.consecutive_failed_tiles.assign(fleet, 0);
     s.watchdog_strikes.assign(fleet, 0);
@@ -1239,26 +1251,6 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
                      std::to_string((k + 1) * devices - 1)});
       }
 
-      // Spread the node's share over its devices.  The rule runs over the
-      // whole share, tiles restored from a journal included, so a resumed
-      // run places its remaining tiles where the fresh run did.
-      const std::vector<std::size_t>& share = shares[std::size_t(k)];
-      std::vector<Tile> placed;
-      placed.reserve(share.size());
-      for (const std::size_t t : share) placed.push_back(tiles[t]);
-      if (config.assignment == TileAssignment::kLpt) {
-        assign_tiles_lpt(placed, devices);
-      } else {
-        assign_tiles_round_robin(placed, devices);
-      }
-      for (std::size_t i = 0; i < share.size(); ++i) {
-        if (s.done.committed[share[i]]) continue;  // restored from a journal
-        TileJob job;
-        job.index = share[i];
-        job.mode = config.mode;
-        s.queues[std::size_t(k * devices + placed[i].device)].push_back(
-            std::move(job));
-      }
       node.live_workers = devices;
       node.span = std::make_unique<ScopedEvent>(
           registry, "node " + std::to_string(k), k, "node");
@@ -1344,9 +1336,11 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   // ---- Final journal: a complete run leaves a complete checkpoint. ----
   if (config.checkpoint.enabled()) write_run_journal();
 
-  MatrixProfileResult out = assemble_tile_results(
-      tiles, s.done.results, s.done.executed_device, n_q, d,
-      config.streams_per_device);
+  MatrixProfileResult out =
+      assemble_tile_results(tiles, s.done.results, n_q, d);
+  const ModelReport planned = model_tiles(plan, tiles);
+  out.modeled_device_seconds = planned.device_seconds;
+  out.modeled_merge_seconds = planned.merge_seconds;
 
   // ---- Health report. ----
   out.health = std::move(health);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gpusim/perf_model.hpp"
 #include "mp/kernels.hpp"
 #include "mp/tile_plan.hpp"
@@ -65,32 +66,34 @@ TileModel model_tile(const gpusim::MachineSpec& spec, const Tile& tile,
 
 }  // namespace
 
-double model_merge_seconds(std::size_t tile_count,
-                           std::size_t q_count_per_tile, std::size_t dims) {
+double model_merge_seconds(std::size_t q_count, std::size_t dims) {
   const auto cpu = gpusim::skylake_cpu16();
   gpusim::KernelCost cost;
-  const auto qd = std::int64_t(q_count_per_tile * dims);
+  const auto qd = std::int64_t(q_count * dims);
   cost.bytes_read = qd * 24;    // tile P + I + global P
   cost.bytes_written = qd * 8;  // global P/I updates (amortised)
   cost.flops = qd;
-  return double(tile_count) *
-         (gpusim::modeled_seconds(cpu, cost) + 50e-6);  // per-tile dispatch
+  return gpusim::modeled_seconds(cpu, cost) + 50e-6;  // + merge dispatch
 }
 
-ModelReport model_matrix_profile(const ModelConfig& config) {
+std::vector<Tile> plan_tiles(const ModelConfig& config) {
   auto tiles = compute_tile_list(config.n_r, config.n_q, config.tiles);
-  if (config.assignment == TileAssignment::kLpt) {
-    assign_tiles_lpt(tiles, config.devices);
-  } else {
-    assign_tiles_round_robin(tiles, config.devices);
-  }
+  deal_tiles(tiles, config.nodes, config.devices, config.assignment);
+  return tiles;
+}
 
+ModelReport model_tiles(const ModelConfig& config,
+                        const std::vector<Tile>& tiles) {
+  const std::size_t fleet =
+      std::size_t(config.nodes) * std::size_t(config.devices);
   ModelReport report;
-  std::vector<double> kernels(std::size_t(config.devices), 0.0);
-  std::vector<double> copies(std::size_t(config.devices), 0.0);
-  std::vector<int> tile_count(std::size_t(config.devices), 0);
+  std::vector<double> kernels(fleet, 0.0);
+  std::vector<double> copies(fleet, 0.0);
+  std::vector<int> tile_count(fleet, 0);
 
   for (const auto& tile : tiles) {
+    MPSIM_CHECK(tile.device >= 0 && std::size_t(tile.device) < fleet,
+                "tile assigned outside the device range");
     const TileModel tm = dispatch_precision(
         config.mode, [&]<typename Traits>() {
           return model_tile<Traits>(config.spec, tile, config.dims,
@@ -102,12 +105,12 @@ ModelReport model_matrix_profile(const ModelConfig& config) {
     for (const auto& [name, seconds] : tm.per_kernel) {
       report.kernel_seconds[name] += seconds;
     }
-    report.merge_seconds += model_merge_seconds(1, tile.q_count, config.dims);
+    report.merge_seconds += model_merge_seconds(tile.q_count, config.dims);
   }
 
-  for (std::size_t dev = 0; dev < kernels.size(); ++dev) {
+  for (std::size_t dev = 0; dev < fleet; ++dev) {
     // Streams overlap copies with compute when a device runs several
-    // tiles; a single serialized tile pays both (same rule as execution).
+    // tiles; a single serialized tile pays both.
     const bool overlapped =
         config.streams_per_device > 1 && tile_count[dev] > 1;
     const double t = overlapped ? std::max(kernels[dev], copies[dev])
@@ -117,14 +120,12 @@ ModelReport model_matrix_profile(const ModelConfig& config) {
   return report;
 }
 
-Timeline model_timeline(const ModelConfig& config) {
-  auto tiles = compute_tile_list(config.n_r, config.n_q, config.tiles);
-  if (config.assignment == TileAssignment::kLpt) {
-    assign_tiles_lpt(tiles, config.devices);
-  } else {
-    assign_tiles_round_robin(tiles, config.devices);
-  }
+ModelReport model_matrix_profile(const ModelConfig& config) {
+  return model_tiles(config, plan_tiles(config));
+}
 
+Timeline model_timeline(const ModelConfig& config) {
+  const std::vector<Tile> tiles = plan_tiles(config);
   Timeline timeline;
   for (const auto& tile : tiles) {
     const TileModel tm = dispatch_precision(

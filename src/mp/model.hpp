@@ -2,19 +2,22 @@
 //
 // The simulator executes kernels for real, so its wall time limits the
 // problem sizes it can run — but the roofline model itself is closed-form.
-// This module evaluates exactly the accounting the execution path performs
-// (same per-launch costs, same barrier-round counts, same stream-overlap
-// and merge rules) without executing anything, which is how the benches
-// report the paper's full-scale figures (n = 2^16..2^18) next to the
-// executed-and-measured scaled runs.
+// This module evaluates it without executing anything (same per-launch
+// costs and barrier-round counts as the engine's kernel ledger), which is
+// how the benches report the paper's full-scale figures (n = 2^16..2^18)
+// next to the executed-and-measured scaled runs.  It is also the one
+// source of a run's modelled seconds: compute_matrix_profile evaluates
+// its own plan (plan_tiles) with model_tiles.
 #pragma once
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gpusim/spec.hpp"
 #include "common/trace.hpp"
 #include "mp/options.hpp"
+#include "mp/tile_plan.hpp"
 #include "precision/modes.hpp"
 
 namespace mpsim::mp {
@@ -27,7 +30,8 @@ struct ModelConfig {
   std::size_t window = 64;         ///< m
   PrecisionMode mode = PrecisionMode::FP64;
   int tiles = 1;
-  int devices = 1;
+  int nodes = 1;                   ///< simulated nodes
+  int devices = 1;                 ///< per node, as in MatrixProfileConfig
   int streams_per_device = 16;
   TileAssignment assignment = TileAssignment::kRoundRobin;
 };
@@ -40,21 +44,31 @@ struct ModelReport {
   double total_seconds() const { return device_seconds + merge_seconds; }
 };
 
-/// Evaluates the roofline model for a full run of the given shape.
+/// The plan of a run: compute_tile_list, then deal_tiles over
+/// config.nodes x config.devices.  compute_matrix_profile executes
+/// exactly this list.
+std::vector<Tile> plan_tiles(const ModelConfig& config);
+
+/// Evaluates the roofline model of a dealt tile list (Tile::device is a
+/// global id below nodes * devices): per-device makespan with the
+/// stream-overlap rule, plus the CPU-side tile merge.
+ModelReport model_tiles(const ModelConfig& config,
+                        const std::vector<Tile>& tiles);
+
+/// Evaluates the roofline model for a full run of the given shape:
+/// model_tiles of plan_tiles.
 ModelReport model_matrix_profile(const ModelConfig& config);
 
-/// Builds the modelled execution timeline of the run: per device, a
-/// "copy" lane (H2D/D2H transfers) and a "compute" lane (the per-tile
-/// kernel phases), with stream-overlapped scheduling.  Export with
-/// Timeline::write_chrome_json for chrome://tracing / Perfetto.
+/// Builds the modelled execution timeline of the planned run: per global
+/// device, a "copy" lane (H2D/D2H transfers) and a "compute" lane (the
+/// per-tile kernel phases), with stream-overlapped scheduling.  Export
+/// with Timeline::write_chrome_json for chrome://tracing / Perfetto.
 Timeline model_timeline(const ModelConfig& config);
 
-/// Modelled CPU-side merge cost of a tile set (shared with the execution
-/// path in resilient.cpp).
-double model_merge_seconds(std::size_t tile_count,
-                           std::size_t q_count_per_tile, std::size_t dims);
-
-struct Tile;
+/// Modelled CPU cost of min-merging one partial profile of q_count
+/// columns x dims into another: one tile into the global profile, or one
+/// reduction round of the cluster model (cluster/cluster.cpp).
+double model_merge_seconds(std::size_t q_count, std::size_t dims);
 
 /// Modelled device seconds (kernels + copies) of one tile — the same
 /// accounting model_matrix_profile sums per device.  The resilient

@@ -304,7 +304,8 @@ struct RunEvent {
 
   Kind kind = Kind::kRetry;
   int tile_id = -1;    ///< -1 when the event is device- not tile-scoped
-  int device = -1;     ///< -1 = none / CPU
+  int device = -1;     ///< global device id (as in RunHealth::devices),
+                       ///< or the node for kNode*; -1 = none / CPU
   std::string detail;  ///< error text, retry budget, modes, ...
 
   /// The chronological-log line this event renders as.
@@ -374,9 +375,14 @@ struct MatrixProfileResult {
   std::vector<std::int64_t> index;   ///< nearest-neighbour segment in ref
 
   double wall_seconds = 0.0;            ///< measured host execution time
-  double modeled_device_seconds = 0.0;  ///< roofline makespan across GPUs
-  double modeled_merge_seconds = 0.0;   ///< CPU-side tile merge (model)
-  std::vector<KernelBreakdownEntry> breakdown;  ///< per-kernel model time
+  /// Roofline makespan across GPUs of the run's *plan* (mp::plan_tiles
+  /// evaluated by mp::model_tiles): equal to mp::model_matrix_profile of
+  /// the same shape, and independent of faults, retries, steals,
+  /// speculation, resume and the CPU fallback.
+  double modeled_device_seconds = 0.0;
+  double modeled_merge_seconds = 0.0;   ///< planned CPU-side tile merge
+  /// Per-kernel model and host time of the attempts that committed.
+  std::vector<KernelBreakdownEntry> breakdown;
 
   RunHealth health;  ///< fault-tolerance report of the resilient scheduler
 

@@ -7,7 +7,6 @@
 #include "gpusim/stream.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/cpu_reference.hpp"
-#include "mp/model.hpp"
 #include "mp/single_tile.hpp"
 #include "mp/tile_merge.hpp"
 #include "mp/tile_plan.hpp"
@@ -15,25 +14,6 @@
 namespace mpsim::mp {
 
 namespace {
-
-/// Splits a tile ledger total into kernel vs copy seconds (the copy share
-/// can overlap compute when multiple streams are configured).
-struct TileTimes {
-  double kernels = 0.0;
-  double copies = 0.0;
-};
-
-TileTimes tile_times(const gpusim::KernelLedger& ledger) {
-  TileTimes t;
-  for (const auto& [name, stats] : ledger.all()) {
-    if (name.rfind("memcpy", 0) == 0) {
-      t.copies += stats.modeled_seconds;
-    } else {
-      t.kernels += stats.modeled_seconds;
-    }
-  }
-  return t;
-}
 
 /// Runs one attempt of a tile as a single stream task and synchronizes
 /// that stream, so any failure is attributed to this tile.
@@ -364,10 +344,9 @@ RestoredState restore_from_journals(const std::string& resume_path,
   return out;
 }
 
-MatrixProfileResult assemble_tile_results(
-    const std::vector<Tile>& tiles, std::vector<TileResult>& results,
-    const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
-    int streams_per_device) {
+MatrixProfileResult assemble_tile_results(const std::vector<Tile>& tiles,
+                                          std::vector<TileResult>& results,
+                                          std::size_t n_q, std::size_t d) {
   // ---- CPU merge (Pseudocode 2, lines 6-8). ----
   // Parallel over output columns; bit-identical to the serial merge (each
   // column sees the tiles in the same ascending order).
@@ -377,38 +356,6 @@ MatrixProfileResult assemble_tile_results(
                      "cpu");
     ThreadPool merge_pool;
     merge_tile_results(tiles, results, n_q, d, out, &merge_pool);
-  }
-
-  // ---- Modelled makespan (grouped by the device that ran each tile;
-  // device indices are global, so a multi-node run's makespan spans the
-  // whole cluster's fleet). ----
-  int device_count = 0;
-  for (const int dev : executed_device) {
-    device_count = std::max(device_count, dev + 1);
-  }
-  std::vector<TileTimes> device_time(static_cast<std::size_t>(device_count));
-  std::vector<int> device_tiles(static_cast<std::size_t>(device_count), 0);
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (executed_device[t] < 0) continue;  // CPU fallback: no device time
-    const auto tt = tile_times(results[t].ledger);
-    auto& acc = device_time[std::size_t(executed_device[t])];
-    acc.kernels += tt.kernels;
-    acc.copies += tt.copies;
-    device_tiles[std::size_t(executed_device[t])] += 1;
-  }
-  double makespan = 0.0;
-  for (std::size_t dev = 0; dev < device_time.size(); ++dev) {
-    const bool overlapped = streams_per_device > 1 && device_tiles[dev] > 1;
-    const double t = overlapped
-                         ? std::max(device_time[dev].kernels,
-                                    device_time[dev].copies)
-                         : device_time[dev].kernels + device_time[dev].copies;
-    makespan = std::max(makespan, t);
-  }
-  out.modeled_device_seconds = makespan;
-  out.modeled_merge_seconds = 0.0;
-  for (const auto& tile : tiles) {
-    out.modeled_merge_seconds += model_merge_seconds(1, tile.q_count, d);
   }
 
   // ---- Per-kernel breakdown (successful attempts only). ----

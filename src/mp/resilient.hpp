@@ -156,15 +156,13 @@ void execute_with_split(
     const std::function<void(const std::string&)>& on_split, int depth = 0);
 
 /// Assembles committed per-tile results into the final profile: the CPU
-/// column merge (Pseudocode 2, lines 6-8), the modelled makespan grouped
-/// by executing device (global indices; -1 = CPU fallback, no device
-/// time), the per-kernel breakdown (+ registry gauges) and the
-/// aggregated prefilter accounting.  health/wall_seconds are left for
-/// the caller.
-MatrixProfileResult assemble_tile_results(
-    const std::vector<Tile>& tiles, std::vector<TileResult>& results,
-    const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
-    int streams_per_device);
+/// column merge (Pseudocode 2, lines 6-8), the per-kernel breakdown of
+/// the committed attempts (+ registry gauges) and the aggregated
+/// prefilter accounting.  The modelled seconds, health and wall_seconds
+/// are left for the caller.
+MatrixProfileResult assemble_tile_results(const std::vector<Tile>& tiles,
+                                          std::vector<TileResult>& results,
+                                          std::size_t n_q, std::size_t d);
 
 /// Computes one tile on the CPU reference path (bit-identical to the FP64
 /// GPU engine) — the coordinator's last resort for tiles no node could

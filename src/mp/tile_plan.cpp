@@ -34,6 +34,15 @@ std::vector<std::pair<std::size_t, std::size_t>> split_range(
   return out;
 }
 
+/// One level of dealing: `tiles` over `n` bins by `assignment`.
+void assign_tiles(std::vector<Tile>& tiles, int n, TileAssignment assignment) {
+  if (assignment == TileAssignment::kLpt) {
+    assign_tiles_lpt(tiles, n);
+  } else {
+    assign_tiles_round_robin(tiles, n);
+  }
+}
+
 }  // namespace
 
 std::vector<Tile> compute_tile_list(std::size_t n_r, std::size_t n_q,
@@ -85,6 +94,26 @@ void assign_tiles_lpt(std::vector<Tile>& tiles, int n_devices) {
     }
     tiles[t].device = best;
     load[std::size_t(best)] += tiles[t].r_count * tiles[t].q_count;
+  }
+}
+
+void deal_tiles(std::vector<Tile>& tiles, int nodes, int devices,
+                TileAssignment assignment) {
+  MPSIM_CHECK(nodes >= 1 && devices >= 1, "need at least one device");
+  assign_tiles(tiles, nodes, assignment);
+  std::vector<std::vector<std::size_t>> shares(static_cast<std::size_t>(nodes));
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    shares[std::size_t(tiles[t].device)].push_back(t);
+  }
+  for (int k = 0; k < nodes; ++k) {
+    const std::vector<std::size_t>& share = shares[std::size_t(k)];
+    std::vector<Tile> placed;
+    placed.reserve(share.size());
+    for (const std::size_t t : share) placed.push_back(tiles[t]);
+    assign_tiles(placed, devices, assignment);
+    for (std::size_t i = 0; i < share.size(); ++i) {
+      tiles[share[i]].device = k * devices + placed[i].device;
+    }
   }
 }
 

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "mp/options.hpp"
+
 namespace mpsim::mp {
 
 struct Tile {
@@ -20,7 +22,7 @@ struct Tile {
   std::size_t r_count = 0;
   std::size_t q_begin = 0;  ///< first query segment of the tile
   std::size_t q_count = 0;
-  int device = 0;           ///< assigned by assign_tiles_round_robin
+  int device = 0;           ///< global device, assigned by deal_tiles
   int id = 0;
 };
 
@@ -49,6 +51,15 @@ void assign_tiles_round_robin(std::vector<Tile>& tiles, int n_devices);
 /// (§V-C: "inefficiencies when using odd numbers of GPUs"), especially
 /// when tiles are unevenly sized.
 void assign_tiles_lpt(std::vector<Tile>& tiles, int n_devices);
+
+/// Pseudocode 2's assign_tile over a cluster of `nodes` x `devices`:
+/// deals the tiles to nodes by `assignment`, then spreads each node's
+/// whole share over that node's devices by the same rule.  Tile::device
+/// is the global device id, node * devices + local, so a tile's node is
+/// device / devices.  With one node this is assign_tiles_*(devices).
+/// Every run, and every model of a run, places its tiles here.
+void deal_tiles(std::vector<Tile>& tiles, int nodes, int devices,
+                TileAssignment assignment);
 
 /// Makespan (in tile-area units) of an assignment — the quantity LPT
 /// minimises; exposed for the scheduling ablation and tests.

@@ -5,8 +5,9 @@
 #   1. an N-node run, across all 5 precision modes x both row paths;
 #   2. a run killed mid-tile on N nodes and resumed on M != N nodes;
 #   3. a resume whose journal was written under a *different tile grid*.
-# Also checks the coordinator.* / node.* metrics counters and the node
-# lifecycle spans in --trace-out.  Driven by CTest; $1 = build dir.
+# Also checks the coordinator.* / node.* metrics counters, the node
+# lifecycle spans in --trace-out, and that the modelled time a run prints
+# is the same across repeats and faults.  Driven by CTest; $1 = build dir.
 set -euo pipefail
 BUILD=$1
 WORK=$(mktemp -d)
@@ -114,5 +115,18 @@ grep -q '"node 1"' "$WORK/trace.json"
     --output="$WORK/crash.csv" > "$WORK/crash.log"
 cmp "$WORK/one_Mixed_auto.csv" "$WORK/crash.csv"
 grep -q "node 1 crashed" "$WORK/crash.log"
+
+# --- Repeatability: a run reports the model of its plan, so identical
+# stealing 3-node runs print one modelled time, and a device fault (a
+# retry) does not move it.
+for i in 1 2 3 4 5; do
+  "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=3 \
+      > "$WORK/repeat_$i.log"
+done
+"$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=3 \
+    --faults="seed=1,kernel@1:at=1" > "$WORK/repeat_fault.log"
+times=$(grep -ho 'modeled A100 time: [0-9.]* s' "$WORK"/repeat_*.log)
+[ "$(printf '%s\n' "$times" | wc -l)" -eq 6 ]
+[ "$(printf '%s\n' "$times" | sort -u | wc -l)" -eq 1 ]
 
 echo "cli cluster OK"

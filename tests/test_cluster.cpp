@@ -12,9 +12,13 @@
 
 #include "cluster/cluster.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/shutdown.hpp"
+#include "gpusim/faults.hpp"
+#include "gpusim/spec.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/matrix_profile.hpp"
+#include "mp/model.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::cluster {
@@ -52,7 +56,6 @@ TEST(Cluster, ComputeTimeShrinksWithNodes) {
   config.window = 16;
   config.tiles = 16;
   config.devices = 2;
-  config.steal = false;  // static shards: the makespan is deterministic
 
   config.nodes = 1;
   const auto one =
@@ -385,6 +388,107 @@ TEST(ElasticCoordinator, NodeLifecycleSpansAppearInTheTimeline) {
   std::remove(trace.c_str());
   registry.set_enabled(false);
   registry.reset();
+}
+
+TEST(ElasticCoordinator, EventsNameGlobalDevices) {
+  // 4 tiles over 2 nodes x 1 device, no stealing: tile 1 runs on node 1,
+  // whose only device is global device 1, and its first kernel faults.
+  // Every device an event names is the one RunHealth charged the fault to.
+  const auto data = small_dataset();
+  gpusim::FaultInjector injector;
+  injector.configure("seed=1,kernel@1:at=1");
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 4;
+  config.devices = 1;
+  config.nodes = 2;
+  config.steal = false;
+  config.fault_injector = &injector;
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+
+  std::map<int, int> faults;  // global device -> faults charged to it
+  for (const auto& status : result.health.devices) {
+    faults[status.device] = status.faults;
+  }
+  EXPECT_EQ(faults[1], 1);
+  int named = 0;
+  for (const auto& event : result.health.events) {
+    if (event.kind != mp::RunEvent::Kind::kRetry &&
+        event.kind != mp::RunEvent::Kind::kRetriesExhausted) {
+      continue;
+    }
+    named += 1;
+    EXPECT_GT(faults[event.device], 0) << event.to_string();
+  }
+  EXPECT_EQ(named, 1);
+}
+
+/// What mp::model_matrix_profile says a run of `config` over `data` costs.
+mp::ModelReport planned_model(const SyntheticDataset& data,
+                              const mp::MatrixProfileConfig& config) {
+  mp::ModelConfig model;
+  model.spec = gpusim::spec_by_name(config.machine);
+  model.n_r = data.reference.segment_count(config.window);
+  model.n_q = data.query.segment_count(config.window);
+  model.dims = data.reference.dims();
+  model.window = config.window;
+  model.mode = config.mode;
+  model.tiles = config.tiles;
+  model.nodes = config.nodes;
+  model.devices = config.devices;
+  model.streams_per_device = config.streams_per_device;
+  model.assignment = config.assignment;
+  return mp::model_matrix_profile(model);
+}
+
+TEST(PlannedModel, RunsReportTheirPlanWhateverHappened) {
+  // Generated shapes x the paper's five modes x tiles x devices x nodes,
+  // stealing on.  A clean run, its repeat and a run with one seeded
+  // device fault all report exactly the model of the plan.
+  Rng rng(21);
+  for (int c = 0; c < 10; ++c) {
+    SyntheticSpec spec;
+    spec.window = 8 + 4 * std::size_t(rng.uniform_index(3));
+    spec.segments = 4 * spec.window + std::size_t(rng.uniform_index(160));
+    spec.dims = 1 + std::size_t(rng.uniform_index(3));
+    spec.injections_per_dim = 1;
+    spec.seed = std::uint64_t(c) + 1;
+    const auto data = make_synthetic_dataset(spec);
+
+    mp::MatrixProfileConfig config;
+    config.window = spec.window;
+    config.mode = kAllPrecisionModes[c % 5];
+    config.tiles = 1 + int(rng.uniform_index(8));
+    config.devices = 1 + int(rng.uniform_index(3));
+    config.nodes = 1 + int(rng.uniform_index(3));
+    config.assignment = rng.uniform_index(2) == 0
+                            ? mp::TileAssignment::kRoundRobin
+                            : mp::TileAssignment::kLpt;
+    const int faulty = int(rng.uniform_index(
+        std::uint64_t(config.devices) * std::uint64_t(config.nodes)));
+    const auto expected = planned_model(data, config);
+    const std::string label =
+        to_string(config.mode) + " n=" + std::to_string(spec.segments) +
+        " d=" + std::to_string(spec.dims) +
+        " tiles=" + std::to_string(config.tiles) +
+        " devices=" + std::to_string(config.devices) +
+        " nodes=" + std::to_string(config.nodes) +
+        " fault on " + std::to_string(faulty);
+
+    gpusim::FaultInjector injector;
+    injector.configure("seed=" + std::to_string(c + 1) + ",kernel@" +
+                       std::to_string(faulty) + ":at=1");
+    for (int run = 0; run < 3; ++run) {
+      config.fault_injector = run == 2 ? &injector : nullptr;
+      const auto result =
+          mp::compute_matrix_profile(data.reference, data.query, config);
+      EXPECT_EQ(result.modeled_device_seconds, expected.device_seconds)
+          << label << " run " << run;
+      EXPECT_EQ(result.modeled_merge_seconds, expected.merge_seconds)
+          << label << " run " << run;
+    }
+  }
 }
 
 TEST(ElasticCoordinator, ValidatesNodeCount) {

@@ -246,7 +246,9 @@ TEST(ResilientScheduler, AllDevicesLostFallsBackToCpu) {
   // No device ran anything to completion.
   EXPECT_EQ(faulty.health.devices[0].tiles_completed, 0);
   EXPECT_EQ(faulty.health.devices[1].tiles_completed, 0);
-  EXPECT_EQ(faulty.modeled_device_seconds, 0.0);
+  // The modelled seconds are the plan's, not the executing devices'.
+  EXPECT_EQ(faulty.modeled_device_seconds, clean.modeled_device_seconds);
+  EXPECT_EQ(faulty.modeled_merge_seconds, clean.modeled_merge_seconds);
 }
 
 TEST(ResilientScheduler, CpuFallbackCanBeDisabled) {

@@ -151,8 +151,8 @@ TEST(ReducedPrecisionModel, HalfModesModelFasterThanFp64AtPaperScale) {
 }
 
 TEST(ReducedPrecisionModel, AnalyticModelMatchesExecutedAccounting) {
-  // The analytic model and the executing engine share cost functions and
-  // overlap/merge rules; on an executable problem they must agree.
+  // A run reports the model of the very plan it executed, so the analytic
+  // model of the same shape agrees with it exactly.
   SyntheticSpec spec;
   spec.segments = 300;
   spec.dims = 4;
@@ -179,10 +179,8 @@ TEST(ReducedPrecisionModel, AnalyticModelMatchesExecutedAccounting) {
   model_config.devices = 2;
   const auto modeled = model_matrix_profile(model_config);
 
-  EXPECT_NEAR(modeled.device_seconds, executed.modeled_device_seconds,
-              1e-9 + 0.001 * executed.modeled_device_seconds);
-  EXPECT_NEAR(modeled.merge_seconds, executed.modeled_merge_seconds,
-              1e-9 + 0.001 * executed.modeled_merge_seconds);
+  EXPECT_EQ(modeled.device_seconds, executed.modeled_device_seconds);
+  EXPECT_EQ(modeled.merge_seconds, executed.modeled_merge_seconds);
 }
 
 TEST(ReducedPrecisionStress, FlatRegionsDegradeGracefully) {

@@ -159,6 +159,75 @@ TEST(LptAssignment, DeterministicAndInRange) {
   }
 }
 
+/// The one-level rule deal_tiles applies at both levels.
+void assign(std::vector<Tile>& tiles, int n, TileAssignment assignment) {
+  if (assignment == TileAssignment::kLpt) {
+    assign_tiles_lpt(tiles, n);
+  } else {
+    assign_tiles_round_robin(tiles, n);
+  }
+}
+
+TEST(DealTiles, OneNodeIsTheDeviceAssignment) {
+  for (const auto assignment :
+       {TileAssignment::kRoundRobin, TileAssignment::kLpt}) {
+    for (const int n_tiles : {1, 4, 6, 7, 12, 16}) {
+      for (const int devices : {1, 2, 3, 5}) {
+        auto expected = compute_tile_list(777, 555, n_tiles);
+        auto dealt = expected;
+        assign(expected, devices, assignment);
+        deal_tiles(dealt, 1, devices, assignment);
+        for (std::size_t i = 0; i < dealt.size(); ++i) {
+          EXPECT_EQ(dealt[i].device, expected[i].device)
+              << n_tiles << " tiles, " << devices << " devices, tile " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DealTiles, EachNodeSpreadsItsShareOverItsDevices) {
+  for (const auto assignment :
+       {TileAssignment::kRoundRobin, TileAssignment::kLpt}) {
+    for (const int n_tiles : {4, 6, 7, 12, 16}) {
+      for (const int nodes : {2, 3, 4}) {
+        for (const int devices : {1, 2, 3}) {
+          auto by_node = compute_tile_list(777, 555, n_tiles);
+          auto dealt = by_node;
+          assign(by_node, nodes, assignment);
+          deal_tiles(dealt, nodes, devices, assignment);
+          for (int k = 0; k < nodes; ++k) {
+            std::vector<std::size_t> share;
+            std::vector<Tile> placed;
+            for (std::size_t t = 0; t < by_node.size(); ++t) {
+              if (by_node[t].device != k) continue;
+              share.push_back(t);
+              placed.push_back(by_node[t]);
+            }
+            assign(placed, devices, assignment);
+            for (std::size_t i = 0; i < share.size(); ++i) {
+              EXPECT_EQ(dealt[share[i]].device,
+                        k * devices + placed[i].device)
+                  << n_tiles << " tiles, " << nodes << " nodes x "
+                  << devices << " devices, tile " << share[i];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DealTiles, RoundRobinOverThreeNodesOfTwo) {
+  // Nodes take tiles 0,3 | 1,4 | 2,5; each node's two devices alternate.
+  auto tiles = compute_tile_list(600, 600, 6);
+  deal_tiles(tiles, 3, 2, TileAssignment::kRoundRobin);
+  const std::vector<int> expected{0, 2, 4, 1, 3, 5};
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    EXPECT_EQ(tiles[i].device, expected[i]) << "tile " << i;
+  }
+}
+
 TEST(AssignmentMakespan, ValidatesDeviceRange) {
   auto tiles = compute_tile_list(100, 100, 4);
   assign_tiles_round_robin(tiles, 4);
