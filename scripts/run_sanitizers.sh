@@ -7,7 +7,7 @@
 # (build-tsan / build-asan) so the regular build/ stays untouched.
 # Benchmarks are skipped: google-benchmark is rarely built with the
 # sanitizer runtimes, and the unit + integration tests cover the
-# concurrency paths (streams, resilient scheduler) the sanitizers exist
+# concurrency paths (device workers, resilient scheduler) the sanitizers exist
 # to check.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -53,7 +53,6 @@ ClusterModelReport model_cluster(std::size_t n_r, std::size_t n_q,
   model.tiles = config.tiles;
   model.nodes = config.nodes;
   model.devices = config.devices_per_node;
-  model.streams_per_device = config.streams_per_device;
   const auto report = mp::model_matrix_profile(model);
 
   ClusterModelReport out;

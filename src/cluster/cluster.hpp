@@ -36,7 +36,6 @@ struct ClusterConfig {
   std::size_t window = 64;
   PrecisionMode mode = PrecisionMode::FP64;
   int tiles = 16;                 ///< total tiles across the cluster
-  int streams_per_device = 16;
 };
 
 /// Analytic model of the cluster run (no execution) for paper-scale

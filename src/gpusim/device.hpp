@@ -1,6 +1,7 @@
 // Simulated GPU device: a MachineSpec, a worker pool that actually executes
-// kernel bodies, a device-memory allocator with capacity accounting, and a
-// KernelLedger accumulating modelled execution time.
+// kernel bodies and a device-memory allocator with capacity accounting.
+// Launches record their modelled time in the KernelLedger their caller
+// passes (kernel.hpp), not on the device.
 //
 // The simulation is *functionally real*: kernels run genuine arithmetic on
 // host threads (so every accuracy result in the paper's figures is
@@ -16,7 +17,6 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "gpusim/perf_model.hpp"
 #include "gpusim/spec.hpp"
 
 namespace mpsim::gpusim {
@@ -34,8 +34,6 @@ class Device {
   const MachineSpec& spec() const { return spec_; }
   int index() const { return index_; }
   ThreadPool& pool() { return pool_; }
-  KernelLedger& ledger() { return ledger_; }
-  const KernelLedger& ledger() const { return ledger_; }
 
   /// Raw device-memory bookkeeping (used by DeviceBuffer).
   void allocate_bytes(std::size_t bytes);
@@ -61,7 +59,6 @@ class Device {
   MachineSpec spec_;
   int index_;
   ThreadPool pool_;
-  KernelLedger ledger_;
   std::atomic<std::size_t> bytes_in_use_{0};
   std::atomic<std::size_t> peak_bytes_{0};
   std::atomic<FaultInjector*> fault_injector_{nullptr};

@@ -19,8 +19,9 @@
 //    identical to lockstep execution with barriers.  Barrier rounds are
 //    counted and fed to the roofline model's synchronisation term.
 //
-// Both shapes record their KernelCost and modelled time in the device
-// ledger, and optionally run asynchronously on a Stream.
+// Both shapes run synchronously on the calling thread (their bodies on the
+// device's worker pool) and record their KernelCost and modelled time in
+// the ledger the caller passes, if any.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,7 @@
 #include "gpusim/cancel.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/faults.hpp"
-#include "gpusim/stream.hpp"
+#include "gpusim/perf_model.hpp"
 
 namespace mpsim::gpusim {
 
@@ -90,14 +91,12 @@ class GroupContext {
 
 namespace detail {
 
-inline void record_launch(Device& device, const std::string& name,
-                          const KernelCost& cost, KernelLedger* extra,
+inline void record_launch(const Device& device, const std::string& name,
+                          const KernelCost& cost, KernelLedger* ledger,
                           double measured_seconds) {
-  const double seconds = modeled_seconds(device.spec(), cost);
-  device.ledger().record(name, cost, seconds, measured_seconds);
-  if (extra != nullptr) {
-    extra->record(name, cost, seconds, measured_seconds);
-  }
+  if (ledger == nullptr) return;
+  ledger->record(name, cost, modeled_seconds(device.spec(), cost),
+                 measured_seconds);
 }
 
 }  // namespace detail
@@ -134,45 +133,35 @@ inline void validate_group_shared_mem(const Device& device,
 /// across execution paths.  `cost.barrier_rounds` must be pre-filled by
 /// the caller for cooperative kernels (the fused pass runs no simulated
 /// barriers to measure).
-inline void record_fused_launch(Device& device, const std::string& name,
+inline void record_fused_launch(const Device& device, const std::string& name,
                                 const LaunchConfig& config, KernelCost cost,
-                                KernelLedger* extra_ledger,
+                                KernelLedger* ledger,
                                 double measured_seconds) {
   cost.occupancy = config.occupancy(device.spec());
-  detail::record_launch(device, name, cost, extra_ledger, measured_seconds);
+  detail::record_launch(device, name, cost, ledger, measured_seconds);
 }
 
-/// Launches an embarrassingly parallel kernel over [0, n).
-/// `body(begin, end)` processes a contiguous chunk; it is invoked
-/// concurrently from the device pool.  If `stream` is non-null, the launch
-/// is enqueued asynchronously; otherwise it runs synchronously.
-/// `extra_ledger` (optional) additionally receives the launch record —
-/// the multi-tile scheduler uses it for per-tile makespan accounting.
+/// Launches an embarrassingly parallel kernel over [0, n) and returns
+/// when it has finished.  `body(begin, end)` processes a contiguous chunk;
+/// it is invoked concurrently from the device pool.  `ledger` (optional)
+/// receives the launch record — the tile engine passes its tile's ledger.
 /// `cancel` (optional) is polled when the launch's work starts: a
 /// cancelled attempt unwinds with CancelledError instead of executing.
 inline void launch_grid_stride(
-    Device& device, Stream* stream, const std::string& name,
-    LaunchConfig config, std::int64_t n, KernelCost cost,
-    std::function<void(std::int64_t, std::int64_t)> body,
-    KernelLedger* extra_ledger = nullptr,
+    Device& device, const std::string& name, LaunchConfig config,
+    std::int64_t n, KernelCost cost,
+    const std::function<void(std::int64_t, std::int64_t)>& body,
+    KernelLedger* ledger = nullptr,
     const CancellationToken* cancel = nullptr) {
   cost.occupancy = config.occupancy(device.spec());
-  auto run = [&device, name, cost, n, body = std::move(body), extra_ledger,
-              cancel] {
-    if (cancel != nullptr) cancel->poll(name.c_str());
-    device.fault_point(FaultSite::kKernelLaunch, name, cancel);
-    Stopwatch watch;
-    device.pool().parallel_for(
-        std::size_t(n), [&body](std::size_t begin, std::size_t end) {
-          body(std::int64_t(begin), std::int64_t(end));
-        });
-    detail::record_launch(device, name, cost, extra_ledger, watch.seconds());
-  };
-  if (stream != nullptr) {
-    stream->enqueue(std::move(run));
-  } else {
-    run();
-  }
+  if (cancel != nullptr) cancel->poll(name.c_str());
+  device.fault_point(FaultSite::kKernelLaunch, name, cancel);
+  Stopwatch watch;
+  device.pool().parallel_for(
+      std::size_t(n), [&body](std::size_t begin, std::size_t end) {
+        body(std::int64_t(begin), std::int64_t(end));
+      });
+  detail::record_launch(device, name, cost, ledger, watch.seconds());
 }
 
 /// Launches a cooperative kernel with `group_count` groups of `lane_count`
@@ -184,101 +173,70 @@ inline void launch_grid_stride(
 /// whose resident groups cannot fit in an SM's shared memory is rejected,
 /// exactly as a CUDA launch would fail.
 inline void launch_cooperative(
-    Device& device, Stream* stream, const std::string& name,
-    LaunchConfig config, std::int64_t group_count, std::int64_t lane_count,
-    KernelCost cost, std::function<void(GroupContext&)> body,
-    KernelLedger* extra_ledger = nullptr,
-    std::size_t shared_bytes_per_group = 0,
+    Device& device, const std::string& name, LaunchConfig config,
+    std::int64_t group_count, std::int64_t lane_count, KernelCost cost,
+    const std::function<void(GroupContext&)>& body,
+    KernelLedger* ledger = nullptr, std::size_t shared_bytes_per_group = 0,
     const CancellationToken* cancel = nullptr) {
   validate_group_shared_mem(device, name, lane_count, shared_bytes_per_group);
   cost.occupancy = config.occupancy(device.spec());
-  auto run = [&device, name, cost, group_count, lane_count,
-              body = std::move(body), extra_ledger, cancel]() mutable {
-    if (cancel != nullptr) cancel->poll(name.c_str());
-    device.fault_point(FaultSite::kKernelLaunch, name, cancel);
-    Stopwatch watch;
-    std::atomic<std::int64_t> max_barriers{0};
-    device.pool().parallel_for(
-        std::size_t(group_count),
-        [&](std::size_t begin, std::size_t end) {
-          std::int64_t local_max = 0;
-          for (std::size_t g = begin; g < end; ++g) {
-            GroupContext ctx(std::int64_t(g), lane_count);
-            body(ctx);
-            local_max = std::max(local_max, ctx.barrier_count());
-          }
-          std::int64_t seen = max_barriers.load();
-          while (local_max > seen &&
-                 !max_barriers.compare_exchange_weak(seen, local_max)) {
-          }
-        });
-    // Device-wide synchronisation repeats once per occupancy wave: a
-    // launch with more logical threads than the device holds resident
-    // pays its barrier rounds once per wave (mirrored in mp/model.cpp).
-    cost.barrier_rounds =
-        max_barriers.load() *
-        device.spec().wave_count(group_count * lane_count);
-    detail::record_launch(device, name, cost, extra_ledger, watch.seconds());
-  };
-  if (stream != nullptr) {
-    stream->enqueue(std::move(run));
-  } else {
-    run();
-  }
+  if (cancel != nullptr) cancel->poll(name.c_str());
+  device.fault_point(FaultSite::kKernelLaunch, name, cancel);
+  Stopwatch watch;
+  std::atomic<std::int64_t> max_barriers{0};
+  device.pool().parallel_for(
+      std::size_t(group_count), [&](std::size_t begin, std::size_t end) {
+        std::int64_t local_max = 0;
+        for (std::size_t g = begin; g < end; ++g) {
+          GroupContext ctx(std::int64_t(g), lane_count);
+          body(ctx);
+          local_max = std::max(local_max, ctx.barrier_count());
+        }
+        std::int64_t seen = max_barriers.load();
+        while (local_max > seen &&
+               !max_barriers.compare_exchange_weak(seen, local_max)) {
+        }
+      });
+  // Device-wide synchronisation repeats once per occupancy wave: a launch
+  // with more logical threads than the device holds resident pays its
+  // barrier rounds once per wave (mirrored in mp/model.cpp).
+  cost.barrier_rounds = max_barriers.load() *
+                        device.spec().wave_count(group_count * lane_count);
+  detail::record_launch(device, name, cost, ledger, watch.seconds());
 }
 
 /// Models (and performs) a host->device copy of `count` elements.
 template <typename T>
-void async_copy_h2d(Device& device, Stream* stream, const T* host,
-                    DeviceBuffer<T>& dst, std::size_t count,
-                    KernelLedger* extra_ledger = nullptr,
+void async_copy_h2d(Device& device, const T* host, DeviceBuffer<T>& dst,
+                    std::size_t count, KernelLedger* ledger = nullptr,
                     const CancellationToken* cancel = nullptr) {
-  auto run = [&device, host, &dst, count, extra_ledger, cancel] {
-    if (cancel != nullptr) cancel->poll("memcpy_h2d");
-    device.fault_point(FaultSite::kCopyH2D, "memcpy_h2d", cancel);
-    MPSIM_CHECK(count <= dst.size(), "h2d copy overruns device buffer");
-    std::copy(host, host + count, dst.data());
-    const auto bytes = std::int64_t(count * sizeof(T));
-    KernelCost cost;
-    cost.bytes_written = bytes;
-    const double seconds = modeled_copy_seconds(device.spec(), bytes);
-    device.ledger().record("memcpy_h2d", cost, seconds);
-    if (extra_ledger != nullptr) {
-      extra_ledger->record("memcpy_h2d", cost, seconds);
-    }
-  };
-  if (stream != nullptr) {
-    stream->enqueue(std::move(run));
-  } else {
-    run();
-  }
+  if (cancel != nullptr) cancel->poll("memcpy_h2d");
+  device.fault_point(FaultSite::kCopyH2D, "memcpy_h2d", cancel);
+  MPSIM_CHECK(count <= dst.size(), "h2d copy overruns device buffer");
+  std::copy(host, host + count, dst.data());
+  const auto bytes = std::int64_t(count * sizeof(T));
+  if (ledger == nullptr) return;
+  KernelCost cost;
+  cost.bytes_written = bytes;
+  ledger->record("memcpy_h2d", cost,
+                 modeled_copy_seconds(device.spec(), bytes));
 }
 
 /// Models (and performs) a device->host copy of `count` elements.
 template <typename T>
-void async_copy_d2h(Device& device, Stream* stream, const DeviceBuffer<T>& src,
-                    T* host, std::size_t count,
-                    KernelLedger* extra_ledger = nullptr,
+void async_copy_d2h(Device& device, const DeviceBuffer<T>& src, T* host,
+                    std::size_t count, KernelLedger* ledger = nullptr,
                     const CancellationToken* cancel = nullptr) {
-  auto run = [&device, &src, host, count, extra_ledger, cancel] {
-    if (cancel != nullptr) cancel->poll("memcpy_d2h");
-    device.fault_point(FaultSite::kCopyD2H, "memcpy_d2h", cancel);
-    MPSIM_CHECK(count <= src.size(), "d2h copy overruns device buffer");
-    std::copy(src.data(), src.data() + count, host);
-    const auto bytes = std::int64_t(count * sizeof(T));
-    KernelCost cost;
-    cost.bytes_read = bytes;
-    const double seconds = modeled_copy_seconds(device.spec(), bytes);
-    device.ledger().record("memcpy_d2h", cost, seconds);
-    if (extra_ledger != nullptr) {
-      extra_ledger->record("memcpy_d2h", cost, seconds);
-    }
-  };
-  if (stream != nullptr) {
-    stream->enqueue(std::move(run));
-  } else {
-    run();
-  }
+  if (cancel != nullptr) cancel->poll("memcpy_d2h");
+  device.fault_point(FaultSite::kCopyD2H, "memcpy_d2h", cancel);
+  MPSIM_CHECK(count <= src.size(), "d2h copy overruns device buffer");
+  std::copy(src.data(), src.data() + count, host);
+  const auto bytes = std::int64_t(count * sizeof(T));
+  if (ledger == nullptr) return;
+  KernelCost cost;
+  cost.bytes_read = bytes;
+  ledger->record("memcpy_d2h", cost,
+                 modeled_copy_seconds(device.spec(), bytes));
 }
 
 }  // namespace mpsim::gpusim

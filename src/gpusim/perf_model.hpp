@@ -68,7 +68,8 @@ struct KernelStats {
   double measured_seconds = 0.0; ///< summed host wall time (diagnostics)
 };
 
-/// Thread-safe per-device ledger of kernel launches and copies.
+/// Thread-safe ledger of kernel launches and copies; the tile engine keeps
+/// one per tile attempt (TileResult::ledger).
 class KernelLedger {
  public:
   void record(const std::string& kernel, const KernelCost& cost,

@@ -14,10 +14,12 @@
 // per-device queues of every node, blacklists, watchdog strikes, the
 // in-flight attempt map, each node's partial slices and crash flag, and
 // one RunHealth.  Each node is a private gpusim::System fleet whose
-// device workers pop, run and commit tiles against that state directly;
-// any commit, crash or interrupt wakes every idle worker at once.  A
-// single monitor thread handles shutdown, the per-attempt watchdog,
-// in-node speculation and cross-node straggler duplication.
+// device workers — one thread per device — pop, run and commit tiles
+// against that state directly; every tile attempt runs on its device
+// worker's own thread.  Any commit, crash or interrupt wakes every idle
+// worker at once.  A single monitor thread handles shutdown, the
+// per-attempt watchdog, in-node speculation and cross-node straggler
+// duplication.
 //
 //  * dealing — mp::plan_tiles (deal_tiles: config.assignment over
 //    nodes, then over each node's whole share of devices, restored tiles
@@ -94,7 +96,6 @@
 #include "gpusim/cancel.hpp"
 #include "gpusim/faults.hpp"
 #include "gpusim/spec.hpp"
-#include "gpusim/stream.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/model.hpp"
@@ -222,11 +223,10 @@ struct TileState {
 };
 
 /// Per-node state.  Everything but the journal I/O lock is guarded by
-/// Scheduler::mutex; system, streams and journal_path are fixed before
-/// the workers start.
+/// Scheduler::mutex; system and journal_path are fixed before the
+/// workers start.
 struct NodeState {
   std::unique_ptr<gpusim::System> system;
-  std::vector<std::unique_ptr<gpusim::StreamPool>> streams;  ///< per device
   std::string journal_path;          ///< "" = not journalling
   std::mutex journal_io;             ///< serialises this node's writes
   std::set<std::size_t> unstarted;   ///< owned, queued, stealable tiles
@@ -629,7 +629,7 @@ void watchdog_locked(Scheduler& s) {
     NodeState& node = s.nodes[std::size_t(k)];
     if (node.wall_per_modeled <= 0.0) continue;  // no calibration yet
     const double deadline =
-        std::max(rc.watchdog_min_deadline_ms * 1e-3,
+        std::max(kWatchdogMinDeadlineMs * 1e-3,
                  rc.watchdog_slack * node.wall_per_modeled *
                      attempt.modeled_seconds);
     const double elapsed = now - attempt.start_seconds;
@@ -665,7 +665,7 @@ void watchdog_locked(Scheduler& s) {
     // other healthy device the overdue attempt is cancelled instead,
     // turning the hang into an ordinary retry on whatever device remains.
     const std::size_t t = attempt.job_index;
-    if (rc.speculate && s.done.committed[t] == 0 && node.backups[t] == 0) {
+    if (s.done.committed[t] == 0 && node.backups[t] == 0) {
       int target = -1;
       std::size_t best = 0;
       for (int dev = k * s.devices; dev < (k + 1) * s.devices; ++dev) {
@@ -701,7 +701,7 @@ void duplicate_stragglers_locked(Scheduler& s) {
   if (s.wall_ewma <= 0.0) return;
   const ResilienceConfig& rc = s.config().resilience;
   const double deadline = std::max(s.wall_ewma * rc.watchdog_slack,
-                                   rc.watchdog_min_deadline_ms / 1000.0);
+                                   kWatchdogMinDeadlineMs / 1000.0);
   const double now = s.clock->seconds();
   bool offered = false;
   for (std::size_t t = 0; t < s.state.size(); ++t) {
@@ -736,7 +736,7 @@ void monitor_thread(Scheduler& s) {
       interrupt_locked(s);
     }
     if (rc.watchdog && !s.interrupted) watchdog_locked(s);
-    if (rc.watchdog && rc.speculate && s.nodes.size() > 1) {
+    if (rc.watchdog && s.nodes.size() > 1) {
       duplicate_stragglers_locked(s);
     }
   }
@@ -755,7 +755,6 @@ void device_worker(Scheduler& s, int g) {
   const int first = k * s.devices;
   NodeState& node = s.nodes[std::size_t(k)];
   gpusim::Device& device = node.system->device(local);
-  gpusim::StreamPool& streams = *node.streams[std::size_t(local)];
   gpusim::CancellationToken token;
   for (;;) {
     TileJob job;
@@ -884,8 +883,8 @@ void device_worker(Scheduler& s, int g) {
           announced = true;
           fire_node_fault(s, k, t, &token);
         }
-        execute_with_split(s.run, device, streams, job.mode, tile, attempt,
-                           &token, slice_ptr, on_split);
+        execute_with_split(s.run, device, job.mode, tile, attempt, &token,
+                           slice_ptr, on_split);
       } catch (const NodeFailedError& e) {
         // The simulated *node* is gone.  Its journal is deliberately NOT
         // flushed (a crashed node does not get a last orderly write).
@@ -939,7 +938,7 @@ void device_worker(Scheduler& s, int g) {
                             std::to_string(rc.max_retries)});
           lock.unlock();
           std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              std::ldexp(rc.backoff_ms, job.retries_here - 1)));
+              std::ldexp(kRetryBackoffMs, job.retries_here - 1)));
           continue;  // retry on the same device
         }
         // Retry budget spent here: the device failed this whole tile.
@@ -1120,7 +1119,6 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   plan.tiles = config.tiles;
   plan.nodes = nodes;
   plan.devices = devices;
-  plan.streams_per_device = config.streams_per_device;
   plan.assignment = config.assignment;
   const std::vector<Tile> tiles = plan_tiles(plan);
 
@@ -1229,11 +1227,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
           node_spec(config), devices, node_workers(config),
           /*index_base=*/k * devices);
       node.system->attach_fault_injector(config.fault_injector);
-      // One stream pool per device; a tile occupies one stream per
-      // attempt so the stream's error capture isolates failures per tile.
       for (int dev = 0; dev < devices; ++dev) {
-        node.streams.push_back(std::make_unique<gpusim::StreamPool>(
-            node.system->device(dev), config.streams_per_device));
         RunHealth::DeviceStatus status;
         status.device = k * devices + dev;
         health.devices.push_back(status);
@@ -1271,6 +1265,9 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     }
     s.cv.notify_all();
     monitor.join();
+    // Nothing runs on the fleets any more: stop their pools before the
+    // tile merge starts its own.
+    for (NodeState& node : s.nodes) node.system.reset();
   }
 
   // The journal of the whole run: committed tiles plus the furthest
@@ -1337,7 +1334,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   if (config.checkpoint.enabled()) write_run_journal();
 
   MatrixProfileResult out =
-      assemble_tile_results(tiles, s.done.results, n_q, d);
+      assemble_tile_results(tiles, s.done.results, n_q, d, config.workers);
   const ModelReport planned = model_tiles(plan, tiles);
   out.modeled_device_seconds = planned.device_seconds;
   out.modeled_merge_seconds = planned.merge_seconds;

@@ -1,5 +1,8 @@
 #include "mp/matrix_profile.hpp"
 
+#include <cmath>
+#include <string>
+
 namespace mpsim::mp {
 
 void validate_config(const TimeSeries& reference, const TimeSeries& query,
@@ -24,11 +27,8 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
     throw ConfigError(
         "nodes must be <= 64 (resume probes that many side journals)");
   }
-  if (config.streams_per_device < 1 || config.streams_per_device > 16) {
-    throw ConfigError("streams_per_device must be in [1, 16]");
-  }
   // The backoff doubles per retry: 16 retries already sleep
-  // 2^15 x backoff_ms before the last one.
+  // 2^15 x kRetryBackoffMs before the last one.
   if (config.resilience.max_retries < 0 ||
       config.resilience.max_retries > 16) {
     throw ConfigError("resilience.max_retries (--max-retries) must be in "
@@ -38,12 +38,18 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.resilience.blacklist_after < 1) {
     throw ConfigError("resilience.blacklist_after must be >= 1");
   }
-  if (config.resilience.watchdog_slack <= 0.0 ||
-      config.resilience.watchdog_poll_ms <= 0.0) {
-    throw ConfigError("watchdog slack and poll period must be > 0");
+  // Written so NaN fails too: a NaN slack collapses every deadline to
+  // the kWatchdogMinDeadlineMs floor.
+  const auto positive_finite = [](double v) {
+    return std::isfinite(v) && v > 0.0;
+  };
+  if (!positive_finite(config.resilience.watchdog_slack)) {
+    throw ConfigError("watchdog slack (--watchdog-slack) must be finite and "
+                      "> 0, got " +
+                      std::to_string(config.resilience.watchdog_slack));
   }
-  if (config.resilience.max_tile_splits < 0) {
-    throw ConfigError("resilience.max_tile_splits must be >= 0");
+  if (!positive_finite(config.resilience.watchdog_poll_ms)) {
+    throw ConfigError("resilience.watchdog_poll_ms must be finite and > 0");
   }
   // A NaN budget makes the sketch guard band NaN, which skips nothing.
   if (!(config.prefilter.budget > 0.0 && config.prefilter.budget < 1.0)) {
@@ -54,6 +60,18 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.checkpoint.interval_tiles < 1) {
     throw ConfigError("checkpoint.interval_tiles must be >= 1");
   }
+  const auto non_negative = [](const char* what, int value) {
+    if (value < 0) {
+      throw ConfigError(std::string(what) + " must be >= 0, got " +
+                        std::to_string(value));
+    }
+  };
+  non_negative("checkpoint.slice_rows (--slice-rows)",
+               config.checkpoint.slice_rows);
+  non_negative("checkpoint.kill_after_tiles (--kill-after-tiles)",
+               config.checkpoint.kill_after_tiles);
+  non_negative("checkpoint.kill_after_slices (--kill-after-slices)",
+               config.checkpoint.kill_after_slices);
 }
 
 MatrixProfileResult compute_self_join(const TimeSeries& series,

@@ -109,10 +109,9 @@ ModelReport model_tiles(const ModelConfig& config,
   }
 
   for (std::size_t dev = 0; dev < fleet; ++dev) {
-    // Streams overlap copies with compute when a device runs several
-    // tiles; a single serialized tile pays both.
-    const bool overlapped =
-        config.streams_per_device > 1 && tile_count[dev] > 1;
+    // The paper's streams overlap copies with compute when a device runs
+    // several tiles; a single serialized tile pays both.
+    const bool overlapped = kStreamsPerDevice > 1 && tile_count[dev] > 1;
     const double t = overlapped ? std::max(kernels[dev], copies[dev])
                                 : kernels[dev] + copies[dev];
     report.device_seconds = std::max(report.device_seconds, t);

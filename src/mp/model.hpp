@@ -32,7 +32,6 @@ struct ModelConfig {
   int tiles = 1;
   int nodes = 1;                   ///< simulated nodes
   int devices = 1;                 ///< per node, as in MatrixProfileConfig
-  int streams_per_device = 16;
   TileAssignment assignment = TileAssignment::kRoundRobin;
 };
 

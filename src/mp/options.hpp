@@ -111,6 +111,18 @@ struct PrefilterStats {
   bool any() const { return blocks_total != 0; }
 };
 
+// Fixed policy of the resilient multi-tile scheduler.
+
+/// Base of the exponential retry backoff (doubles per retry).
+constexpr double kRetryBackoffMs = 1.0;
+/// Floor of every watchdog deadline.
+constexpr double kWatchdogMinDeadlineMs = 100.0;
+/// Memory-pressure degradation: a tile whose working set exceeds the
+/// device's capacity is split along the row axis (each half restarts from
+/// its own precalculation) up to this many times before the allocation
+/// failure is treated like any other fault.
+constexpr int kMaxTileSplits = 8;
+
 /// Fault-tolerance knobs of the resilient multi-tile scheduler.
 struct ResilienceConfig {
   /// Bounded retries of a tile on one device after transient faults
@@ -121,9 +133,6 @@ struct ResilienceConfig {
   /// A device with this many *consecutive* failed tile attempts is
   /// blacklisted; its remaining tiles are work-stolen by healthy devices.
   int blacklist_after = 3;
-
-  /// Base of the exponential retry backoff (doubles per attempt).
-  double backoff_ms = 1.0;
 
   /// Numerical self-healing: after a tile completes, re-run it one
   /// precision rung up (FP16 → Mixed → FP32 → FP64) when the fraction of
@@ -140,7 +149,7 @@ struct ResilienceConfig {
   /// Hung-tile watchdog: a monitor thread gives every in-flight attempt a
   /// deadline of `watchdog_slack` × the tile's modelled seconds × a
   /// wall-per-modelled ratio calibrated from completed attempts (floored
-  /// at `watchdog_min_deadline_ms`).  An overdue attempt triggers a
+  /// at kWatchdogMinDeadlineMs).  An overdue attempt triggers a
   /// speculative backup on another healthy device (first finisher wins,
   /// the loser's cancellation token unwinds it); repeated fires on one
   /// device feed the blacklist exactly like failed tiles.  Off by default:
@@ -148,10 +157,7 @@ struct ResilienceConfig {
   /// stays opt-in like the rest of the fault-tolerance surface.
   bool watchdog = false;
   double watchdog_slack = 8.0;
-  double watchdog_min_deadline_ms = 100.0;
   double watchdog_poll_ms = 10.0;
-  /// Launch speculative backups for overdue attempts (requires watchdog).
-  bool speculate = true;
 
   /// React to a process-wide shutdown request (common/shutdown) by
   /// cancelling in-flight attempts, flushing the checkpoint and unwinding
@@ -159,12 +165,6 @@ struct ResilienceConfig {
   /// The serve daemon sets this false: a drain must let admitted queries
   /// run to completion, the daemon itself stops accepting new work.
   bool honor_shutdown = true;
-
-  /// Memory-pressure degradation: when a tile's working set exceeds the
-  /// device's capacity, split it along the row axis (each half restarts
-  /// from its own precalculation) up to this many times before giving up
-  /// and treating the allocation failure like any other fault.
-  int max_tile_splits = 8;
 };
 
 /// Durable checkpoint/resume of the resilient scheduler.  The journal
@@ -209,7 +209,6 @@ struct MatrixProfileConfig {
   int tiles = 1;               ///< n_tiles of the multi-tile algorithm
   int devices = 1;             ///< n_gpu
   std::string machine = "A100";  ///< simulated device spec (V100|A100)
-  int streams_per_device = 16;   ///< paper uses at most 16 CUDA streams
   TileAssignment assignment = TileAssignment::kRoundRobin;
 
   /// Trivial-match exclusion radius for self-joins (0 = AB-join, the

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/metrics.hpp"
-#include "gpusim/stream.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/cpu_reference.hpp"
 #include "mp/single_tile.hpp"
@@ -14,24 +13,6 @@
 namespace mpsim::mp {
 
 namespace {
-
-/// Runs one attempt of a tile as a single stream task and synchronizes
-/// that stream, so any failure is attributed to this tile.
-void execute_attempt(const RunInputs& run, gpusim::Device& device,
-                     gpusim::StreamPool& streams, PrecisionMode mode,
-                     const Tile& tile, TileResult& result,
-                     const gpusim::CancellationToken* cancel,
-                     const SliceProgress* slice) {
-  gpusim::Stream& stream = streams.next();
-  dispatch_precision(mode, [&]<typename Traits>() {
-    SingleTileEngine<Traits>::enqueue(device, &stream, *run.reference,
-                                      *run.query, run.config->window, tile,
-                                      run.config->exclusion, result,
-                                      run.staging, run.config->row_path,
-                                      run.config->prefilter, cancel, slice);
-  });
-  stream.synchronize();
-}
 
 /// Column-wise min/argmin merge of row sub-tiles into their parent tile's
 /// result slot.  The sub-tiles cover disjoint reference rows of the same
@@ -62,17 +43,22 @@ constexpr int kMaxNodeJournals = 64;
 }  // namespace
 
 void execute_with_split(const RunInputs& run, gpusim::Device& device,
-                        gpusim::StreamPool& streams, PrecisionMode mode,
-                        const Tile& tile, TileResult& result,
+                        PrecisionMode mode, const Tile& tile,
+                        TileResult& result,
                         const gpusim::CancellationToken* cancel,
                         const SliceProgress* slice,
                         const std::function<void(const std::string&)>& on_split,
                         int depth) {
   try {
-    execute_attempt(run, device, streams, mode, tile, result, cancel, slice);
-    return;
+    dispatch_precision(mode, [&]<typename Traits>() {
+      SingleTileEngine<Traits>::run(device, *run.reference, *run.query,
+                                    run.config->window, tile,
+                                    run.config->exclusion, result, run.staging,
+                                    run.config->row_path, run.config->prefilter,
+                                    cancel, slice);
+    });
   } catch (const DeviceMemoryError& e) {
-    if (depth >= run.config->resilience.max_tile_splits || tile.r_count < 2) {
+    if (depth >= kMaxTileSplits || tile.r_count < 2) {
       throw;
     }
     Tile left = tile;
@@ -87,10 +73,10 @@ void execute_with_split(const RunInputs& run, gpusim::Device& device,
     // Sub-tiles restart from their own precalculation and cover the full
     // row ranges: no prefix resume, no snapshot emission (their row state
     // is not a prefix of the whole tile's).
-    execute_with_split(run, device, streams, mode, left, left_result, cancel,
+    execute_with_split(run, device, mode, left, left_result, cancel, nullptr,
+                       on_split, depth + 1);
+    execute_with_split(run, device, mode, right, right_result, cancel,
                        nullptr, on_split, depth + 1);
-    execute_with_split(run, device, streams, mode, right, right_result,
-                       cancel, nullptr, on_split, depth + 1);
     merge_sub_tiles(left_result, right_result, result);
   }
 }
@@ -346,7 +332,8 @@ RestoredState restore_from_journals(const std::string& resume_path,
 
 MatrixProfileResult assemble_tile_results(const std::vector<Tile>& tiles,
                                           std::vector<TileResult>& results,
-                                          std::size_t n_q, std::size_t d) {
+                                          std::size_t n_q, std::size_t d,
+                                          std::size_t workers) {
   // ---- CPU merge (Pseudocode 2, lines 6-8). ----
   // Parallel over output columns; bit-identical to the serial merge (each
   // column sees the tiles in the same ascending order).
@@ -354,7 +341,7 @@ MatrixProfileResult assemble_tile_results(const std::vector<Tile>& tiles,
   {
     ScopedEvent span(MetricsRegistry::global(), "merge_tile_results", -1,
                      "cpu");
-    ThreadPool merge_pool;
+    ThreadPool merge_pool(workers);
     merge_tile_results(tiles, results, n_q, d, out, &merge_pool);
   }
 

@@ -9,9 +9,9 @@
 // default), each a gpusim::System fleet whose device workers call the
 // scheduler directly.  Execution is supervised per tile:
 //
-//  * per-tile failure isolation — each tile runs as one stream task and is
-//    synchronized individually, so the stream's error capture attributes
-//    every failure to the tile that raised it;
+//  * per-tile failure isolation — each tile attempt runs on its device
+//    worker's own thread, so every failure unwinds to the attempt that
+//    raised it;
 //  * bounded retry with exponential backoff for transient faults
 //    (TransientFaultError, DeviceMemoryError, ...);
 //  * device blacklisting after K consecutive failed tiles, with
@@ -48,7 +48,6 @@
 
 namespace mpsim::gpusim {
 class CancellationToken;
-class StreamPool;
 }
 
 namespace mpsim::mp {
@@ -140,29 +139,29 @@ CheckpointData journal_data(const RunInputs& run,
 void write_journal(const std::string& path, const CheckpointData& data,
                    EventLog& log);
 
-/// Executes one attempt of `tile` at `mode` on `device` as a single task
-/// of a stream from `streams`, synchronizing that stream so any failure
-/// is attributed to this tile.  Under memory pressure (DeviceMemoryError)
-/// the tile is split along the row axis with the planner's split_range
-/// boundaries (first half takes the extra row) and the halves run
-/// sequentially, each from its own precalculation, recursing until the
-/// pieces fit or config.resilience.max_tile_splits is spent (then the
+/// Executes one attempt of `tile` at `mode` on `device`, on the calling
+/// thread, so any failure propagates to the caller.  Under memory
+/// pressure (DeviceMemoryError) the tile is split along the row axis with
+/// the planner's split_range boundaries (first half takes the extra row)
+/// and the halves run sequentially, each from its own precalculation,
+/// recursing until the pieces fit or kMaxTileSplits is spent (then the
 /// error propagates like any other fault).  `on_split(detail)` is called
 /// before each split's halves run.
 void execute_with_split(
-    const RunInputs& run, gpusim::Device& device, gpusim::StreamPool& streams,
-    PrecisionMode mode, const Tile& tile, TileResult& result,
+    const RunInputs& run, gpusim::Device& device, PrecisionMode mode,
+    const Tile& tile, TileResult& result,
     const gpusim::CancellationToken* cancel, const SliceProgress* slice,
     const std::function<void(const std::string&)>& on_split, int depth = 0);
 
 /// Assembles committed per-tile results into the final profile: the CPU
-/// column merge (Pseudocode 2, lines 6-8), the per-kernel breakdown of
-/// the committed attempts (+ registry gauges) and the aggregated
-/// prefilter accounting.  The modelled seconds, health and wall_seconds
-/// are left for the caller.
+/// column merge (Pseudocode 2, lines 6-8) on `workers` host threads
+/// (0 = all cores), the per-kernel breakdown of the committed attempts
+/// (+ registry gauges) and the aggregated prefilter accounting.  The
+/// modelled seconds, health and wall_seconds are left for the caller.
 MatrixProfileResult assemble_tile_results(const std::vector<Tile>& tiles,
                                           std::vector<TileResult>& results,
-                                          std::size_t n_q, std::size_t d);
+                                          std::size_t n_q, std::size_t d,
+                                          std::size_t workers);
 
 /// Computes one tile on the CPU reference path (bit-identical to the FP64
 /// GPU engine) — the coordinator's last resort for tiles no node could

@@ -7,12 +7,14 @@
 //      update_mat_prof,
 //   4. async D2H copy of the tile's profile and index.
 //
-// The entire tile is enqueued as work on a Stream so the multi-tile
-// scheduler can overlap tiles via multiple streams; within the tile the
-// kernels are strictly ordered, matching the paper's per-iteration kernel
-// cadence.  Host data is binary64; the precision reduction happens when
-// the inputs are staged for the H2D copy, exactly where a real GPU port
-// converts to the storage format.
+// The whole tile runs on the calling thread (a device worker of the
+// scheduler), its kernel bodies on the device's worker pool; within the
+// tile the kernels are strictly ordered, matching the paper's
+// per-iteration kernel cadence.  The paper's overlap of tiles on up to
+// 16 CUDA streams per GPU is a term of the model (mp/model.hpp), not of
+// the execution.  Host data is binary64; the precision reduction happens
+// when the inputs are staged for the H2D copy, exactly where a real GPU
+// port converts to the storage format.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +39,7 @@
 
 namespace mpsim::mp {
 
-/// Per-tile result, filled when the tile's stream work completes.
+/// Per-tile result, filled when SingleTileEngine::run returns.
 struct TileResult {
   std::vector<double> profile;       // [k * q_count + j], binary64 view
   std::vector<std::int64_t> index;   // global reference segment indices
@@ -144,47 +146,26 @@ class SingleTileEngine {
  public:
   using ST = typename Traits::Storage;
 
-  /// Enqueues the whole tile on `stream` (or runs synchronously when
-  /// stream is null).  `result` must outlive stream synchronisation.
+  /// Runs the whole tile on `device` and returns when it has finished.
   /// `staging` (optional) supplies the series pre-converted to storage
-  /// precision so the tile stages with a memcpy slice; it must outlive the
-  /// stream work too.  `row_path` selects the per-row execution path
-  /// (fused vs cooperative; identical output bits either way).
-  /// `prefilter` opts the fused path into the approximate sketch gate
-  /// (mp/sketch.hpp); the default-off config keeps every column exact and
-  /// the output bit-identical to pre-prefilter builds.  The cooperative
-  /// path ignores it (always exact).  `cancel` (optional) is polled once
-  /// per tile row and inside every launch: a cancelled attempt unwinds
-  /// with CancelledError — polling never touches the arithmetic, so
-  /// outputs stay bit-identical with or without it.
-  static void enqueue(gpusim::Device& device, gpusim::Stream* stream,
-                      const TimeSeries& reference, const TimeSeries& query,
-                      std::size_t m, const Tile& tile, std::int64_t exclusion,
-                      TileResult& result, StagingCache* staging = nullptr,
-                      RowPath row_path = RowPath::kAuto,
-                      PrefilterConfig prefilter = {},
-                      const gpusim::CancellationToken* cancel = nullptr,
-                      const SliceProgress* slice = nullptr) {
-    auto run = [&device, &reference, &query, m, tile, exclusion, &result,
-                staging, row_path, prefilter, cancel, slice] {
-      run_tile(device, reference, query, m, tile, exclusion, result, staging,
-               row_path, prefilter, cancel, slice);
-    };
-    if (stream != nullptr) {
-      stream->enqueue(std::move(run));
-    } else {
-      run();
-    }
-  }
-
- private:
-  static void run_tile(gpusim::Device& device, const TimeSeries& reference,
-                       const TimeSeries& query, std::size_t m,
-                       const Tile& tile, std::int64_t exclusion,
-                       TileResult& result, StagingCache* staging,
-                       RowPath row_path, const PrefilterConfig& prefilter,
-                       const gpusim::CancellationToken* cancel,
-                       const SliceProgress* slice = nullptr) {
+  /// precision so the tile stages with a memcpy slice.  `row_path`
+  /// selects the per-row execution path (fused vs cooperative; identical
+  /// output bits either way).  `prefilter` opts the fused path into the
+  /// approximate sketch gate (mp/sketch.hpp); the default-off config
+  /// keeps every column exact and the output bit-identical to
+  /// pre-prefilter builds.  The cooperative path ignores it (always
+  /// exact).  `cancel` (optional) is polled once per tile row and inside
+  /// every launch: a cancelled attempt unwinds with CancelledError —
+  /// polling never touches the arithmetic, so outputs stay bit-identical
+  /// with or without it.
+  static void run(gpusim::Device& device, const TimeSeries& reference,
+                  const TimeSeries& query, std::size_t m, const Tile& tile,
+                  std::int64_t exclusion, TileResult& result,
+                  StagingCache* staging = nullptr,
+                  RowPath row_path = RowPath::kAuto,
+                  const PrefilterConfig& prefilter = {},
+                  const gpusim::CancellationToken* cancel = nullptr,
+                  const SliceProgress* slice = nullptr) {
     const std::size_t d = reference.dims();
     const std::size_t nr = tile.r_count;
     const std::size_t nq = tile.q_count;
@@ -235,9 +216,9 @@ class SingleTileEngine {
     }
     gpusim::DeviceBuffer<ST> dev_r(device, host_r.size());
     gpusim::DeviceBuffer<ST> dev_q(device, host_q.size());
-    gpusim::async_copy_h2d(device, nullptr, host_r.data(), dev_r,
+    gpusim::async_copy_h2d(device, host_r.data(), dev_r,
                            host_r.size(), tl, cancel);
-    gpusim::async_copy_h2d(device, nullptr, host_q.data(), dev_q,
+    gpusim::async_copy_h2d(device, host_q.data(), dev_q,
                            host_q.size(), tl, cancel);
 
     // ---- Device working set. ----
@@ -288,7 +269,7 @@ class SingleTileEngine {
           }
         }
       };
-      gpusim::launch_grid_stride(device, nullptr, "precalculation", config,
+      gpusim::launch_grid_stride(device, "precalculation", config,
                                  std::int64_t(2 * d),
                                  precalc_stats_cost<Traits>(nr, nq, d, m),
                                  body, tl, cancel);
@@ -340,7 +321,7 @@ class SingleTileEngine {
           }
         }
       };
-      gpusim::launch_grid_stride(device, nullptr, "precalculation", config,
+      gpusim::launch_grid_stride(device, "precalculation", config,
                                  std::int64_t(nr + nq),
                                  gemm_seed_cost<Traits>(nr, nq, d, m), seeds,
                                  tl, cancel);
@@ -369,7 +350,7 @@ class SingleTileEngine {
       std::vector<ST> host_qt(nq * d);
       detail::unpack_storage(slice->start_qt.data(), nq * d, width,
                              host_qt.data());
-      gpusim::async_copy_h2d(device, nullptr, host_qt.data(), qt_a,
+      gpusim::async_copy_h2d(device, host_qt.data(), qt_a,
                              host_qt.size(), tl, cancel);
     }
     // Direct reads of simulated device state: durability bookkeeping,
@@ -486,7 +467,7 @@ class SingleTileEngine {
       // The dispatch that ends a score batch also scores the next one:
       // chunks own whole column groups (chunk_cols is rounded up to the
       // group width), so after its rows each chunk reads its own columns'
-      // final profile entries and flags its own groups; the stream thread
+      // final profile entries and flags its own groups; the calling thread
       // commits the flags in scan order once the dispatch has finished.
       RowBlockShape shape = row_block_shape(nq, device.pool().worker_count());
       const std::size_t sb = pf.batch_rows();
@@ -553,7 +534,7 @@ class SingleTileEngine {
     for (std::size_t i = start_row; i < nr; ++i) {
       if (cancel != nullptr) cancel->poll("row loop");
       gpusim::launch_grid_stride(
-          device, nullptr, "dist_calc", config, std::int64_t(nq * d),
+          device, "dist_calc", config, std::int64_t(nq * d),
           dist_cost,
           [&, i, qt_prev, qt_next](std::int64_t begin, std::int64_t end) {
             dist_calc_body<Traits>(begin, end, i, nq, m, qt_row.data(),
@@ -570,7 +551,7 @@ class SingleTileEngine {
         const std::size_t shared_bytes =
             2 * next_pow2(d) * storage_bytes(Traits::kMode);
         gpusim::launch_cooperative(
-            device, nullptr, "sort_&_incl_scan", config, std::int64_t(nq),
+            device, "sort_&_incl_scan", config, std::int64_t(nq),
             std::int64_t(next_pow2(d)), sort_cost,
             [&](gpusim::GroupContext& group) {
               sort_scan_group_body<Traits>(group, nq, d, dist_row.data(),
@@ -581,7 +562,7 @@ class SingleTileEngine {
 
       const ST* scanned = skip_sort ? dist_row.data() : scan_row.data();
       gpusim::launch_grid_stride(
-          device, nullptr, "update_mat_prof", config, std::int64_t(nq * d),
+          device, "update_mat_prof", config, std::int64_t(nq * d),
           upd_cost,
           [&, i, scanned](std::int64_t begin, std::int64_t end) {
             update_body<Traits>(begin, end, nq,
@@ -599,6 +580,7 @@ class SingleTileEngine {
     finish_tile(device, nq, d, profile, index, result, tl, cancel);
   }
 
+ private:
   /// D2H of the tile profile/index (Pseudocode 1, line 8) + the binary64
   /// widening of the host-side result.  Shared epilogue of both row paths.
   static void finish_tile(gpusim::Device& device, std::size_t nq,
@@ -609,9 +591,9 @@ class SingleTileEngine {
                           const gpusim::CancellationToken* cancel) {
     std::vector<ST> host_profile(nq * d);
     result.index.assign(nq * d, -1);
-    gpusim::async_copy_d2h(device, nullptr, profile, host_profile.data(),
+    gpusim::async_copy_d2h(device, profile, host_profile.data(),
                            host_profile.size(), tl, cancel);
-    gpusim::async_copy_d2h(device, nullptr, index, result.index.data(),
+    gpusim::async_copy_d2h(device, index, result.index.data(),
                            result.index.size(), tl, cancel);
     result.profile.resize(nq * d);
     for (std::size_t e = 0; e < nq * d; ++e) {

@@ -17,6 +17,13 @@
 
 namespace mpsim::mp {
 
+/// CUDA streams per GPU the paper overlaps tiles on (Pseudocode 2, §IV).
+/// A term of the model only: model_tiles overlaps a device's copies with
+/// its compute when it holds several tiles, and suggest_tiles sizes tiles
+/// so up to this many working sets fit one device at once.  Execution
+/// runs one tile attempt at a time per device.
+constexpr int kStreamsPerDevice = 16;
+
 struct Tile {
   std::size_t r_begin = 0;  ///< first reference segment of the tile
   std::size_t r_count = 0;

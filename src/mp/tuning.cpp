@@ -107,8 +107,9 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
   }
 
   // --- Memory constraint: concurrent tiles must fit the device. ---
-  // The scheduler runs up to streams_per_device tiles concurrently; be
-  // conservative and require that many working sets plus 20% headroom.
+  // The paper's GPU holds up to kStreamsPerDevice tiles at once, one per
+  // stream; the rule models that device and requires that many working
+  // sets (at most a device's share of the tiles) plus 20% headroom.
   const std::size_t capacity = spec.memory_capacity_bytes;
   const auto working_set = [&](std::size_t rows, std::size_t cols) {
     return request.fused_rows
@@ -128,7 +129,7 @@ TileTuningResult suggest_tiles(const TileTuningRequest& request,
     if (capacity != 0) {
       const std::size_t ws = working_set(rows, cols);
       const std::size_t concurrent =
-          std::min<std::size_t>(std::size_t(request.streams_per_device),
+          std::min<std::size_t>(std::size_t(kStreamsPerDevice),
                                 (std::size_t(tiles) +
                                  std::size_t(request.devices) - 1) /
                                     std::size_t(request.devices));

@@ -6,7 +6,7 @@
 //
 //  1. Device memory: a tile's working set (input slices + precalculated
 //     coefficient arrays + row buffers + profile) must fit the device,
-//     with headroom for the stream concurrency the scheduler uses.
+//     with headroom for the paper's 16 concurrent streams per GPU.
 //
 //  2. Accuracy: the QT recurrence's rounding error grows with the number
 //     of streaming steps (e ~ steps * eps, §V-B).  Bounding the error of
@@ -33,7 +33,6 @@ struct TileTuningRequest {
   std::size_t window = 64;
   PrecisionMode mode = PrecisionMode::FP64;
   int devices = 1;
-  int streams_per_device = 16;
   /// The resolved row path (use_fused_row_path): fused tiles allocate no
   /// distance / scan row buffers, so they are sized with
   /// fused_tile_working_set_bytes instead of tile_working_set_bytes.

@@ -93,4 +93,24 @@ rc=0
 [ "$rc" -eq 1 ]
 grep -q "max_retries" "$WORK/retries.log"
 
+# Out-of-range numbers are rejected the same way, naming the flag: a NaN
+# watchdog slack (it would floor every deadline), a negative memory cap
+# and one whose byte count overflows (either would wrap), and negative
+# slicing / chaos counts.
+reject() {
+  local flag=$1 rc=0
+  shift
+  "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
+      --query="$WORK/qry.csv" --window=32 --repair --tiles=4 "$@" \
+      > "$WORK/reject.log" 2>&1 || rc=$?
+  [ "$rc" -eq 1 ]
+  grep -q -- "$flag" "$WORK/reject.log"
+}
+reject --watchdog-slack --watchdog --watchdog-slack=nan
+reject --device-memory-mb --device-memory-mb=-1
+reject --device-memory-mb --device-memory-mb=17592186044416
+reject --slice-rows --checkpoint="$WORK/neg.ckpt" --slice-rows=-4
+reject --kill-after-tiles --kill-after-tiles=-1
+reject --kill-after-slices --kill-after-slices=-1
+
 echo "cli pipeline OK"

@@ -4,11 +4,15 @@
 // grid/node-count-changing resume — all bit-identical to one node).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "cluster/cluster.hpp"
 #include "common/metrics.hpp"
@@ -164,6 +168,66 @@ TEST(ElasticCoordinator, MatchesSingleNodeBitsAllModesBothPaths) {
           << to_string(mode) << " " << to_string(path);
     }
   }
+}
+
+/// Threads of this process (Linux /proc/self/task), or -1 without procfs.
+int thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; !ec && it != std::filesystem::directory_iterator();
+       it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+TEST(ElasticCoordinator, RunStartsNoIdleThreads) {
+  // Start and join one thread first: some runtimes (ThreadSanitizer) add a
+  // helper thread of their own when the process starts its first thread.
+  std::thread([] {}).join();
+  const int baseline = thread_count();
+  if (baseline < 0) GTEST_SKIP() << "/proc/self/task is not available";
+  // Long enough (tens of ms) for the sampler to see the run's threads.
+  SyntheticSpec spec;
+  spec.segments = 1024;
+  spec.dims = 2;
+  spec.window = 16;
+  spec.injections_per_dim = 1;
+  const auto data = make_synthetic_dataset(spec);
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 8;
+  config.nodes = 2;
+  config.devices = 2;
+  config.workers = 4;  // 2 per node, 1 per device pool
+  std::atomic<bool> finished{false};
+  std::thread helper([&] {
+    mp::compute_matrix_profile(data.reference, data.query, config);
+    finished = true;
+  });
+  int peak = baseline;
+  while (!finished.load()) {
+    peak = std::max(peak, thread_count());
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  helper.join();
+  // One worker per device, the monitor, the device pools' workers and the
+  // helper; the tile merge afterwards runs on `workers` threads, after the
+  // device pools have stopped.
+  const int fleet = config.nodes * config.devices;
+  const int budget = fleet + 1 + int(config.workers) + 1;
+  EXPECT_LE(peak - baseline, budget) << "peak " << peak << " over "
+                                     << baseline;
+  // Every thread the run started is gone once it returns.  A joined
+  // thread can linger in /proc for a moment, so allow it that long.
+  int after = thread_count();
+  for (int i = 0; i < 1000 && after != baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = thread_count();
+  }
+  EXPECT_EQ(after, baseline);
 }
 
 TEST(ElasticCoordinator, StealOffStillMatchesSingleNode) {
@@ -437,7 +501,6 @@ mp::ModelReport planned_model(const SyntheticDataset& data,
   model.tiles = config.tiles;
   model.nodes = config.nodes;
   model.devices = config.devices;
-  model.streams_per_device = config.streams_per_device;
   model.assignment = config.assignment;
   return mp::model_matrix_profile(model);
 }

@@ -1,6 +1,5 @@
 // Tests for the GPU execution substrate: device memory accounting,
-// streams (ordering, concurrency, error capture), kernel launches and
-// cooperative groups.
+// kernel launches, cooperative groups and copies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +9,6 @@
 #include "gpusim/device.hpp"
 #include "gpusim/kernel.hpp"
 #include "gpusim/spec.hpp"
-#include "gpusim/stream.hpp"
 
 namespace mpsim::gpusim {
 namespace {
@@ -55,107 +53,34 @@ TEST(DeviceMemory, MoveTransfersOwnership) {
   EXPECT_EQ(dev.bytes_in_use(), 8 * sizeof(int));
 }
 
-TEST(Stream, PreservesFifoOrder) {
-  Device dev(a100(), 0, 1);
-  Stream stream(dev);
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i) {
-    stream.enqueue([&order, i] { order.push_back(i); });
-  }
-  stream.synchronize();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[std::size_t(i)], i);
-}
-
-TEST(Stream, RethrowsTaskErrorOnSynchronize) {
-  Device dev(a100(), 0, 1);
-  Stream stream(dev);
-  std::atomic<bool> later_ran{false};
-  stream.enqueue([] { throw Error("async failure"); });
-  stream.enqueue([&] { later_ran = true; });
-  EXPECT_THROW(stream.synchronize(), Error);
-  EXPECT_TRUE(later_ran.load());  // queue keeps draining after an error
-  stream.synchronize();           // error consumed; second sync is clean
-}
-
-TEST(Stream, FirstOfSeveralErrorsWins) {
-  // Two failing tasks before synchronize: the *first* stored exception is
-  // what the caller sees (CUDA-style sticky error), tasks after a failure
-  // still run, and consuming the error leaves the stream clean.
-  Device dev(a100(), 0, 1);
-  Stream stream(dev);
-  std::atomic<bool> later_ran{false};
-  stream.enqueue([] { throw Error("first failure"); });
-  stream.enqueue([] { throw Error("second failure"); });
-  stream.enqueue([&] { later_ran = true; });
-  try {
-    stream.synchronize();
-    FAIL() << "synchronize must rethrow the stored error";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "first failure");
-  }
-  EXPECT_TRUE(later_ran.load());
-  EXPECT_NO_THROW(stream.synchronize());
-  // The stream remains usable for fresh work — and a fresh failure is
-  // reported as such, not mixed up with the consumed ones.
-  stream.enqueue([] { throw Error("third failure"); });
-  try {
-    stream.synchronize();
-    FAIL() << "synchronize must rethrow the new error";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "third failure");
-  }
-}
-
-TEST(Stream, ConcurrentStreamsMakeProgress) {
-  Device dev(a100(), 0, 2);
-  StreamPool pool(dev, 4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.next().enqueue([&done] { done.fetch_add(1); });
-  }
-  pool.synchronize_all();
-  EXPECT_EQ(done.load(), 32);
-}
-
 TEST(KernelLaunch, GridStrideCoversIndexSpace) {
   Device dev(a100(), 0, 2);
+  KernelLedger ledger;
   std::vector<std::atomic<int>> hits(10000);
-  launch_grid_stride(dev, nullptr, "cover", LaunchConfig{}, 10000, KernelCost{},
+  launch_grid_stride(dev, "cover", LaunchConfig{}, 10000, KernelCost{},
                      [&](std::int64_t b, std::int64_t e) {
                        for (auto i = b; i < e; ++i) {
                          hits[std::size_t(i)].fetch_add(1);
                        }
-                     });
+                     },
+                     &ledger);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(dev.ledger().stats("cover").launches, 1);
-}
-
-TEST(KernelLaunch, AsyncOnStreamRunsAfterSynchronize) {
-  Device dev(a100(), 0, 1);
-  Stream stream(dev);
-  std::atomic<long> sum{0};
-  launch_grid_stride(dev, &stream, "sum", LaunchConfig{}, 1000, KernelCost{},
-                     [&](std::int64_t b, std::int64_t e) {
-                       long local = 0;
-                       for (auto i = b; i < e; ++i) local += i;
-                       sum.fetch_add(local);
-                     });
-  stream.synchronize();
-  EXPECT_EQ(sum.load(), 999L * 1000 / 2);
+  EXPECT_EQ(ledger.stats("cover").launches, 1);
 }
 
 TEST(KernelLaunch, CooperativeGroupsCountBarrierRounds) {
   Device dev(a100(), 0, 2);
-  launch_cooperative(dev, nullptr, "coop", LaunchConfig{}, 64, 8, KernelCost{},
+  KernelLedger ledger;
+  launch_cooperative(dev, "coop", LaunchConfig{}, 64, 8, KernelCost{},
                      [](GroupContext& g) {
                        // 3 stages with a barrier after each.
                        for (int s = 0; s < 3; ++s) {
                          g.for_each_lane([](std::int64_t) {});
                          g.barrier();
                        }
-                     });
-  const auto stats = dev.ledger().stats("coop");
+                     },
+                     &ledger);
+  const auto stats = ledger.stats("coop");
   EXPECT_EQ(stats.launches, 1);
   // Device-wide rounds = max over groups = 3, not 64 * 3.
   EXPECT_EQ(stats.cost.barrier_rounds, 3);
@@ -164,7 +89,7 @@ TEST(KernelLaunch, CooperativeGroupsCountBarrierRounds) {
 TEST(KernelLaunch, CooperativeLanesSeeOwnGroupIndex) {
   Device dev(a100(), 0, 2);
   std::vector<std::int64_t> group_of(32 * 4, -1);
-  launch_cooperative(dev, nullptr, "idx", LaunchConfig{}, 32, 4, KernelCost{},
+  launch_cooperative(dev, "idx", LaunchConfig{}, 32, 4, KernelCost{},
                      [&](GroupContext& g) {
                        g.for_each_lane([&](std::int64_t lane) {
                          group_of[std::size_t(g.group_index() * 4 + lane)] =
@@ -182,17 +107,19 @@ TEST(KernelLaunch, SharedMemoryOverCommitIsRejected) {
   // A cooperative kernel whose resident groups need more scratchpad than
   // an SM provides must fail at launch, like CUDA would.
   Device dev(a100(), 0, 1);
+  KernelLedger ledger;
   // lanes=32 -> 64 resident groups/SM; 64 * 8 KiB = 512 KiB > 164 KiB.
   EXPECT_THROW(
       launch_cooperative(
-          dev, nullptr, "too-big", LaunchConfig{}, 128, 32, KernelCost{},
-          [](GroupContext&) {}, nullptr, std::size_t(8) << 10),
+          dev, "too-big", LaunchConfig{}, 128, 32, KernelCost{},
+          [](GroupContext&) {}, &ledger, std::size_t(8) << 10),
       Error);
   // A modest footprint is fine.
   launch_cooperative(
-      dev, nullptr, "fits", LaunchConfig{}, 128, 32, KernelCost{},
-      [](GroupContext&) {}, nullptr, 1024);
-  EXPECT_EQ(dev.ledger().stats("fits").launches, 1);
+      dev, "fits", LaunchConfig{}, 128, 32, KernelCost{},
+      [](GroupContext&) {}, &ledger, 1024);
+  EXPECT_EQ(ledger.stats("too-big").launches, 0);
+  EXPECT_EQ(ledger.stats("fits").launches, 1);
 }
 
 TEST(Copies, RoundTripH2DandD2H) {
@@ -200,11 +127,14 @@ TEST(Copies, RoundTripH2DandD2H) {
   std::vector<double> host(256);
   std::iota(host.begin(), host.end(), 0.0);
   DeviceBuffer<double> buf(dev, 256);
-  async_copy_h2d(dev, nullptr, host.data(), buf, 256);
+  KernelLedger ledger;
+  async_copy_h2d(dev, host.data(), buf, 256, &ledger);
   std::vector<double> back(256, -1.0);
-  async_copy_d2h(dev, nullptr, buf, back.data(), 256);
+  async_copy_d2h(dev, buf, back.data(), 256, &ledger);
   EXPECT_EQ(back, host);
-  EXPECT_EQ(dev.ledger().stats("memcpy_h2d").cost.bytes_written,
+  EXPECT_EQ(ledger.stats("memcpy_h2d").cost.bytes_written,
+            std::int64_t(256 * sizeof(double)));
+  EXPECT_EQ(ledger.stats("memcpy_d2h").cost.bytes_read,
             std::int64_t(256 * sizeof(double)));
 }
 
@@ -212,7 +142,7 @@ TEST(Copies, OverrunIsRejected) {
   Device dev(a100(), 0, 1);
   std::vector<double> host(10);
   DeviceBuffer<double> buf(dev, 4);
-  EXPECT_THROW(async_copy_h2d(dev, nullptr, host.data(), buf, 10), Error);
+  EXPECT_THROW(async_copy_h2d(dev, host.data(), buf, 10), Error);
 }
 
 TEST(System, DividesWorkersAcrossDevices) {
@@ -242,11 +172,20 @@ TEST(ExtraLedger, ReceivesLaunchRecords) {
   KernelLedger tile_ledger;
   KernelCost cost;
   cost.bytes_read = 1 << 20;
-  launch_grid_stride(dev, nullptr, "k", LaunchConfig{}, 16, cost,
+  launch_grid_stride(dev, "k", LaunchConfig{}, 16, cost,
                      [](std::int64_t, std::int64_t) {}, &tile_ledger);
   EXPECT_EQ(tile_ledger.stats("k").launches, 1);
+  cost.occupancy = LaunchConfig{}.occupancy(dev.spec());
   EXPECT_DOUBLE_EQ(tile_ledger.stats("k").modeled_seconds,
-                   dev.ledger().stats("k").modeled_seconds);
+                   modeled_seconds(dev.spec(), cost));
+  // Without a ledger the launch still runs but records nowhere.
+  std::atomic<int> ran{0};
+  launch_grid_stride(dev, "k", LaunchConfig{}, 16, cost,
+                     [&](std::int64_t b, std::int64_t e) {
+                       ran.fetch_add(int(e - b));
+                     });
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(tile_ledger.stats("k").launches, 1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -164,20 +165,6 @@ TEST(MultiTile, MultiDeviceMatchesSingleDevice) {
   EXPECT_EQ(one.index, four.index);
 }
 
-TEST(MultiTile, StreamCountDoesNotChangeResults) {
-  const auto data = small_dataset(150, 2, 16, 66);
-  auto config = fp64_config(16);
-  config.tiles = 6;
-  config.streams_per_device = 1;
-  const auto serial = compute_matrix_profile(data.reference, data.query,
-                                             config);
-  config.streams_per_device = 16;
-  const auto streamed = compute_matrix_profile(data.reference, data.query,
-                                               config);
-  EXPECT_EQ(serial.profile, streamed.profile);
-  EXPECT_EQ(serial.index, streamed.index);
-}
-
 TEST(MatrixProfile, AsymmetricReferenceAndQueryLengths) {
   SyntheticSpec spec;
   spec.segments = 300;
@@ -222,10 +209,6 @@ TEST(MatrixProfile, ValidatesConfiguration) {
   EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
                ConfigError);
   config.tiles = 1;
-  config.streams_per_device = 17;
-  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
-               ConfigError);
-  config.streams_per_device = 16;
   config.window = 100000;
   EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
                ConfigError);
@@ -261,6 +244,55 @@ TEST(MatrixProfile, ValidatesConfiguration) {
   }
   config.prefilter.budget = 0.05;
   EXPECT_NO_THROW(compute_matrix_profile(data.reference, data.query, config));
+  config.prefilter = {};
+
+  // A NaN watchdog slack used to pass and collapse every deadline to the
+  // floor, so a clean run reported watchdog fires.
+  for (const double slack :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -1.0, 0.0}) {
+    config.resilience.watchdog_slack = slack;
+    EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+                 ConfigError)
+        << slack;
+  }
+  config.resilience.watchdog_slack = 8.0;
+
+  // Negative chaos and slicing counts were accepted as "off".
+  for (int* field : {&config.checkpoint.slice_rows,
+                     &config.checkpoint.kill_after_tiles,
+                     &config.checkpoint.kill_after_slices}) {
+    *field = -1;
+    EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+                 ConfigError);
+    *field = 0;
+  }
+  EXPECT_NO_THROW(compute_matrix_profile(data.reference, data.query, config));
+}
+
+TEST(SelfJoin, DefaultsToHalfWindowExclusion) {
+  SyntheticSpec spec;
+  spec.segments = 200;
+  spec.dims = 2;
+  spec.window = 16;
+  spec.injections_per_dim = 1;
+  const auto data = make_synthetic_dataset(spec);
+
+  MatrixProfileConfig config;
+  config.window = 16;
+  const auto r = compute_self_join(data.query, config);
+  for (std::size_t j = 0; j < r.segments; ++j) {
+    const auto idx = r.index_at(j, 0);
+    ASSERT_GE(idx, 0);
+    EXPECT_GE(std::llabs(idx - std::int64_t(j)), 8);
+  }
+
+  // An explicit exclusion radius is respected instead.
+  config.exclusion = 3;
+  const auto tight = compute_self_join(data.query, config);
+  for (std::size_t j = 0; j < tight.segments; ++j) {
+    EXPECT_GE(std::llabs(tight.index_at(j, 0) - std::int64_t(j)), 3);
+  }
 }
 
 TEST(MatrixProfile, BreakdownContainsAllFourKernels) {

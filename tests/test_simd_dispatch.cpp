@@ -417,8 +417,8 @@ TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
     slice.on_slice = [&](mp::SliceSnapshot& snap) {
       out.snaps.push_back(snap);
     };
-    mp::SingleTileEngine<Traits>::enqueue(
-        device, nullptr, data.reference, data.reference, spec.window, tile,
+    mp::SingleTileEngine<Traits>::run(
+        device, data.reference, data.reference, spec.window, tile,
         /*exclusion=*/8, out.result, nullptr, path, {}, nullptr, &slice);
   };
   const auto same_snaps = [](const Run& a, const Run& b) {

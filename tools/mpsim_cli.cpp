@@ -10,7 +10,10 @@
 // is detected automatically).  With --self-join the reference file is
 // joined against itself (exclusion defaults to window/2).
 // The output CSV has 2*d columns: profile_k, index_k for each dimension.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -145,8 +148,16 @@ int run(int argc, char** argv) {
   config.resilience.watchdog = args.get_bool("watchdog", false);
   config.resilience.watchdog_slack = args.get_double(
       "watchdog-slack", config.resilience.watchdog_slack);
-  config.device_memory_bytes =
-      std::size_t(args.get_int("device-memory-mb", 0)) << 20;
+  // The byte count must fit: a shift past size_t wraps to a bogus cap.
+  const std::int64_t memory_mb = args.get_int("device-memory-mb", 0);
+  constexpr std::uint64_t kMaxMemoryMb =
+      std::numeric_limits<std::size_t>::max() >> 20;
+  if (memory_mb < 0 || std::uint64_t(memory_mb) > kMaxMemoryMb) {
+    throw ConfigError("--device-memory-mb must be in [0, " +
+                      std::to_string(kMaxMemoryMb) + "], got " +
+                      std::to_string(memory_mb));
+  }
+  config.device_memory_bytes = std::size_t(memory_mb) << 20;
   gpusim::FaultInjector injector;
   if (args.has("faults")) {
     injector.configure(args.get_string("faults", ""));
