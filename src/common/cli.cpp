@@ -11,11 +11,25 @@
 
 namespace mpsim {
 
+namespace {
+
+/// strto* consumed all of `text`, and `text` has no leading whitespace
+/// (strto* skips it).
+bool fully_parsed(const std::string& text, const char* end) {
+  return !text.empty() &&
+         !std::isspace(static_cast<unsigned char>(text.front())) &&
+         end == text.c_str() + text.size();
+}
+
+}  // namespace
+
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    MPSIM_CHECK(arg.substr(0, 2) == "--",
-                "unexpected positional argument '" << arg << "'");
+    if (arg.substr(0, 2) != "--") {
+      throw ConfigError("unexpected positional argument '" +
+                        std::string(arg) + "'");
+    }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     // insert_or_assign with explicit string temporaries sidesteps GCC 12's
@@ -48,9 +62,11 @@ std::int64_t CliArgs::get_int(const std::string& name,
 
 int CliArgs::get_int32(const std::string& name, int fallback) const {
   const std::int64_t value = get_int(name, fallback);
-  MPSIM_CHECK(value >= std::numeric_limits<int>::min() &&
-                  value <= std::numeric_limits<int>::max(),
-              "--" << name << "=" << value << " is out of int range");
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw ConfigError("--" + name + "=" + std::to_string(value) +
+                      " is out of int range");
+  }
   return int(value);
 }
 
@@ -70,13 +86,12 @@ std::int64_t parse_int_flag(const std::string& flag, const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  // Full consumption, and no leading whitespace (strtoll skips it).
-  MPSIM_CHECK(!text.empty() &&
-                  !std::isspace(static_cast<unsigned char>(text.front())) &&
-                  end == text.c_str() + text.size(),
-              "--" << flag << "=" << text << " is not an integer");
-  MPSIM_CHECK(errno != ERANGE,
-              "--" << flag << "=" << text << " is out of integer range");
+  if (!fully_parsed(text, end)) {
+    throw ConfigError("--" + flag + "=" + text + " is not an integer");
+  }
+  if (errno == ERANGE) {
+    throw ConfigError("--" + flag + "=" + text + " is out of integer range");
+  }
   return value;
 }
 
@@ -84,12 +99,12 @@ double parse_double_flag(const std::string& flag, const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  MPSIM_CHECK(!text.empty() &&
-                  !std::isspace(static_cast<unsigned char>(text.front())) &&
-                  end == text.c_str() + text.size(),
-              "--" << flag << "=" << text << " is not a number");
-  MPSIM_CHECK(errno != ERANGE,
-              "--" << flag << "=" << text << " is out of range");
+  if (!fully_parsed(text, end)) {
+    throw ConfigError("--" + flag + "=" + text + " is not a number");
+  }
+  if (errno == ERANGE) {
+    throw ConfigError("--" + flag + "=" + text + " is out of range");
+  }
   return value;
 }
 
@@ -98,7 +113,7 @@ void CliArgs::check_known(std::initializer_list<const char*> known) const {
     (void)value;
     const bool ok = std::any_of(known.begin(), known.end(),
                                 [&](const char* k) { return name == k; });
-    MPSIM_CHECK(ok, "unknown flag --" << name);
+    if (!ok) throw ConfigError("unknown flag --" + name);
   }
 }
 

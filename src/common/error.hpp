@@ -87,9 +87,9 @@ class CheckpointError : public Error {
 
 /// Raised when a whole simulated *node* (one device fleet of the run)
 /// crashes via an injected `node_crash` fault.  The scheduler stops the
-/// node's workers, drops its partial slices and releases its uncommitted
-/// tiles to the other nodes, without flushing its journal — exactly what
-/// a real process crash would leave behind.
+/// node's workers, drops its partial slices and moves its jobs to the
+/// other nodes, without flushing its journal — exactly what a real
+/// process crash would leave behind.
 class NodeFailedError : public Error {
  public:
   explicit NodeFailedError(const std::string& what) : Error(what) {}

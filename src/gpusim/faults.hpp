@@ -41,10 +41,10 @@
 //
 // The node_* kinds fire at the coordinator's per-node kNodeTile site (the
 // "@device" selector addresses a *node* there, and `at`/`every` count
-// the node's claims in the order fixed when the tiles are dealt out, see
-// plan()): node_crash throws NodeFailedError and takes the whole
-// simulated node down, node_stall and node_slow stall the node's tile
-// start in the same cancellable sleep as hang/slow.  They are used with
+// the tiles dealt to the node, in grid order, see plan()): node_crash
+// throws NodeFailedError and takes the whole simulated node down,
+// node_stall and node_slow stall the node's tile start in the same
+// cancellable sleep as hang/slow.  They are used with
 // --node-faults=, whose injector is separate from the per-device one.
 #pragma once
 
@@ -142,7 +142,7 @@ class FaultInjector {
   /// Decides, without firing anything, which rule (if any) matches the
   /// `sequence`-th event at `site` on `device` — for callers that fix
   /// the event order up front instead of counting live events.  The
-  /// coordinator plans node faults this way over each node's claim order,
+  /// coordinator plans node faults this way over each node's deal order,
   /// so they fire the same under any thread interleaving (probability
   /// rules draw from the seeded stream in plan order).
   std::optional<FaultRule> plan(FaultSite site, int device,

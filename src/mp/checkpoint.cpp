@@ -374,7 +374,13 @@ CheckpointData read_checkpoint(const std::string& path) {
   const auto event_entries = r.get<std::uint64_t>();
   for (std::uint64_t e = 0; e < event_entries; ++e) {
     RunEvent event;
-    event.kind = RunEvent::Kind(r.get<std::int32_t>());
+    const auto kind = r.get<std::int32_t>();
+    // The last enumerator bounds the wire values (the kinds are frozen).
+    if (kind < 0 || kind > int(RunEvent::Kind::kNodeDuplicated)) {
+      throw CheckpointError("checkpoint '" + path + "' has an event of kind " +
+                            std::to_string(kind));
+    }
+    event.kind = RunEvent::Kind(kind);
     event.tile_id = r.get<std::int32_t>();
     event.device = r.get<std::int32_t>();
     event.detail = r.get_string();

@@ -9,48 +9,48 @@
 //   model → health
 //
 // One Scheduler holds every decision of the run under one mutex and one
-// condition variable: the global tile table (commit, owner, started,
-// duplicate, pooled, deferral bits and planned node fault per tile), the
-// per-device queues of every node, blacklists, watchdog strikes, the
-// in-flight attempt map, each node's partial slices and crash flag, and
-// one RunHealth.  Each node is a private gpusim::System fleet whose
-// device workers — one thread per device — pop, run and commit tiles
-// against that state directly; every tile attempt runs on its device
-// worker's own thread.  Any commit, crash or interrupt wakes every idle
-// worker at once.  A single monitor thread handles shutdown, the
-// per-attempt watchdog, in-node speculation and cross-node straggler
-// duplication.
+// condition variable: the tile table (commit, started, left-for-CPU flag
+// and planned node fault per tile), one job queue per global device,
+// blacklists, watchdog strikes, the in-flight attempt map, the run's one
+// watchdog calibration, each node's partial slices and crash flag, and
+// one RunHealth.  The device queues are the only place work lives: a
+// node is the devices [k·devices, (k+1)·devices) that crash together and
+// share a side journal, and each node is a private gpusim::System fleet
+// whose device workers — one thread per device — pop, run and commit
+// tiles against that state directly.  Any commit, crash or interrupt
+// wakes every idle worker at once.  A single monitor thread handles
+// shutdown and the watchdog.
 //
 //  * dealing — mp::plan_tiles (deal_tiles: config.assignment over
 //    nodes, then over each node's whole share of devices, restored tiles
-//    included, so a resume places tiles where a fresh run did) fixes each
-//    tile's device queue; a node's claim on an *unstarted* tile can be
-//    revoked at any time;
+//    included, so a resume places tiles where a fresh run did) fixes the
+//    device queue each tile starts in;
 //  * modelled seconds — the run reports the roofline model of that plan
 //    (mp::model_tiles), so faults, steals, speculation, resume and the
 //    CPU fallback never move them;
-//  * per-tile supervision — retries with backoff, requeue onto the
-//    node's healthiest device, blacklisting, precision escalation, the
-//    watchdog and speculative backups all stay inside the tile's node;
-//    a tile no device of a node can finish is deferred to the other
-//    nodes and never handed back to the deferring one;
-//  * cross-node work stealing — an idle node takes an unstarted tile
-//    from the most-loaded live peer (config.steal = false disables this,
-//    but not the recovery pool below);
+//  * placement — a worker with an empty queue first takes an orphan: a
+//    job queued on a blacklisted device of its own node, or on any device
+//    of a node with no healthy device left (a crashed node included),
+//    whatever config.steal says.  Only then, with config.steal, does it
+//    take the last job of the deepest queue on another live node; a job
+//    planned to crash its node is never stolen;
+//  * supervision — retries with backoff, blacklisting and precision
+//    escalation on the device; a failed job is requeued on the
+//    least-loaded healthy device it has not exhausted, in its own node
+//    first and then in the others, and left for the CPU only when no
+//    such device exists;
+//  * watchdog — one wall-per-modelled calibration for the whole run
+//    flags overdue attempts; each tile gets at most one speculative
+//    backup, on the least-loaded healthy device other than the overdue
+//    one, its own node first;
 //  * node faults — config.node_faults rules are planned over each node's
-//    claims in the order they were dealt, so `node_crash@k:at=n` always
-//    fires on node k's n-th claim whatever the thread interleaving (a
-//    crash claim is never stolen; a stall claim fires only if its node
-//    still runs it);
-//  * recovery — a crashed node's workers stop, its attempts are
-//    cancelled, its partial slices dropped and its claims released at
-//    once into a pool every live node drains (a node whose workers all
-//    exit releases its claims the same way); a tile no live node can
-//    finish is completed on the CPU reference path after the workers
-//    exit;
-//  * straggler re-execution — with the watchdog on, an EWMA of per-tile
-//    commit wall time flags overdue started tiles, which are re-dispatched
-//    once to a second node;
+//    dealt tiles in grid order, so `node_crash@k:at=n` always fires on
+//    node k's n-th tile whatever the thread interleaving (a stall fires
+//    only if its node still runs the tile).  A crash stops the node's
+//    workers, cancels its attempts and drops its partial slices; the
+//    unwinding workers requeue their jobs and its queued jobs become
+//    orphans.  A tile no device can take is completed on the CPU
+//    reference path after the workers exit;
 //  * commit — the first attempt to finish a tile stores its result and
 //    cancels every other attempt of it on any node; a finisher on another
 //    node that still arrives later is dropped (node.commit_conflicts).
@@ -67,7 +67,7 @@
 //
 // Bit-identity argument: a tile's output bits depend only on its seed
 // origin and column range, never on which node/device computed it, how
-// often it was retried or duplicated, or how its rows were sliced for
+// often it was retried or raced by a backup, or how its rows were sliced for
 // journalling.  First-wins commits keep exactly one result per tile and
 // the final column merge (assemble_tile_results) consumes the tiles in
 // grid order — so any node count, M≠N-node resumes and regridded resumes
@@ -159,8 +159,7 @@ struct SchedulerMetrics {
 /// schema).
 struct CoordinatorMetrics {
   Counter& tiles_dispatched;  ///< tiles a node actually started
-  Counter& steals;            ///< cross-node steals of unstarted tiles
-  Counter& duplicates;        ///< straggler tiles re-dispatched
+  Counter& steals;            ///< jobs stolen from another node's queue
   Counter& node_crashes;      ///< nodes lost to NodeFailedError
   Counter& cpu_fallback_tiles;///< tiles the coordinator finished on CPU
   Counter& node_commits;      ///< winning commits
@@ -172,7 +171,6 @@ struct CoordinatorMetrics {
     static CoordinatorMetrics metrics{
         reg.counter("coordinator.tiles_dispatched"),
         reg.counter("coordinator.steals"),
-        reg.counter("coordinator.duplicates"),
         reg.counter("coordinator.node_crashes"),
         reg.counter("coordinator.cpu_fallback_tiles"),
         reg.counter("node.commits"),
@@ -207,19 +205,11 @@ struct AttemptRecord {
 
 /// Per-tile dispatch state.
 struct TileState {
-  int owner = -1;        ///< node currently responsible (-1 = pooled)
-  int dup_runner = -1;   ///< second node racing a straggler (-1 = none)
-  bool started = false;  ///< some node began executing it
-  bool dup_issued = false;   ///< straggler duplicate already issued
-  bool pooled = false;       ///< an unclaimed recovery-pool entry exists
-  double start_seconds = 0.0;
-  /// Nodes none of whose devices could finish the tile (bit k = node k;
-  /// nodes <= 64).  They never get it back.
-  std::uint64_t deferred_by = 0;
-  /// Node fault planned on the dealt claim of this tile.
+  bool started = false;       ///< some device began executing it
+  bool left_for_cpu = false;  ///< no device could take it any more
+  /// Node fault planned on this tile for the node it was dealt to.
   std::optional<gpusim::FaultRule> node_fault;
-  int fault_node = -1;        ///< the node whose claim it is
-  std::uint64_t claim = 0;    ///< that node's claim number (1-based)
+  std::uint64_t claim = 0;    ///< its place in that node's deal (1-based)
 };
 
 /// Per-node state.  Everything but the journal I/O lock is guarded by
@@ -229,13 +219,10 @@ struct NodeState {
   std::unique_ptr<gpusim::System> system;
   std::string journal_path;          ///< "" = not journalling
   std::mutex journal_io;             ///< serialises this node's writes
-  std::set<std::size_t> unstarted;   ///< owned, queued, stealable tiles
   /// Per tile: furthest row-slice snapshot (r_count == 0 = none).
   std::vector<CheckpointSlice> partials;
-  std::vector<int> backups;          ///< per tile: queued/running backups
   std::size_t slice_commits = 0;     ///< what kill_after_slices counts
   std::size_t commits_since_checkpoint = 0;
-  double wall_per_modeled = 0.0;     ///< EWMA calibration of the perf model
   int live_workers = 0;
   bool crashed = false;              ///< NodeFailedError took it down
   std::unique_ptr<ScopedEvent> span; ///< the "node k" trace span
@@ -257,17 +244,16 @@ struct Scheduler {
 
   CommittedTiles done;               ///< what assemble_tile_results merges
   std::vector<TileState> state;
-  std::deque<std::size_t> pool;      ///< released / deferred / duplicated
-  std::uint64_t alive = 0;           ///< bit k = node k still running
   std::size_t outstanding = 0;       ///< tiles not committed yet
   std::uint64_t total_commits = 0;   ///< restored tiles included
-  double wall_ewma = 0.0;            ///< started→committed, straggler base
 
   std::vector<NodeState> nodes;
   std::vector<std::deque<TileJob>> queues;  ///< per global device
   std::vector<char> blacklisted;
   std::vector<int> consecutive_failed_tiles;
   std::vector<int> watchdog_strikes;
+  std::vector<int> backups;          ///< per tile: queued/running backups
+  double wall_per_modeled = 0.0;     ///< EWMA calibration of the perf model
   std::uint64_t next_attempt_id = 0;
   std::map<std::uint64_t, AttemptRecord> inflight;
 
@@ -278,18 +264,54 @@ struct Scheduler {
   const MatrixProfileConfig& config() const { return *run.config; }
 };
 
-std::uint64_t node_bit(int k) { return std::uint64_t(1) << k; }
-
 void log_event(Scheduler& s, RunEvent event) { s.log->add(std::move(event)); }
 
-/// No tile needs device work any more: each uncommitted one was deferred
-/// by every live node.  Caller holds the lock.
+/// Global device `g` can take work: not blacklisted, its node not
+/// crashed.  Caller holds the lock.
+bool healthy_locked(const Scheduler& s, int g) {
+  return s.blacklisted[std::size_t(g)] == 0 &&
+         !s.nodes[std::size_t(g / s.devices)].crashed;
+}
+
+/// Node `k` still has a healthy device.  Caller holds the lock.
+bool node_live_locked(const Scheduler& s, int k) {
+  for (int g = k * s.devices; g < (k + 1) * s.devices; ++g) {
+    if (healthy_locked(s, g)) return true;
+  }
+  return false;
+}
+
+/// The least-loaded healthy device other than `skip` and outside
+/// `exhausted`: in node `k` first, then in the other nodes; ties go to
+/// the lowest index.  -1 = none.  Caller holds the lock.
+int least_loaded_locked(const Scheduler& s, int k, int skip,
+                        const std::set<int>& exhausted = {}) {
+  int target = -1;
+  std::size_t best = 0;
+  const auto consider = [&](int g) {
+    if (g == skip || !healthy_locked(s, g) || exhausted.count(g) != 0) {
+      return;
+    }
+    const std::size_t depth = s.queues[std::size_t(g)].size();
+    if (target < 0 || depth < best) {
+      target = g;
+      best = depth;
+    }
+  };
+  for (int g = k * s.devices; g < (k + 1) * s.devices; ++g) consider(g);
+  if (target >= 0) return target;
+  for (int g = 0; g < int(s.queues.size()); ++g) {
+    if (g / s.devices != k) consider(g);
+  }
+  return target;
+}
+
+/// No tile needs device work any more: each uncommitted one is left for
+/// the CPU.  Once true it stays true.  Caller holds the lock.
 bool all_done_locked(const Scheduler& s) {
   if (s.outstanding == 0) return true;
   for (std::size_t t = 0; t < s.state.size(); ++t) {
-    if (!s.done.committed[t] && (s.alive & ~s.state[t].deferred_by) != 0) {
-      return false;
-    }
+    if (!s.done.committed[t] && !s.state[t].left_for_cpu) return false;
   }
   return true;
 }
@@ -315,39 +337,10 @@ void kill_run(Scheduler& s) {
   if (!s.interrupted) interrupt_locked(s);
 }
 
-/// Marks node `k` gone and releases its uncommitted claims into the
-/// recovery pool (promoting a live duplicate runner to owner when one
-/// exists).  Caller holds the lock.
-void release_node_locked(Scheduler& s, int k) {
-  s.alive &= ~node_bit(k);
-  for (std::size_t t = 0; t < s.state.size(); ++t) {
-    if (s.done.committed[t]) continue;
-    TileState& ts = s.state[t];
-    if (ts.dup_runner == k) {
-      ts.dup_runner = -1;
-      ts.dup_issued = false;  // the monitor may re-duplicate
-    }
-    if (ts.owner != k) continue;
-    if (ts.dup_runner != -1 && (s.alive & node_bit(ts.dup_runner)) != 0) {
-      ts.owner = ts.dup_runner;  // promote the backup runner
-      ts.dup_runner = -1;
-      continue;
-    }
-    ts.owner = -1;
-    ts.started = false;
-    ts.dup_issued = false;
-    if (!ts.pooled) {
-      ts.pooled = true;
-      s.pool.push_back(t);
-    }
-  }
-  s.nodes[std::size_t(k)].unstarted.clear();
-  s.cv.notify_all();
-}
-
 /// Node `k` is gone (NodeFailedError): its workers stop, its attempts are
-/// cancelled, its in-memory partial slices die with it — exactly what
-/// elastic resume has to survive — and its claims are released now.
+/// cancelled (their workers requeue the jobs as they unwind) and its
+/// in-memory partial slices die with it — exactly what elastic resume has
+/// to survive.  The jobs still queued on its devices become orphans.
 /// Caller holds the lock.
 void crash_node_locked(Scheduler& s, int k, const std::string& reason) {
   NodeState& node = s.nodes[std::size_t(k)];
@@ -359,65 +352,39 @@ void crash_node_locked(Scheduler& s, int k, const std::string& reason) {
   for (auto& [id, attempt] : s.inflight) {
     if (attempt.device / s.devices == k) attempt.token->cancel();
   }
-  release_node_locked(s, k);
+  s.cv.notify_all();
 }
 
-/// No device of node `k` can finish tile `t`: offer it to the other
-/// nodes; the CPU takes it if none can.  Caller holds the lock.
-void defer_locked(Scheduler& s, std::size_t t, int k) {
-  TileState& ts = s.state[t];
-  ts.deferred_by |= node_bit(k);
-  if (ts.dup_runner == k) ts.dup_runner = -1;
-  if (ts.owner != k) return;  // a peer still runs it
-  ts.owner = ts.dup_runner;
-  ts.dup_runner = -1;
-  if (ts.owner != -1) return;
-  ts.started = false;
-  if (!ts.pooled) {
-    ts.pooled = true;
-    s.pool.push_back(t);
-  }
-}
-
-/// Picks the healthiest device of node `k` for a requeued job (fewest
-/// pending tiles, skipping blacklisted devices and devices the job has
-/// already exhausted); defers the tile to the other nodes when none
-/// remain.  Caller holds the lock and notifies.
+/// Requeues a job that failed on node `k` on the least-loaded healthy
+/// device it has not exhausted, in node `k` first and then in the other
+/// nodes; leaves the tile for the CPU when no such device remains.
+/// Caller holds the lock.
 void requeue_locked(Scheduler& s, TileJob job, int tile_id, int k) {
+  s.cv.notify_all();
   if (s.done.committed[job.index]) return;  // another attempt already won
-  NodeState& node = s.nodes[std::size_t(k)];
   if (job.speculative) {
     // A requeued backup becomes an ordinary job; the backup slot frees up
     // so the watchdog may speculate again if the primary stays stuck.
-    node.backups[job.index] -= 1;
+    s.backups[job.index] -= 1;
     job.speculative = false;
   }
-  int target = -1;
-  std::size_t best = 0;
-  for (int g = k * s.devices; g < (k + 1) * s.devices; ++g) {
-    if (s.blacklisted[std::size_t(g)] != 0) continue;
-    if (job.exhausted.count(g) != 0) continue;
-    const std::size_t depth = s.queues[std::size_t(g)].size();
-    if (target < 0 || depth < best) {
-      target = g;
-      best = depth;
-    }
-  }
+  const int target = least_loaded_locked(s, k, -1, job.exhausted);
   job.retries_here = 0;
   s.health.reassigned_tiles += 1;
   SchedulerMetrics::get().reassigned.add();
   if (target < 0) {
-    if ((s.state[job.index].deferred_by & node_bit(k)) != 0) return;
+    TileState& ts = s.state[job.index];
+    if (ts.left_for_cpu) return;
+    ts.left_for_cpu = true;
     log_event(s, {RunEvent::Kind::kDeferredToCpu, tile_id, -1, ""});
-    defer_locked(s, job.index, k);
   } else {
     log_event(s, {RunEvent::Kind::kReassigned, tile_id, target, ""});
     s.queues[std::size_t(target)].push_back(std::move(job));
   }
 }
 
-/// Marks global device `g` blacklisted.  Orphans still queued on it are
-/// work-stolen by its node's healthy workers.  Caller holds the lock.
+/// Marks global device `g` blacklisted.  Jobs still queued on it become
+/// orphans.  Caller holds the lock.
 void blacklist_locked(Scheduler& s, int g, bool offline,
                       const std::string& why) {
   s.blacklisted[std::size_t(g)] = 1;
@@ -429,87 +396,85 @@ void blacklist_locked(Scheduler& s, int g, bool offline,
   log_event(s, {RunEvent::Kind::kBlacklisted, -1, g, why});
 }
 
-/// Hands an idle node `k` one more tile: from the recovery pool first
-/// (released tiles of crashed nodes, deferred tiles and straggler
-/// duplicates — always active), then, with config.steal, an unstarted
-/// tile of the most-loaded live peer.  nullopt = nothing to hand out.
+/// The queue an idle worker of node `k` takes an orphan from: a
+/// blacklisted device of its own node with jobs queued, else any device
+/// with jobs queued on a node with no healthy device left.  -1 = none.
 /// Caller holds the lock.
-std::optional<std::size_t> acquire_locked(Scheduler& s, int k) {
-  const std::size_t scan = s.pool.size();
-  for (std::size_t i = 0; i < scan; ++i) {
-    const std::size_t t = s.pool.front();
-    s.pool.pop_front();
-    TileState& ts = s.state[t];
-    ts.pooled = false;
-    if (s.done.committed[t]) continue;  // stale entry, drop
-    if ((ts.deferred_by & node_bit(k)) != 0 ||
-        (ts.started && ts.owner == k)) {
-      s.pool.push_back(t);  // leave it for another node
-      ts.pooled = true;
-      continue;
+int orphan_queue_locked(const Scheduler& s, int k) {
+  for (int g = k * s.devices; g < (k + 1) * s.devices; ++g) {
+    if (s.blacklisted[std::size_t(g)] != 0 &&
+        !s.queues[std::size_t(g)].empty()) {
+      return g;
     }
-    if (ts.started) {
-      // Straggler duplicate: races the node already running it.
-      if (ts.dup_runner != -1) continue;  // already claimed, drop
-      ts.dup_runner = k;
-      s.health.node_duplicates += 1;
-      CoordinatorMetrics::get().duplicates.add();
-      log_event(s, {RunEvent::Kind::kNodeDuplicated, (*s.run.tiles)[t].id, k,
-                    "owner node " + std::to_string(ts.owner) + " overdue"});
-      return t;
-    }
-    // Unstarted release (crashed, early-exited or deferring owner).
-    ts.owner = k;
-    s.nodes[std::size_t(k)].unstarted.insert(t);
-    return t;
   }
-  if (!s.config().steal) return std::nullopt;
+  for (int g = 0; g < int(s.queues.size()); ++g) {
+    if (g / s.devices != k && !s.queues[std::size_t(g)].empty() &&
+        !node_live_locked(s, g / s.devices)) {
+      return g;
+    }
+  }
+  return -1;
+}
+
+/// A job planned to crash its node: it never leaves that node's queues
+/// by stealing.
+bool crash_pinned(const TileState& ts) {
+  return ts.node_fault && ts.node_fault->kind == gpusim::FaultKind::kNodeCrash;
+}
+
+/// Cross-node stealing for an idle worker of node `k`: takes the last
+/// job of the deepest queue of a healthy device on another node, skipping
+/// a crash-pinned job.  nullopt = nothing to steal.  Caller holds the
+/// lock.
+std::optional<TileJob> steal_locked(Scheduler& s, int k) {
   int victim = -1;
   std::size_t best = 0;
-  for (int j = 0; j < int(s.nodes.size()); ++j) {
-    if (j == k || (s.alive & node_bit(j)) == 0) continue;
-    if (s.nodes[std::size_t(j)].unstarted.size() > best) {
-      best = s.nodes[std::size_t(j)].unstarted.size();
-      victim = j;
+  std::size_t at = 0;
+  for (int g = 0; g < int(s.queues.size()); ++g) {
+    const std::deque<TileJob>& q = s.queues[std::size_t(g)];
+    if (g / s.devices == k || q.size() <= best || !healthy_locked(s, g)) {
+      continue;
+    }
+    for (std::size_t i = q.size(); i-- > 0;) {
+      if (!crash_pinned(s.state[q[i].index])) {
+        victim = g;
+        best = q.size();
+        at = i;
+        break;
+      }
     }
   }
   if (victim < 0) return std::nullopt;
-  auto& set = s.nodes[std::size_t(victim)].unstarted;
-  auto it = std::prev(set.end());
-  const std::size_t t = *it;
-  set.erase(it);
-  s.state[t].owner = k;
-  s.nodes[std::size_t(k)].unstarted.insert(t);
+  std::deque<TileJob>& q = s.queues[std::size_t(victim)];
+  TileJob job = std::move(q[at]);
+  q.erase(q.begin() + std::ptrdiff_t(at));
   s.health.node_steals += 1;
   CoordinatorMetrics::get().steals.add();
-  log_event(s, {RunEvent::Kind::kNodeStolen, (*s.run.tiles)[t].id, k,
-                "from node " + std::to_string(victim)});
-  return t;
+  log_event(s, {RunEvent::Kind::kNodeStolen, (*s.run.tiles)[job.index].id, k,
+                "from node " + std::to_string(victim / s.devices)});
+  return job;
 }
 
-/// Final gate before a popped job of node `k` executes: false (the job
-/// is dropped) when its tile committed while queued or the node's claim
-/// was revoked; otherwise the tile counts as started.  Caller holds the
-/// lock.
-bool claim_locked(Scheduler& s, const TileJob& job, int k) {
+/// Final gate before a popped job executes: false (the job is dropped)
+/// when its tile committed while queued; otherwise the tile counts as
+/// started.  Caller holds the lock.
+bool claim_locked(Scheduler& s, const TileJob& job) {
   const std::size_t t = job.index;
-  TileState& ts = s.state[t];
-  NodeState& node = s.nodes[std::size_t(k)];
-  if (s.done.committed[t] || (ts.owner != k && ts.dup_runner != k)) {
-    if (job.speculative) node.backups[t] -= 1;
+  if (s.done.committed[t]) {
+    if (job.speculative) s.backups[t] -= 1;
     return false;
   }
+  TileState& ts = s.state[t];
   if (!ts.started) {
     ts.started = true;
-    ts.start_seconds = s.clock->seconds();
-    node.unstarted.erase(t);
     CoordinatorMetrics::get().tiles_dispatched.add();
   }
   return true;
 }
 
 /// Node-level fault hook, fired once per popped job of node `k` after its
-/// attempt registered `token`: may stall in a cancellable sleep
+/// attempt registered `token`; a tile's planned fault fires only on the
+/// node it was dealt to.  May stall in a cancellable sleep
 /// (node_stall/node_slow) or throw NodeFailedError (node_crash).  Runs
 /// unlocked.
 void fire_node_fault(Scheduler& s, int k, std::size_t t,
@@ -520,7 +485,7 @@ void fire_node_fault(Scheduler& s, int k, std::size_t t,
   {
     std::lock_guard lock(s.mutex);
     TileState& ts = s.state[t];
-    if (!ts.node_fault || ts.fault_node != k) return;
+    if (!ts.node_fault || (*s.run.tiles)[t].device / s.devices != k) return;
     fault = ts.node_fault;
     claim = ts.claim;
     ts.node_fault.reset();
@@ -530,16 +495,17 @@ void fire_node_fault(Scheduler& s, int k, std::size_t t,
                         token);
 }
 
-/// Feeds one finished attempt into node `k`'s wall-per-modelled EWMA (the
-/// watchdog's deadline calibration; hung attempts never get here, so a
-/// hang cannot poison the deadline upward).  Caller holds the lock.
-void calibrate_locked(NodeState& node, double modeled_seconds,
+/// Feeds one finished attempt into the run's wall-per-modelled EWMA (the
+/// watchdog's deadline calibration — one for every node, as every node
+/// runs the same MachineSpec; hung attempts never get here, so a hang
+/// cannot poison the deadline upward).  Caller holds the lock.
+void calibrate_locked(Scheduler& s, double modeled_seconds,
                       double wall_seconds) {
   if (modeled_seconds <= 0.0 || wall_seconds <= 0.0) return;
   const double rate = wall_seconds / modeled_seconds;
-  node.wall_per_modeled = node.wall_per_modeled <= 0.0
-                              ? rate
-                              : 0.7 * node.wall_per_modeled + 0.3 * rate;
+  s.wall_per_modeled = s.wall_per_modeled <= 0.0
+                           ? rate
+                           : 0.7 * s.wall_per_modeled + 0.3 * rate;
 }
 
 /// Journals node `k`'s view: the committed tiles (all of them in a
@@ -615,22 +581,21 @@ void note_slice_snapshot(Scheduler& s, std::size_t t, int g,
 }
 
 /// Watchdog: flags attempts that overran their deadline (slack × the
-/// node's wall-per-modelled calibration × the attempt's modelled time),
+/// run's wall-per-modelled calibration × the attempt's modelled time),
 /// blacklists devices that keep hanging and launches one speculative
-/// backup per tile on the least-loaded other healthy device of the node.
-/// Caller holds the lock.
+/// backup per tile on the least-loaded other healthy device, in the
+/// overdue device's node first and then in the others.  Caller holds the
+/// lock.
 void watchdog_locked(Scheduler& s) {
   const ResilienceConfig& rc = s.config().resilience;
+  if (s.wall_per_modeled <= 0.0) return;  // no calibration yet
   const double now = s.clock->seconds();
   for (auto& [id, attempt] : s.inflight) {
     if (attempt.fired) continue;
     const int g = attempt.device;
-    const int k = g / s.devices;
-    NodeState& node = s.nodes[std::size_t(k)];
-    if (node.wall_per_modeled <= 0.0) continue;  // no calibration yet
     const double deadline =
         std::max(kWatchdogMinDeadlineMs * 1e-3,
-                 rc.watchdog_slack * node.wall_per_modeled *
+                 rc.watchdog_slack * s.wall_per_modeled *
                      attempt.modeled_seconds);
     const double elapsed = now - attempt.start_seconds;
     if (elapsed < deadline) continue;
@@ -651,10 +616,10 @@ void watchdog_locked(Scheduler& s) {
     // Repeated hangs feed the blacklist exactly like failed tiles.
     s.watchdog_strikes[std::size_t(g)] += 1;
     const bool drop = s.blacklisted[std::size_t(g)] == 0 &&
-                      s.watchdog_strikes[std::size_t(g)] >= rc.blacklist_after;
+                      s.watchdog_strikes[std::size_t(g)] >= kBlacklistAfter;
     if (drop) {
       blacklist_locked(s, g, /*offline=*/false,
-                       std::to_string(rc.blacklist_after) +
+                       std::to_string(kBlacklistAfter) +
                            " watchdog deadline overruns");
       for (auto& [other_id, other] : s.inflight) {
         if (other.device == g) other.token->cancel();
@@ -665,23 +630,14 @@ void watchdog_locked(Scheduler& s) {
     // other healthy device the overdue attempt is cancelled instead,
     // turning the hang into an ordinary retry on whatever device remains.
     const std::size_t t = attempt.job_index;
-    if (s.done.committed[t] == 0 && node.backups[t] == 0) {
-      int target = -1;
-      std::size_t best = 0;
-      for (int dev = k * s.devices; dev < (k + 1) * s.devices; ++dev) {
-        if (dev == g || s.blacklisted[std::size_t(dev)] != 0) continue;
-        const std::size_t depth = s.queues[std::size_t(dev)].size();
-        if (target < 0 || depth < best) {
-          target = dev;
-          best = depth;
-        }
-      }
+    if (s.done.committed[t] == 0 && s.backups[t] == 0) {
+      const int target = least_loaded_locked(s, g / s.devices, g);
       if (target >= 0) {
         TileJob backup;
         backup.index = t;
         backup.mode = attempt.mode;
         backup.speculative = true;
-        node.backups[t] += 1;
+        s.backups[t] += 1;
         s.queues[std::size_t(target)].push_back(std::move(backup));
         log_event(s, {RunEvent::Kind::kSpeculated, attempt.tile_id, target,
                       "backup of the attempt on device " +
@@ -694,40 +650,12 @@ void watchdog_locked(Scheduler& s) {
   }
 }
 
-/// Straggler re-execution across nodes: once the commit EWMA is
-/// calibrated, an overdue started tile is offered once to a second node
-/// through the recovery pool; first commit wins.  Caller holds the lock.
-void duplicate_stragglers_locked(Scheduler& s) {
-  if (s.wall_ewma <= 0.0) return;
-  const ResilienceConfig& rc = s.config().resilience;
-  const double deadline = std::max(s.wall_ewma * rc.watchdog_slack,
-                                   kWatchdogMinDeadlineMs / 1000.0);
-  const double now = s.clock->seconds();
-  bool offered = false;
-  for (std::size_t t = 0; t < s.state.size(); ++t) {
-    TileState& ts = s.state[t];
-    if (s.done.committed[t] || !ts.started || ts.dup_issued || ts.pooled ||
-        ts.dup_runner != -1) {
-      continue;
-    }
-    if (now - ts.start_seconds <= deadline) continue;
-    ts.dup_issued = true;
-    ts.pooled = true;
-    s.pool.push_back(t);
-    offered = true;
-  }
-  if (offered) s.cv.notify_all();
-}
-
-/// The run's one monitor.  Wakes every watchdog_poll_ms: propagates a
+/// The run's one monitor.  Wakes every kWatchdogPollMs: propagates a
 /// requested shutdown (a signal cannot notify the condition variable) to
-/// every node, and — when the watchdog is enabled — runs the per-attempt
-/// watchdog and, over several nodes with speculation, straggler
-/// duplication.
+/// every node and, when the watchdog is enabled, runs it.
 void monitor_thread(Scheduler& s) {
   const ResilienceConfig& rc = s.config().resilience;
-  const auto poll =
-      std::chrono::duration<double, std::milli>(rc.watchdog_poll_ms);
+  const auto poll = std::chrono::duration<double, std::milli>(kWatchdogPollMs);
   std::unique_lock lock(s.mutex);
   for (;;) {
     s.cv.wait_for(lock, poll, [&] { return s.stop_monitor; });
@@ -736,23 +664,19 @@ void monitor_thread(Scheduler& s) {
       interrupt_locked(s);
     }
     if (rc.watchdog && !s.interrupted) watchdog_locked(s);
-    if (rc.watchdog && s.nodes.size() > 1) {
-      duplicate_stragglers_locked(s);
-    }
   }
 }
 
-/// Worker of global device `g`: pulls tiles from its own queue (or steals
-/// orphans from its node's blacklisted devices), retries transient faults
+/// Worker of global device `g`: pulls jobs from its own queue, else an
+/// orphan, else (config.steal) a stolen job; retries transient faults
 /// with exponential backoff, escalates numerically poisoned tiles, commits
 /// first-wins, and exits when blacklisted, interrupted, when its node
-/// crashed, or when no tile needs device work any more.
+/// crashed, or when every uncommitted tile is left for the CPU.
 void device_worker(Scheduler& s, int g) {
   const MatrixProfileConfig& config = s.config();
   const ResilienceConfig& rc = config.resilience;
   const int k = g / s.devices;
   const int local = g % s.devices;
-  const int first = k * s.devices;
   NodeState& node = s.nodes[std::size_t(k)];
   gpusim::Device& device = node.system->device(local);
   gpusim::CancellationToken token;
@@ -760,11 +684,12 @@ void device_worker(Scheduler& s, int g) {
     TileJob job;
     {
       std::unique_lock lock(s.mutex);
-      // An empty backlog is not the end: tiles may still arrive (released
-      // by a crashed node, deferred by a peer, duplicated from a
-      // straggler, stolen from a loaded peer), so idle workers wait and
-      // exit only once no tile needs device work any more.  Every change
-      // that can hand out work notifies; the timeout is a backstop.
+      // An empty queue is not the end: jobs may still arrive (requeued
+      // after a failure, a watchdog backup, orphaned by a blacklisted
+      // device or a crashed node, stolen from a loaded peer), so idle
+      // workers wait and exit only once no tile needs device work any
+      // more.  Every change that can hand out work notifies; the timeout
+      // is a backstop.
       int orphan = -1;
       for (;;) {
         if (s.blacklisted[std::size_t(g)] != 0 || s.interrupted ||
@@ -772,21 +697,14 @@ void device_worker(Scheduler& s, int g) {
           return;
         }
         if (!s.queues[std::size_t(g)].empty()) break;
-        for (int other = first; other < first + s.devices; ++other) {
-          if (s.blacklisted[std::size_t(other)] != 0 &&
-              !s.queues[std::size_t(other)].empty()) {
-            orphan = other;
-            break;
-          }
-        }
+        orphan = orphan_queue_locked(s, k);
         if (orphan >= 0) break;
         if (all_done_locked(s)) return;
-        if (std::optional<std::size_t> extra = acquire_locked(s, k)) {
-          TileJob fetched;
-          fetched.index = *extra;
-          fetched.mode = config.mode;
-          s.queues[std::size_t(g)].push_back(std::move(fetched));
-          continue;
+        if (config.steal) {
+          if (std::optional<TileJob> stolen = steal_locked(s, k)) {
+            s.queues[std::size_t(g)].push_back(std::move(*stolen));
+            continue;
+          }
         }
         s.cv.wait_for(lock, std::chrono::milliseconds(25));
       }
@@ -794,7 +712,7 @@ void device_worker(Scheduler& s, int g) {
           s.queues[std::size_t(orphan < 0 ? g : orphan)];
       job = std::move(from.front());
       from.pop_front();
-      if (!claim_locked(s, job, k)) continue;
+      if (!claim_locked(s, job)) continue;
       if (orphan >= 0) {
         s.health.reassigned_tiles += 1;
         SchedulerMetrics::get().reassigned.add();
@@ -856,8 +774,12 @@ void device_worker(Scheduler& s, int g) {
 
       {
         std::lock_guard lock(s.mutex);
-        if (s.done.committed[t] || s.interrupted || node.crashed) {
-          if (job.speculative) node.backups[t] -= 1;
+        if (node.crashed) {
+          requeue_locked(s, std::move(job), tile.id, k);
+          return;
+        }
+        if (s.done.committed[t] || s.interrupted) {
+          if (job.speculative) s.backups[t] -= 1;
           break;
         }
         attempt_id = s.next_attempt_id++;
@@ -891,6 +813,7 @@ void device_worker(Scheduler& s, int g) {
         std::lock_guard lock(s.mutex);
         s.inflight.erase(attempt_id);
         if (!node.crashed) crash_node_locked(s, k, e.what());
+        requeue_locked(s, std::move(job), tile.id, k);
         return;
       } catch (const CancelledError&) {
         // Not a fault: the scheduler itself withdrew this attempt.
@@ -898,7 +821,7 @@ void device_worker(Scheduler& s, int g) {
         s.inflight.erase(attempt_id);
         if (s.done.committed[t]) {
           if (job.speculative) {
-            node.backups[t] -= 1;
+            s.backups[t] -= 1;
             s.health.speculative_losses += 1;
             SchedulerMetrics::get().speculative_losses.add();
             log_event(s,
@@ -906,13 +829,12 @@ void device_worker(Scheduler& s, int g) {
           }
           break;  // tile done elsewhere; fetch the next job
         }
-        if (s.interrupted || node.crashed) {
-          if (job.speculative) node.backups[t] -= 1;
+        if (s.interrupted) {
+          if (job.speculative) s.backups[t] -= 1;
           break;  // run is unwinding; the wait loop exits the worker
         }
-        if (s.blacklisted[std::size_t(g)] != 0) {
+        if (node.crashed || s.blacklisted[std::size_t(g)] != 0) {
           requeue_locked(s, std::move(job), tile.id, k);
-          s.cv.notify_all();
           return;  // this worker is done for good
         }
         continue;  // cancelled to break a hang: retry on the same device
@@ -922,7 +844,6 @@ void device_worker(Scheduler& s, int g) {
         s.health.devices[std::size_t(g)].faults += 1;
         blacklist_locked(s, g, /*offline=*/true, e.what());
         requeue_locked(s, std::move(job), tile.id, k);
-        s.cv.notify_all();
         return;  // this worker is done for good
       } catch (const std::exception& e) {
         std::unique_lock lock(s.mutex);
@@ -947,14 +868,13 @@ void device_worker(Scheduler& s, int g) {
         log_event(s, {RunEvent::Kind::kRetriesExhausted, tile.id, g,
                       e.what()});
         const bool drop = s.consecutive_failed_tiles[std::size_t(g)] >=
-                          rc.blacklist_after;
+                          kBlacklistAfter;
         if (drop) {
           blacklist_locked(s, g, /*offline=*/false,
-                           std::to_string(rc.blacklist_after) +
+                           std::to_string(kBlacklistAfter) +
                                " consecutive failed tiles");
         }
         requeue_locked(s, std::move(job), tile.id, k);
-        s.cv.notify_all();
         if (drop) return;
         break;  // fetch the next job
       }
@@ -972,7 +892,7 @@ void device_worker(Scheduler& s, int g) {
 
       // ---- Success: numerical self-healing, then commit. ----
       const double bad = non_finite_fraction(attempt.profile);
-      if (rc.escalate_precision && bad > rc.non_finite_threshold) {
+      if (rc.escalate_precision && bad > kNonFiniteThreshold) {
         const PrecisionMode next = escalated_precision(job.mode);
         if (next != job.mode) {
           std::lock_guard lock(s.mutex);
@@ -993,36 +913,30 @@ void device_worker(Scheduler& s, int g) {
       {
         std::lock_guard lock(s.mutex);
         s.inflight.erase(attempt_id);
-        if (job.speculative) node.backups[t] -= 1;
-        if (node.crashed) break;  // a crashed node commits nothing
+        if (node.crashed) {  // a crashed node commits nothing
+          requeue_locked(s, std::move(job), tile.id, k);
+          return;
+        }
+        if (job.speculative) s.backups[t] -= 1;
         if (s.done.committed[t]) {
-          if (s.done.executed_device[t] / s.devices == k) {
-            // Lost the race against another attempt on this node.
-            if (job.speculative) {
-              s.health.speculative_losses += 1;
-              SchedulerMetrics::get().speculative_losses.add();
-              log_event(s, {RunEvent::Kind::kSpeculationLost, tile.id, g,
-                            ""});
-            }
-            break;
+          // Lost the race against another attempt of the tile.
+          if (job.speculative) {
+            s.health.speculative_losses += 1;
+            SchedulerMetrics::get().speculative_losses.add();
+            log_event(s, {RunEvent::Kind::kSpeculationLost, tile.id, g, ""});
           }
-          // Another node committed first; this device still succeeded.
-          CoordinatorMetrics::get().node_commit_conflicts.add();
-          s.consecutive_failed_tiles[std::size_t(g)] = 0;
-          s.watchdog_strikes[std::size_t(g)] = 0;
-          calibrate_locked(node, modeled_seconds, attempt_seconds);
+          if (s.done.executed_device[t] / s.devices != k) {
+            // Another node committed first; this device still succeeded.
+            CoordinatorMetrics::get().node_commit_conflicts.add();
+            s.consecutive_failed_tiles[std::size_t(g)] = 0;
+            s.watchdog_strikes[std::size_t(g)] = 0;
+            calibrate_locked(s, modeled_seconds, attempt_seconds);
+          }
           break;
         }
         s.done.commit(t, attempt, g, job.mode);
         s.outstanding -= 1;
         s.total_commits += 1;
-        TileState& ts = s.state[t];
-        if (ts.started) {
-          const double elapsed = s.clock->seconds() - ts.start_seconds;
-          s.wall_ewma = s.wall_ewma <= 0.0
-                            ? elapsed
-                            : 0.7 * s.wall_ewma + 0.3 * elapsed;
-        }
         CoordinatorMetrics::get().node_commits.add();
         // Chaos kill at the Nth commit of the whole run (resumed tiles
         // included), whichever node made it.
@@ -1044,7 +958,7 @@ void device_worker(Scheduler& s, int g) {
         for (auto& [other_id, other] : s.inflight) {
           if (other.job_index == t) other.token->cancel();
         }
-        calibrate_locked(node, modeled_seconds, attempt_seconds);
+        calibrate_locked(s, modeled_seconds, attempt_seconds);
         node.commits_since_checkpoint += 1;
         checkpoint_due = config.checkpoint.enabled() &&
                          node.commits_since_checkpoint >=
@@ -1059,15 +973,13 @@ void device_worker(Scheduler& s, int g) {
 }
 
 /// Runs device_worker for global device `g`; the last worker of a node to
-/// exit releases the node's claims and closes its trace span.
+/// exit closes the node's trace span.
 void worker_main(Scheduler& s, int g) {
   device_worker(s, g);
-  const int k = g / s.devices;
   std::unique_ptr<ScopedEvent> span;  // closed after the lock is released
   std::lock_guard lock(s.mutex);
-  NodeState& node = s.nodes[std::size_t(k)];
+  NodeState& node = s.nodes[std::size_t(g / s.devices)];
   if (--node.live_workers > 0) return;
-  release_node_locked(s, k);
   span = std::move(node.span);
 }
 
@@ -1142,7 +1054,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   s.done.reset(tiles.size(), config.mode);
   s.state.assign(tiles.size(), TileState{});
   s.nodes = std::vector<NodeState>(std::size_t(nodes));
-  s.alive = nodes == 64 ? ~std::uint64_t(0) : node_bit(nodes) - 1;
+  s.backups.assign(tiles.size(), 0);
   RunHealth& health = s.health;
 
   // ---- Resume: re-key journalled slices onto this grid.  A bad journal
@@ -1180,9 +1092,11 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   }
   s.outstanding = tiles.size() - std::size_t(s.total_commits);
 
-  // ---- Deal the claims and plan the node faults over them.  The node
-  // injector is separate from config.fault_injector, which keeps
-  // addressing devices by their global indices across every fleet. ----
+  // ---- Queue the tiles where they were dealt and plan the node faults
+  // over each node's deal in grid order (a node plans nothing after a
+  // crash).  The node injector is separate from config.fault_injector,
+  // which keeps addressing devices by their global indices across every
+  // fleet. ----
   gpusim::FaultInjector node_injector;
   if (!config.node_faults.empty()) {
     node_injector.configure(config.node_faults);
@@ -1196,25 +1110,19 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   std::vector<char> crash_planned(static_cast<std::size_t>(nodes), 0);
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     if (s.done.committed[t]) continue;
-    const int owner = tiles[t].device / devices;
+    const int node = tiles[t].device / devices;
     TileJob job;
     job.index = t;
     job.mode = config.mode;
     s.queues[std::size_t(tiles[t].device)].push_back(std::move(job));
     TileState& ts = s.state[t];
-    ts.owner = owner;
-    const std::uint64_t claim = ++claims[std::size_t(owner)];
-    if (s.node_faults != nullptr && !crash_planned[std::size_t(owner)]) {
+    const std::uint64_t claim = ++claims[std::size_t(node)];
+    if (s.node_faults != nullptr && !crash_planned[std::size_t(node)]) {
       ts.node_fault =
-          node_injector.plan(gpusim::FaultSite::kNodeTile, owner, claim);
-      ts.fault_node = owner;
+          node_injector.plan(gpusim::FaultSite::kNodeTile, node, claim);
       ts.claim = claim;
     }
-    if (ts.node_fault && ts.node_fault->kind == gpusim::FaultKind::kNodeCrash) {
-      crash_planned[std::size_t(owner)] = 1;
-      continue;  // pinned: a crash claim is never stolen
-    }
-    s.nodes[std::size_t(owner)].unstarted.insert(t);
+    if (crash_pinned(ts)) crash_planned[std::size_t(node)] = 1;
   }
 
   if (s.outstanding > 0) {
@@ -1237,7 +1145,6 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
                               ? path
                               : path + ".node" + std::to_string(k);
       node.partials.assign(tiles.size(), CheckpointSlice{});
-      node.backups.assign(tiles.size(), 0);
       if (nodes > 1) {
         log.add({RunEvent::Kind::kNodeJoined, -1, k,
                  std::to_string(devices) + " device(s), global ids " +
@@ -1250,8 +1157,8 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
           registry, "node " + std::to_string(k), k, "node");
     }
 
-    // Workers always start, even with an empty initial backlog: a node
-    // may receive all of its work from the pool or by stealing.
+    // Workers always start, even with an empty initial queue: a device
+    // may receive all of its work as orphans, requeues, backups or steals.
     std::vector<std::thread> workers;
     workers.reserve(fleet);
     for (int g = 0; g < int(fleet); ++g) {
@@ -1302,12 +1209,8 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     throw InterruptedError(what);
   }
 
-  // ---- Graceful degradation: finish what no node could on the CPU
+  // ---- Graceful degradation: finish what no device could on the CPU
   // reference path. ----
-  if (s.outstanding > 0 && !config.resilience.cpu_fallback) {
-    throw Error("all devices failed and the CPU fallback is disabled (" +
-                std::to_string(s.outstanding) + " tiles incomplete)");
-  }
   for (std::size_t t = 0; t < tiles.size() && s.outstanding > 0; ++t) {
     if (s.done.committed[t]) continue;
     const Tile& tile = tiles[t];

@@ -35,21 +35,12 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
                       "[0, 16], got " +
                       std::to_string(config.resilience.max_retries));
   }
-  if (config.resilience.blacklist_after < 1) {
-    throw ConfigError("resilience.blacklist_after must be >= 1");
-  }
   // Written so NaN fails too: a NaN slack collapses every deadline to
   // the kWatchdogMinDeadlineMs floor.
-  const auto positive_finite = [](double v) {
-    return std::isfinite(v) && v > 0.0;
-  };
-  if (!positive_finite(config.resilience.watchdog_slack)) {
+  const double slack = config.resilience.watchdog_slack;
+  if (!(std::isfinite(slack) && slack > 0.0)) {
     throw ConfigError("watchdog slack (--watchdog-slack) must be finite and "
-                      "> 0, got " +
-                      std::to_string(config.resilience.watchdog_slack));
-  }
-  if (!positive_finite(config.resilience.watchdog_poll_ms)) {
-    throw ConfigError("resilience.watchdog_poll_ms must be finite and > 0");
+                      "> 0, got " + std::to_string(slack));
   }
   // A NaN budget makes the sketch guard band NaN, which skips nothing.
   if (!(config.prefilter.budget > 0.0 && config.prefilter.budget < 1.0)) {

@@ -115,49 +115,50 @@ struct PrefilterStats {
 
 /// Base of the exponential retry backoff (doubles per retry).
 constexpr double kRetryBackoffMs = 1.0;
+/// A device with this many *consecutive* failed tiles (or watchdog
+/// deadline overruns) is blacklisted; its queued jobs become orphans that
+/// healthy devices take over.
+constexpr int kBlacklistAfter = 3;
+/// Fraction of non-finite profile entries above which a completed tile
+/// escalates one precision rung (see ResilienceConfig::escalate_precision).
+constexpr double kNonFiniteThreshold = 0.01;
 /// Floor of every watchdog deadline.
 constexpr double kWatchdogMinDeadlineMs = 100.0;
+/// Poll period of the run's monitor thread (shutdown and watchdog).
+constexpr double kWatchdogPollMs = 10.0;
 /// Memory-pressure degradation: a tile whose working set exceeds the
 /// device's capacity is split along the row axis (each half restarts from
 /// its own precalculation) up to this many times before the allocation
 /// failure is treated like any other fault.
 constexpr int kMaxTileSplits = 8;
 
-/// Fault-tolerance knobs of the resilient multi-tile scheduler.
+/// Fault-tolerance knobs of the resilient multi-tile scheduler.  Tiles no
+/// device can finish always complete on the CPU reference path.
 struct ResilienceConfig {
   /// Bounded retries of a tile on one device after transient faults
   /// (TransientFaultError, DeviceMemoryError, ...), with exponential
   /// backoff between attempts.  At most 16.
   int max_retries = 3;
 
-  /// A device with this many *consecutive* failed tile attempts is
-  /// blacklisted; its remaining tiles are work-stolen by healthy devices.
-  int blacklist_after = 3;
-
   /// Numerical self-healing: after a tile completes, re-run it one
   /// precision rung up (FP16 → Mixed → FP32 → FP64) when the fraction of
-  /// non-finite profile entries exceeds `non_finite_threshold`.  Off by
+  /// non-finite profile entries exceeds kNonFiniteThreshold.  Off by
   /// default so reduced-precision results match the paper's unguarded
   /// modes; enable via the CLI's --escalate-precision.
   bool escalate_precision = false;
-  double non_finite_threshold = 0.01;
-
-  /// When every device has failed, finish the remaining tiles on the CPU
-  /// reference path instead of aborting the run.
-  bool cpu_fallback = true;
 
   /// Hung-tile watchdog: a monitor thread gives every in-flight attempt a
   /// deadline of `watchdog_slack` × the tile's modelled seconds × a
-  /// wall-per-modelled ratio calibrated from completed attempts (floored
-  /// at kWatchdogMinDeadlineMs).  An overdue attempt triggers a
-  /// speculative backup on another healthy device (first finisher wins,
-  /// the loser's cancellation token unwinds it); repeated fires on one
-  /// device feed the blacklist exactly like failed tiles.  Off by default:
-  /// without injected hangs it only adds a sleeping thread, but the knob
-  /// stays opt-in like the rest of the fault-tolerance surface.
+  /// wall-per-modelled ratio calibrated from the run's completed attempts
+  /// (floored at kWatchdogMinDeadlineMs).  An overdue attempt triggers
+  /// one speculative backup on another healthy device, its own node's
+  /// first (first finisher wins, the loser's cancellation token unwinds
+  /// it); repeated fires on one device feed the blacklist exactly like
+  /// failed tiles.  Off by default: without injected hangs it only adds a
+  /// sleeping thread, but the knob stays opt-in like the rest of the
+  /// fault-tolerance surface.
   bool watchdog = false;
   double watchdog_slack = 8.0;
-  double watchdog_poll_ms = 10.0;
 
   /// React to a process-wide shutdown request (common/shutdown) by
   /// cancelling in-flight attempts, flushing the checkpoint and unwinding
@@ -224,8 +225,10 @@ struct MatrixProfileConfig {
   /// journals).  Output bits never depend on it.
   int nodes = 1;
 
-  /// Cross-node stealing of unstarted tiles.  Off still leaves the
-  /// recovery pool active (crashed nodes' tiles are always re-dispatched).
+  /// Cross-node stealing: an idle device takes the last job of the
+  /// deepest queue on another live node.  Off still moves orphans — jobs
+  /// of a crashed node or of a node with no healthy device left — and
+  /// requeues failed jobs onto other nodes.
   bool steal = true;
 
   /// Fault spec of the node-level injector (gpusim::parse_fault_spec;
@@ -298,7 +301,7 @@ struct RunEvent {
     kNodeJoined,        ///< node's device fleet came up (device = node)
     kNodeCrashed,       ///< node lost to an injected crash (device = node)
     kNodeStolen,        ///< tile stolen across nodes (device = thief node)
-    kNodeDuplicated,    ///< straggler tile re-dispatched to another node
+    kNodeDuplicated,    ///< reserved: no longer emitted (older journals)
   };
 
   Kind kind = Kind::kRetry;
@@ -344,8 +347,7 @@ struct RunHealth {
   int slices_discarded = 0;    ///< journalled slices unusable on this grid
   int slice_commits = 0;       ///< mid-tile row-slice snapshots journalled
   int node_crashes = 0;        ///< simulated nodes lost mid-run
-  int node_steals = 0;         ///< tiles stolen across nodes
-  int node_duplicates = 0;     ///< straggler tiles re-dispatched cross-node
+  int node_steals = 0;         ///< jobs stolen across nodes
   std::vector<Escalation> escalations;
   std::vector<DeviceStatus> devices;
   std::vector<RunEvent> events;  ///< chronological typed scheduler events

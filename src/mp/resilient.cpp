@@ -159,10 +159,9 @@ std::string RunHealth::summary() const {
        << " slice(s) discarded, " << resume_fallbacks
        << " resume fallback(s)\n";
   }
-  if (node_crashes > 0 || node_steals > 0 || node_duplicates > 0) {
+  if (node_crashes > 0 || node_steals > 0) {
     os << "  cluster: " << node_crashes << " node crash(es), " << node_steals
-       << " cross-node steal(s), " << node_duplicates
-       << " straggler duplicate(s)\n";
+       << " cross-node steal(s)\n";
   }
   for (const auto& dev : devices) {
     os << "  device " << dev.device << ": " << dev.tiles_completed

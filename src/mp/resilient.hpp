@@ -14,12 +14,13 @@
 //    raised it;
 //  * bounded retry with exponential backoff for transient faults
 //    (TransientFaultError, DeviceMemoryError, ...);
-//  * device blacklisting after K consecutive failed tiles, with
-//    work-stealing reassignment of the blacklisted device's orphaned
-//    tiles to the node's healthy devices;
-//  * graceful degradation — a tile no device of a node can finish is
-//    deferred to the other nodes, and finished on the CPU reference path
-//    (bit-identical in FP64) when no node can;
+//  * device blacklisting after kBlacklistAfter consecutive failed tiles;
+//    the blacklisted device's queued jobs become orphans that healthy
+//    devices take over, its own node's first;
+//  * graceful degradation — a failed job moves to the least-loaded
+//    healthy device it has not exhausted, on any node, and a tile no
+//    device can take is finished on the CPU reference path
+//    (bit-identical in FP64);
 //  * numerical self-healing — a completed tile whose profile has too many
 //    non-finite entries is re-run one precision rung up
 //    (FP16 → Mixed → FP32 → FP64), per-tile, recording the escalation;

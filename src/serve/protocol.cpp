@@ -52,7 +52,7 @@ mp::MatrixProfileConfig config_from_args(const CliArgs& args,
 
 Request parse_request(const std::string& line) {
   const auto tokens = tokenize(line);
-  MPSIM_CHECK(!tokens.empty(), "empty request line");
+  if (tokens.empty()) throw ConfigError("empty request line");
   Request req;
   const std::string& verb = tokens[0];
 
@@ -66,9 +66,10 @@ Request parse_request(const std::string& line) {
     return req;
   }
 
-  MPSIM_CHECK(verb == "query", "unknown verb '"
-                                   << verb
-                                   << "' (expected query|ping|stats|shutdown)");
+  if (verb != "query") {
+    throw ConfigError("unknown verb '" + verb +
+                      "' (expected query|ping|stats|shutdown)");
+  }
   req.verb = Request::Verb::kQuery;
   const CliArgs args = args_from_tokens(tokens);
   args.check_known({"reference", "query", "self-join", "window", "mode",
@@ -76,11 +77,14 @@ Request parse_request(const std::string& line) {
                     "prefilter", "prefilter-budget", "id"});
   req.id = args.get_string("id", "");
   req.reference_path = args.get_string("reference", "");
-  MPSIM_CHECK(!req.reference_path.empty(), "query needs --reference=PATH");
+  if (req.reference_path.empty()) {
+    throw ConfigError("query needs --reference=PATH");
+  }
   req.self_join = args.get_bool("self-join", false);
   req.query_path = args.get_string("query", "");
-  MPSIM_CHECK(req.self_join || !req.query_path.empty(),
-              "--query is required unless --self-join is given");
+  if (!req.self_join && req.query_path.empty()) {
+    throw ConfigError("--query is required unless --self-join is given");
+  }
 
   req.config = config_from_args(args, req.self_join);
   return req;

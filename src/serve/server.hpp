@@ -48,7 +48,7 @@ struct ServerOptions {
   /// Executor threads — how many queries run concurrently on the
   /// simulated fleet.
   std::size_t executors = 2;
-  /// Admission cap: queued-but-unstarted jobs beyond this are rejected.
+  /// Admission cap: queued jobs not yet started beyond this are rejected.
   std::size_t max_queue = 64;
   /// Simulated nodes each query executes across (results are
   /// byte-identical to nodes=1, see mp/coordinator.cpp).

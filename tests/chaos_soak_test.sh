@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Chaos soak: mpsim_cli must survive seeded randomized fault storms —
 # transient kernel faults, minute-long hangs rescued by the watchdog,
-# probabilistic slowdowns, and a mid-run kill resumed from its checkpoint
-# — and still emit a byte-identical profile CSV to the clean run every
-# time.  Driven by CTest; $1 = build dir with the tools.
+# probabilistic slowdowns, a mid-run kill resumed from its checkpoint,
+# node crashes and a stalled node — and still emit a byte-identical
+# profile CSV to the clean run every time.  Driven by CTest; $1 = build
+# dir with the tools.
 set -euo pipefail
 BUILD=$1
 WORK=$(mktemp -d)
@@ -109,5 +110,16 @@ for seed in 6 12; do
       --output="$WORK/steal$seed.csv" > "$WORK/steal$seed.log"
   cmp "$WORK/clean.csv" "$WORK/steal$seed.csv"
 done
+
+# --- Leg 5: a stalled node.  Node 1's first tile stalls for an hour; the
+# watchdog (calibrated by node 0's commits) backs it up on node 0, which
+# wins, so the run ends in seconds with the clean bytes.  Stealing is off
+# so node 0 cannot take the stall tile before node 1 starts it.
+timeout 120 "$CLI" --reference="$WORK/ref.csv" --self-join --window=32 \
+    --tiles=6 --devices=1 --motifs=0 --nodes=2 --steal=off --watchdog \
+    --node-faults="node_stall@1:at=1" --output="$WORK/stall.csv" \
+    > "$WORK/stall.log"
+cmp "$WORK/clean.csv" "$WORK/stall.csv"
+grep -Eq "[1-9][0-9]* speculative win" "$WORK/stall.log"
 
 echo "chaos soak OK"

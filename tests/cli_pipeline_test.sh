@@ -112,5 +112,30 @@ reject --device-memory-mb --device-memory-mb=17592186044416
 reject --slice-rows --checkpoint="$WORK/neg.ckpt" --slice-rows=-4
 reject --kill-after-tiles --kill-after-tiles=-1
 reject --kill-after-slices --kill-after-slices=-1
+# --chains needs a self-join: rejected before any profile is computed.
+reject --chains --chains
+if grep -q "computed" "$WORK/reject.log"; then
+  echo "--chains without --self-join was rejected after the run" >&2
+  exit 1
+fi
+
+# Bad user input is the user's error: stderr says what is wrong (naming
+# the flag or file) and shows none of the check's internals (no source
+# location, no C++ condition).
+user_error() {
+  local what=$1 rc=0
+  shift
+  "$@" > "$WORK/user_error.out" 2> "$WORK/user_error.log" || rc=$?
+  [ "$rc" -eq 1 ]
+  grep -q -- "$what" "$WORK/user_error.log"
+  if grep -q -e "MPSIM_CHECK" -e "\.cpp:" "$WORK/user_error.log"; then
+    echo "$what: the error message leaked internals" >&2
+    exit 1
+  fi
+}
+user_error --steal "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
+    --query="$WORK/qry.csv" --window=32 --steal=maybe
+user_error "different shapes" "$BUILD/tools/mpsim_diff" \
+    --baseline="$WORK/ref.csv" --test="$WORK/qry.csv"
 
 echo "cli pipeline OK"

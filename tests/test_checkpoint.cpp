@@ -204,7 +204,7 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
   // Checksum-valid journals carrying values no writer emits: an
   // out-of-range precision mode, a `complete` flag outside {0, 1}, a QT
-  // row of the wrong length.
+  // row of the wrong length, an event kind outside the enum.
   const auto expect_corrupt = [&](const CheckpointData& bad,
                                   const std::string& what) {
     write_checkpoint(path, bad);
@@ -230,6 +230,12 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   bad = sample_data();
   bad.slices[0].qt.resize(bad.slices[0].qt.size() * 2);
   expect_corrupt(bad, "long QT row");
+  bad = sample_data();
+  bad.events[0].kind = RunEvent::Kind(99);
+  expect_corrupt(bad, "event kind 99");
+  bad = sample_data();
+  bad.events[0].kind = RunEvent::Kind(-1);
+  expect_corrupt(bad, "event kind -1");
   // Trailing garbage after the journal is rejected too (the checksum is
   // recomputed over everything before the trailer, so append + re-hash
   // could otherwise smuggle bytes past it).

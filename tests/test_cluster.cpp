@@ -18,6 +18,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/shutdown.hpp"
+#include "common/stopwatch.hpp"
 #include "gpusim/faults.hpp"
 #include "gpusim/spec.hpp"
 #include "mp/checkpoint.hpp"
@@ -292,6 +293,59 @@ TEST(ElasticCoordinator, SlowNodeIsCoveredByStealOrDuplicate) {
   EXPECT_EQ(result.index, one.index);
 }
 
+TEST(ElasticCoordinator, StalledFirstClaimGetsBackupOnPeerNode) {
+  // Node 1's first tile stalls for an hour.  The watchdog's calibration
+  // is the run's, so node 0's commits give node 1's attempt a deadline,
+  // and the backup goes to node 0 (node 1 has no other device).  Stealing
+  // is off so node 0 cannot take the stall tile before node 1 starts it.
+  const auto data = small_dataset();
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 4;
+  const auto one =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+
+  config.nodes = 2;
+  config.steal = false;
+  config.resilience.watchdog = true;
+  config.node_faults = "node_stall@1:at=1";
+  Stopwatch sw;
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_LT(sw.seconds(), 30.0);
+  EXPECT_EQ(result.profile, one.profile);
+  EXPECT_EQ(result.index, one.index);
+  EXPECT_GE(result.health.watchdog_fires, 1);
+  EXPECT_GE(result.health.speculative_wins, 1);
+}
+
+TEST(ElasticCoordinator, DeadNodeTilesMoveWithStealOff) {
+  // Node 0's only device goes offline on its first fault point: its
+  // in-flight tile is requeued on node 1 and its queued tiles are orphans
+  // node 1 takes, stealing off or not — none is left for the CPU.
+  const auto data = small_dataset();
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 4;
+  const auto one =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+
+  gpusim::FaultInjector injector;
+  injector.configure("offline@0:at=1");
+  config.nodes = 2;
+  config.steal = false;
+  config.fault_injector = &injector;
+  const auto result =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(result.profile, one.profile);
+  EXPECT_EQ(result.index, one.index);
+  EXPECT_EQ(result.health.cpu_fallback_tiles, 0);
+  EXPECT_EQ(result.health.node_steals, 0);
+  ASSERT_EQ(result.health.devices.size(), 2u);
+  EXPECT_TRUE(result.health.devices[0].offline);
+  EXPECT_EQ(result.health.devices[1].tiles_completed, 4);
+}
+
 TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
   const auto data = small_dataset();
   mp::MatrixProfileConfig config;
@@ -422,7 +476,6 @@ TEST(ElasticCoordinator, CountersAreAdditiveOnTheMetricsSchema) {
   EXPECT_EQ(registry.counter("node.commits").value(), 8u);
   EXPECT_EQ(registry.counter("node.commit_conflicts").value(), 0u);
   EXPECT_EQ(registry.counter("coordinator.steals").value(), 0u);
-  EXPECT_EQ(registry.counter("coordinator.duplicates").value(), 0u);
   EXPECT_EQ(registry.counter("coordinator.node_crashes").value(), 0u);
   EXPECT_EQ(registry.gauge("coordinator.nodes").value(), 2.0);
   registry.set_enabled(false);

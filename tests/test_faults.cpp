@@ -251,20 +251,6 @@ TEST(ResilientScheduler, AllDevicesLostFallsBackToCpu) {
   EXPECT_EQ(faulty.modeled_merge_seconds, clean.modeled_merge_seconds);
 }
 
-TEST(ResilientScheduler, CpuFallbackCanBeDisabled) {
-  const auto data = small_dataset(100, 2, 16, 8);
-  MatrixProfileConfig config;
-  config.window = 16;
-  config.tiles = 2;
-  config.resilience.cpu_fallback = false;
-
-  FaultInjector injector;
-  injector.configure("offline@0:at=1");
-  config.fault_injector = &injector;
-  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
-               Error);
-}
-
 // ---------------------------------------------------------------------
 // Numerical self-healing: NaN-poisoned FP16 tiles escalate and re-run.
 // ---------------------------------------------------------------------
@@ -289,10 +275,9 @@ TEST(ResilientScheduler, NanPoisonedFp16TileEscalates) {
   EXPECT_EQ(result.health.escalations[0].from, PrecisionMode::FP16);
   EXPECT_EQ(result.health.escalations[0].to, PrecisionMode::Mixed);
   EXPECT_GT(result.health.escalations[0].non_finite_fraction,
-            config.resilience.non_finite_threshold);
+            kNonFiniteThreshold);
   // The re-run is clean: the poison rule was a one-shot.
-  EXPECT_LE(non_finite_fraction(result.profile),
-            config.resilience.non_finite_threshold);
+  EXPECT_LE(non_finite_fraction(result.profile), kNonFiniteThreshold);
 }
 
 TEST(ResilientScheduler, EscalationLadderStopsAtFp64) {
@@ -371,7 +356,6 @@ TEST(ResilientScheduler, WatchdogSpeculationBeatsHungDevice) {
   config.tiles = 4;
   config.devices = 2;
   config.resilience.watchdog = true;
-  config.resilience.watchdog_poll_ms = 5.0;
 
   const auto clean = compute_matrix_profile(data.reference, data.query,
                                             config);
@@ -412,13 +396,11 @@ TEST(ResilientScheduler, RepeatedHangsBlacklistTheDevice) {
   config.tiles = 6;
   config.devices = 2;
   config.resilience.watchdog = true;
-  config.resilience.watchdog_poll_ms = 5.0;
-  config.resilience.blacklist_after = 2;
 
   const auto clean = compute_matrix_profile(data.reference, data.query,
                                             config);
 
-  // Every kernel launch on device 0 hangs: after blacklist_after deadline
+  // Every kernel launch on device 0 hangs: after kBlacklistAfter deadline
   // overruns the device is dropped and its tiles finish on device 1.
   FaultInjector injector;
   injector.configure("hang@0:every=1:ms=60000");
@@ -430,7 +412,7 @@ TEST(ResilientScheduler, RepeatedHangsBlacklistTheDevice) {
 
   EXPECT_EQ(faulty.profile, clean.profile);
   EXPECT_EQ(faulty.index, clean.index);
-  EXPECT_GE(faulty.health.watchdog_fires, 2);
+  EXPECT_GE(faulty.health.watchdog_fires, kBlacklistAfter);
   ASSERT_EQ(faulty.health.devices.size(), 2u);
   EXPECT_TRUE(faulty.health.devices[0].blacklisted);
   EXPECT_FALSE(faulty.health.devices[0].offline);

@@ -103,6 +103,26 @@ TEST(ServeProtocol, MalformedNumericFlagNamesTheFlag) {
   }
 }
 
+TEST(ServeProtocol, ErrorMessagesShowNoSourceLocations) {
+  // These messages reach a remote client's error header: they say what is
+  // wrong with the request, not where in the daemon the check sits.
+  for (const char* line :
+       {"", "frobnicate", "query --self-join",
+        "query --reference=a.csv --bogus=1", "query --reference=a.csv",
+        "query --reference=a.csv --self-join --window=x",
+        "query --reference=a.csv --self-join --tiles=99999999999",
+        "query stray --reference=a.csv --self-join"}) {
+    try {
+      parse_request(line);
+      FAIL() << "parsed: " << line;
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+      EXPECT_EQ(what.find("MPSIM_CHECK"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ServeProtocol, HeadersAreFramedAndEscaped) {
   const auto ok = ok_header("q1", 42, ", \"cached\": true");
   EXPECT_EQ(ok.back(), '\n');

@@ -108,8 +108,12 @@ int run(int argc, char** argv) {
 
   TimeSeries reference = read_csv(args.get_string("reference", ""));
   const bool self_join = args.get_bool("self-join", false);
-  MPSIM_CHECK(self_join || args.has("query"),
-              "--query is required unless --self-join is given");
+  if (!self_join && !args.has("query")) {
+    throw ConfigError("--query is required unless --self-join is given");
+  }
+  if (!self_join && args.get_bool("chains", false)) {
+    throw ConfigError("--chains requires --self-join");
+  }
   TimeSeries query =
       self_join ? reference : read_csv(args.get_string("query", ""));
   if (args.get_bool("repair", false)) {
@@ -142,8 +146,9 @@ int run(int argc, char** argv) {
   config.nodes = args.get_int32("nodes", 1);
   config.node_faults = args.get_string("node-faults", "");
   const std::string steal = args.get_string("steal", "on");
-  MPSIM_CHECK(steal == "on" || steal == "off",
-              "--steal must be on or off, got '" << steal << "'");
+  if (steal != "on" && steal != "off") {
+    throw ConfigError("--steal must be on or off, got '" + steal + "'");
+  }
   config.steal = steal == "on";
   config.resilience.watchdog = args.get_bool("watchdog", false);
   config.resilience.watchdog_slack = args.get_double(
@@ -274,7 +279,6 @@ int run(int argc, char** argv) {
                 table.to_string().c_str());
   }
   if (args.get_bool("chains", false)) {
-    MPSIM_CHECK(self_join, "--chains requires --self-join");
     const auto lr = mp::compute_left_right_profiles(reference, config.window,
                                                     config.exclusion);
     const auto chain = mp::longest_chain(lr, 0);

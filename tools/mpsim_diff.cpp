@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -31,8 +32,9 @@ struct ProfileFile {
 /// Reads the profile_k,index_k column layout mpsim_cli writes.
 ProfileFile read_profile_csv(const std::string& path) {
   const TimeSeries raw = read_csv(path);
-  MPSIM_CHECK(raw.dims() % 2 == 0,
-              "'" << path << "' is not a profile CSV (odd column count)");
+  if (raw.dims() % 2 != 0) {
+    throw ConfigError("'" + path + "' is not a profile CSV (odd column count)");
+  }
   ProfileFile out;
   out.segments = raw.length();
   out.dims = raw.dims() / 2;
@@ -60,11 +62,13 @@ int run(int argc, char** argv) {
 
   const auto baseline = read_profile_csv(args.get_string("baseline", ""));
   const auto test = read_profile_csv(args.get_string("test", ""));
-  MPSIM_CHECK(baseline.segments == test.segments &&
-                  baseline.dims == test.dims,
-              "profiles have different shapes: "
-                  << baseline.segments << "x" << baseline.dims << " vs "
-                  << test.segments << "x" << test.dims);
+  if (baseline.segments != test.segments || baseline.dims != test.dims) {
+    throw ConfigError("profiles have different shapes: " +
+                      std::to_string(baseline.segments) + "x" +
+                      std::to_string(baseline.dims) + " vs " +
+                      std::to_string(test.segments) + "x" +
+                      std::to_string(test.dims));
+  }
 
   Table table({"dim plane", "relative accuracy A", "index recall R",
                "max |diff|"});
