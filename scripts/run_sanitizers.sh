@@ -31,12 +31,14 @@ run_one() {
   # pass once: node faults fire at claims fixed when the tiles are dealt,
   # so a seeded fault fires the same under any interleaving, and every
   # node's commits, side journal (ElasticCoordinator.SideJournals*) and
-  # kill hooks go through the one scheduler lock; the watchdog tests race
-  # hung attempts against their backups.  Repeat them 20 times or until
-  # one fails.
+  # kill hooks go through the one scheduler lock; the ResilientScheduler
+  # tests race hung attempts against their backups and retries.  Idle
+  # workers wait on the condition variable with no timeout, so a lost
+  # wakeup hangs a run instead of costing a poll period: repeat them 20
+  # times or until one fails, each with a timeout that fails a hang fast.
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-      --repeat until-fail:20 \
-      -R '^(ElasticCoordinator\.|CheckpointResume\.|ResilientScheduler\.Watchdog|tool_cli_cluster$|tool_cli_chaos_soak$)'
+      --repeat until-fail:20 --timeout 120 \
+      -R '^(ElasticCoordinator\.|CheckpointResume\.|ResilientScheduler\.|tool_cli_cluster$|tool_cli_chaos_soak$)'
   # The explicit SIMD kernels do raw intrinsic loads/stores and the
   # engine's row loop (fused_rows_blocked) hands column chunks of a row
   # batch, halo recomputation included, to pool workers; run the dispatch
@@ -64,7 +66,7 @@ run_one() {
     # commits); soak it repeatedly under TSan, then run the full chaos
     # script against the sanitized CLI.
     "$dir"/tests/test_faults \
-        --gtest_filter='ResilientScheduler.Watchdog*:ResilientScheduler.RepeatedHangs*' \
+        --gtest_filter='ResilientScheduler.Watchdog*:ResilientScheduler.RepeatedHangs*:ResilientScheduler.UncalibratedWatchdogRescuesFirstTileHang' \
         --gtest_repeat=5
     bash tests/chaos_soak_test.sh "$dir"
     # A multi-node run is one scheduler state under one lock: the device

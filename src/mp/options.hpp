@@ -113,17 +113,25 @@ struct PrefilterStats {
 
 // Fixed policy of the resilient multi-tile scheduler.
 
+/// Bounded retries of a tile on one device after transient faults
+/// (TransientFaultError, DeviceMemoryError, ...).
+constexpr int kMaxRetries = 3;
 /// Base of the exponential retry backoff (doubles per retry).
 constexpr double kRetryBackoffMs = 1.0;
-/// A device with this many *consecutive* failed tiles (or watchdog
-/// deadline overruns) is blacklisted; its queued jobs become orphans that
-/// healthy devices take over.
+/// A device with this many *consecutive* failed tiles (or calibrated
+/// watchdog deadline overruns) is blacklisted; its queued jobs become
+/// orphans that healthy devices take over.
 constexpr int kBlacklistAfter = 3;
 /// Fraction of non-finite profile entries above which a completed tile
 /// escalates one precision rung (see ResilienceConfig::escalate_precision).
 constexpr double kNonFiniteThreshold = 0.01;
-/// Floor of every watchdog deadline.
+/// Floor of every calibrated watchdog deadline.
 constexpr double kWatchdogMinDeadlineMs = 100.0;
+/// Watchdog slack: a calibrated deadline is this many times an attempt's
+/// expected wall time; before calibration an attempt is overdue after
+/// kWatchdogSlack × kWatchdogMinDeadlineMs (800 ms) without progress,
+/// doubled per earlier uncalibrated fire on its job (kMaxRetries at most).
+constexpr double kWatchdogSlack = 8.0;
 /// Poll period of the run's monitor thread (shutdown and watchdog).
 constexpr double kWatchdogPollMs = 10.0;
 /// Memory-pressure degradation: a tile whose working set exceeds the
@@ -135,11 +143,6 @@ constexpr int kMaxTileSplits = 8;
 /// Fault-tolerance knobs of the resilient multi-tile scheduler.  Tiles no
 /// device can finish always complete on the CPU reference path.
 struct ResilienceConfig {
-  /// Bounded retries of a tile on one device after transient faults
-  /// (TransientFaultError, DeviceMemoryError, ...), with exponential
-  /// backoff between attempts.  At most 16.
-  int max_retries = 3;
-
   /// Numerical self-healing: after a tile completes, re-run it one
   /// precision rung up (FP16 → Mixed → FP32 → FP64) when the fraction of
   /// non-finite profile entries exceeds kNonFiniteThreshold.  Off by
@@ -147,18 +150,12 @@ struct ResilienceConfig {
   /// modes; enable via the CLI's --escalate-precision.
   bool escalate_precision = false;
 
-  /// Hung-tile watchdog: a monitor thread gives every in-flight attempt a
-  /// deadline of `watchdog_slack` × the tile's modelled seconds × a
-  /// wall-per-modelled ratio calibrated from the run's completed attempts
-  /// (floored at kWatchdogMinDeadlineMs).  An overdue attempt triggers
-  /// one speculative backup on another healthy device, its own node's
-  /// first (first finisher wins, the loser's cancellation token unwinds
-  /// it); repeated fires on one device feed the blacklist exactly like
-  /// failed tiles.  Off by default: without injected hangs it only adds a
-  /// sleeping thread, but the knob stays opt-in like the rest of the
-  /// fault-tolerance surface.
+  /// Hung-tile watchdog (docs/DESIGN.md, "Watchdog calibration"): an
+  /// overdue attempt gets a speculative backup on another healthy
+  /// device, or is cancelled and retried.  Off by default: without
+  /// injected hangs it only adds work to the monitor, but it stays opt-in
+  /// like the rest of the fault-tolerance surface.
   bool watchdog = false;
-  double watchdog_slack = 8.0;
 
   /// React to a process-wide shutdown request (common/shutdown) by
   /// cancelling in-flight attempts, flushing the checkpoint and unwinding
@@ -221,7 +218,8 @@ struct MatrixProfileConfig {
   std::size_t workers = 0;
 
   /// Simulated nodes the tile grid is sharded across, each a fleet of
-  /// `devices` devices (1..64; resume probes that many per-node side
+  /// `devices` devices; nodes × devices is at most 64 (each device runs
+  /// a worker thread and a pool; resume probes 64 per-node side
   /// journals).  Output bits never depend on it.
   int nodes = 1;
 
@@ -348,6 +346,9 @@ struct RunHealth {
   int slice_commits = 0;       ///< mid-tile row-slice snapshots journalled
   int node_crashes = 0;        ///< simulated nodes lost mid-run
   int node_steals = 0;         ///< jobs stolen across nodes
+  int attempts = 0;            ///< tile attempts started on devices
+  int tiles_dispatched = 0;    ///< tiles some device started
+  int commit_conflicts = 0;    ///< finishers that lost to another node
   std::vector<Escalation> escalations;
   std::vector<DeviceStatus> devices;
   std::vector<RunEvent> events;  ///< chronological typed scheduler events

@@ -192,48 +192,37 @@ RestoredState restore_from_journals(const std::string& resume_path,
 
   auto note_fallback = [&out](const std::string& why) {
     out.fallbacks += 1;
-    out.log.push_back({RunEvent::Kind::kResumeFallback, -1, -1, why});
+    out.events.push_back({RunEvent::Kind::kResumeFallback, -1, -1, why});
   };
 
-  // The base journal (the single-node / coordinator one) carries the
-  // prior run's event history; per-node side journals only add slices.
+  // The base journal (the single-node / coordinator one, node -1 here)
+  // carries the prior run's event history; per-node side journals only
+  // add slices.
   std::vector<CheckpointData> journals;
   std::string base_missing;
-  try {
-    CheckpointData data = read_checkpoint(resume_path);
-    if (data.fingerprint != fingerprint) {
-      note_fallback("journal '" + resume_path +
-                    "' was written for different inputs or configuration "
-                    "(fingerprint mismatch), starting fresh");
-    } else {
-      out.events = data.events;
-      journals.push_back(std::move(data));
-    }
-  } catch (const CheckpointError& e) {
-    if (e.reason() == CheckpointError::Reason::kMissing) {
-      base_missing = e.what();
-    } else {
-      note_fallback("journal '" + resume_path + "' is unreadable (" +
-                    e.what() + "), starting fresh");
-    }
-  }
-  for (int node = 0; node < kMaxNodeJournals; ++node) {
-    const std::string path = resume_path + ".node" + std::to_string(node);
+  for (int node = -1; node < kMaxNodeJournals; ++node) {
+    const std::string path =
+        node < 0 ? resume_path : resume_path + ".node" + std::to_string(node);
+    const std::string then = node < 0 ? "starting fresh" : "ignoring it";
     try {
       CheckpointData data = read_checkpoint(path);
       if (data.fingerprint != fingerprint) {
         note_fallback("journal '" + path +
                       "' was written for different inputs or configuration "
-                      "(fingerprint mismatch), ignoring it");
+                      "(fingerprint mismatch), " + then);
         continue;
       }
+      if (node < 0) out.events = data.events;
       journals.push_back(std::move(data));
     } catch (const CheckpointError& e) {
       // Absent node journals are the norm: a run with fewer nodes simply
       // wrote fewer of them (and a crashed node never flushed one).
-      if (e.reason() == CheckpointError::Reason::kMissing) continue;
-      note_fallback("journal '" + path + "' is unreadable (" + e.what() +
-                    "), ignoring it");
+      if (e.reason() != CheckpointError::Reason::kMissing) {
+        note_fallback("journal '" + path + "' is unreadable (" + e.what() +
+                      "), " + then);
+      } else if (node < 0) {
+        base_missing = e.what();
+      }
     }
   }
   if (!base_missing.empty() && journals.empty()) {
@@ -261,7 +250,7 @@ RestoredState restore_from_journals(const std::string& resume_path,
       }
       if (target == tiles.size()) {
         out.discarded += 1;
-        out.log.push_back(
+        out.events.push_back(
             {RunEvent::Kind::kSliceDiscarded, int(slice.tile_id),
              int(slice.device),
              "rows [" + std::to_string(slice.r_begin) + ", +" +
@@ -301,8 +290,9 @@ RestoredState restore_from_journals(const std::string& resume_path,
       }
       if (!unusable.empty()) {
         out.discarded += 1;
-        out.log.push_back({RunEvent::Kind::kSliceDiscarded,
-                           int(slice.tile_id), int(slice.device), unusable});
+        out.events.push_back({RunEvent::Kind::kSliceDiscarded,
+                              int(slice.tile_id), int(slice.device),
+                              unusable});
         continue;
       }
       CheckpointSlice& best = out.prefixes[target];
@@ -319,7 +309,7 @@ RestoredState restore_from_journals(const std::string& resume_path,
     }
     if (out.prefixes[t].r_count == 0) continue;
     out.partial += 1;
-    out.log.push_back(
+    out.events.push_back(
         {RunEvent::Kind::kSliceRestored, tiles[t].id,
          int(out.prefixes[t].device),
          "rows [0, +" + std::to_string(out.prefixes[t].r_count) + ") of " +
@@ -437,16 +427,6 @@ void CommittedTiles::commit(std::size_t t, TileResult& result, int device,
   final_mode[t] = mode;
 }
 
-void EventLog::add(RunEvent event) {
-  std::lock_guard lock(mutex_);
-  events_.push_back(std::move(event));
-}
-
-std::vector<RunEvent> EventLog::snapshot() const {
-  std::lock_guard lock(mutex_);
-  return events_;
-}
-
 CheckpointData journal_data(const RunInputs& run, const CommittedTiles& done,
                             const std::vector<CheckpointSlice>& partials,
                             int node) {
@@ -463,38 +443,30 @@ CheckpointData journal_data(const RunInputs& run, const CommittedTiles& done,
     const Tile& tile = tiles[t];
     const int device = done.executed_device[t];
     if (node >= 0 && (device < 0 || device / devices != node)) continue;
-    CheckpointSlice entry;
-    entry.tile_index = t;
-    entry.tile_id = std::int32_t(tile.id);
-    entry.device = std::int32_t(device);
-    entry.node = run.config->nodes > 1 && device >= 0
+    const TileResult& result = done.results[t];
+    data.slices.push_back(
+        {.tile_index = t, .tile_id = std::int32_t(tile.id),
+         .device = std::int32_t(device),
+         .node = run.config->nodes > 1 && device >= 0
                      ? std::int32_t(device / devices)
-                     : -1;
-    entry.complete = 1;
-    entry.mode = done.final_mode[t];
-    entry.r_begin = tile.r_begin;
-    entry.r_count = tile.r_count;
-    entry.q_begin = tile.q_begin;
-    entry.q_count = tile.q_count;
-    entry.dims = run.reference->dims();
-    entry.profile = done.results[t].profile;
-    entry.index = done.results[t].index;
-    entry.qt = done.results[t].qt;
-    entry.prefilter = done.results[t].prefilter;
-    data.slices.push_back(std::move(entry));
+                     : -1,
+         .mode = done.final_mode[t], .r_begin = tile.r_begin,
+         .r_count = tile.r_count, .q_begin = tile.q_begin,
+         .q_count = tile.q_count, .dims = run.reference->dims(),
+         .profile = result.profile, .index = result.index, .qt = result.qt,
+         .prefilter = result.prefilter});
   }
   return data;
 }
 
-void write_journal(const std::string& path, const CheckpointData& data,
-                   EventLog& log) {
+RunEvent write_journal(const std::string& path, const CheckpointData& data) {
   write_checkpoint(path, data);
   std::size_t complete = 0;
   for (const CheckpointSlice& slice : data.slices) complete += slice.complete;
-  log.add({RunEvent::Kind::kCheckpointWritten, -1, -1,
-           std::to_string(complete) + "/" + std::to_string(data.tile_count) +
-               " tiles (" + std::to_string(data.slices.size() - complete) +
-               " partial slices) -> " + path});
+  return {RunEvent::Kind::kCheckpointWritten, -1, -1,
+          std::to_string(complete) + "/" + std::to_string(data.tile_count) +
+              " tiles (" + std::to_string(data.slices.size() - complete) +
+              " partial slices) -> " + path};
 }
 
 }  // namespace mpsim::mp

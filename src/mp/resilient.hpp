@@ -1,32 +1,9 @@
 // The parts of the resilient execution layer that hold no scheduler
 // state: tile attempts and memory-pressure splits, journal restore and
 // writing, the CPU reference fallback, the final assembly of per-tile
-// results and the RunEvent / RunHealth rendering.
-//
-// The scheduler itself — one state under one mutex for every node of a
-// run — lives in mp/coordinator.cpp (mp::compute_matrix_profile).  Every
-// run is a coordinator run over config.nodes simulated nodes (one by
-// default), each a gpusim::System fleet whose device workers call the
-// scheduler directly.  Execution is supervised per tile:
-//
-//  * per-tile failure isolation — each tile attempt runs on its device
-//    worker's own thread, so every failure unwinds to the attempt that
-//    raised it;
-//  * bounded retry with exponential backoff for transient faults
-//    (TransientFaultError, DeviceMemoryError, ...);
-//  * device blacklisting after kBlacklistAfter consecutive failed tiles;
-//    the blacklisted device's queued jobs become orphans that healthy
-//    devices take over, its own node's first;
-//  * graceful degradation — a failed job moves to the least-loaded
-//    healthy device it has not exhausted, on any node, and a tile no
-//    device can take is finished on the CPU reference path
-//    (bit-identical in FP64);
-//  * numerical self-healing — a completed tile whose profile has too many
-//    non-finite entries is re-run one precision rung up
-//    (FP16 → Mixed → FP32 → FP64), per-tile, recording the escalation;
-//  * a hung-tile watchdog with speculative backups, memory-pressure row
-//    splits and row-slice journalling (see ResilienceConfig and
-//    CheckpointConfig).
+// results and the RunEvent / RunHealth rendering.  Every scheduling
+// decision lives in mp::SchedulerCore (mp/scheduler.hpp); the driver that
+// applies them is mp::compute_matrix_profile (mp/coordinator.cpp).
 //
 // Invariant (tested): output bits do not depend on where, how often or on
 // how many nodes a tile was (re)computed — an FP64 run under injected
@@ -36,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,8 +58,8 @@ struct CommittedTiles {
 /// kSliceDiscarded record and its tile recomputed from row 0.
 struct RestoredState : CommittedTiles {
   std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
-  std::vector<RunEvent> events;       ///< prior run's event history
-  std::vector<RunEvent> log;          ///< restore-time events to append
+  /// The prior run's event history, then the restore-time events.
+  std::vector<RunEvent> events;
   std::size_t resumed = 0;            ///< tiles restored whole
   std::size_t partial = 0;            ///< tiles seeded from a row prefix
   std::size_t discarded = 0;          ///< slices unusable on this grid
@@ -94,25 +70,13 @@ struct RestoredState : CommittedTiles {
 /// (`resume_path + ".node<k>"`) and re-keys their slices onto `tiles`.
 /// Unreadable journals never take the run down: each missing / corrupt /
 /// fingerprint-mismatched file is reported as a kResumeFallback entry in
-/// RestoredState::log (a missing base journal is only reported when no
+/// RestoredState::events (a missing base journal is only reported when no
 /// journal at all was readable — per-node files are optional by design).
 RestoredState restore_from_journals(const std::string& resume_path,
                                     std::uint64_t fingerprint,
                                     const std::vector<Tile>& tiles,
                                     std::size_t dims,
                                     const MatrixProfileConfig& config);
-
-/// The run's chronological event history.  Its mutex is a leaf: nothing
-/// is called while it is held.
-class EventLog {
- public:
-  void add(RunEvent event);
-  std::vector<RunEvent> snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<RunEvent> events_;
-};
 
 /// The read-only inputs of one run, shared by every attempt and journal.
 struct RunInputs {
@@ -135,10 +99,9 @@ CheckpointData journal_data(const RunInputs& run,
                             const std::vector<CheckpointSlice>& partials,
                             int node = -1);
 
-/// Writes `data` to `path` and records a kCheckpointWritten event in
-/// `log` (the caller counts the write).
-void write_journal(const std::string& path, const CheckpointData& data,
-                   EventLog& log);
+/// Writes `data` to `path` and returns the kCheckpointWritten event
+/// that records it (the caller logs and counts the write).
+RunEvent write_journal(const std::string& path, const CheckpointData& data);
 
 /// Executes one attempt of `tile` at `mode` on `device`, on the calling
 /// thread, so any failure propagates to the caller.  Under memory

@@ -511,6 +511,8 @@ class SingleTileEngine {
               if (score_next) {
                 pf.template flag_cols<Traits>(profile.data(), c0, c1);
               }
+              // Progress inside the batch (its polls all ran up front).
+              if (cancel != nullptr) cancel->note_progress();
             });
         const double per_row = watch.seconds() / double(bt);
         for (std::size_t r = 0; r < bt; ++r) row_records(per_row);

@@ -2,9 +2,9 @@
 # Chaos soak: mpsim_cli must survive seeded randomized fault storms —
 # transient kernel faults, minute-long hangs rescued by the watchdog,
 # probabilistic slowdowns, a mid-run kill resumed from its checkpoint,
-# node crashes and a stalled node — and still emit a byte-identical
-# profile CSV to the clean run every time.  Driven by CTest; $1 = build
-# dir with the tools.
+# node crashes, a stalled node and a hang before the watchdog is
+# calibrated — and still emit a byte-identical profile CSV to the clean
+# run every time.  Driven by CTest; $1 = build dir with the tools.
 set -euo pipefail
 BUILD=$1
 WORK=$(mktemp -d)
@@ -121,5 +121,24 @@ timeout 120 "$CLI" --reference="$WORK/ref.csv" --self-join --window=32 \
     > "$WORK/stall.log"
 cmp "$WORK/clean.csv" "$WORK/stall.csv"
 grep -Eq "[1-9][0-9]* speculative win" "$WORK/stall.log"
+
+# --- Leg 6: a hang before calibration.  The only device's first tile
+# stalls for a minute at its second launch, before any attempt completed:
+# with no progress for 800 ms the watchdog cancels the attempt and the
+# retry commits it, so the run ends in seconds, DEGRADED, with the clean
+# bytes.
+awk 'BEGIN{srand(7);print "a,b";for(t=0;t<500;++t)printf "%.6f,%.6f\n",
+  sin(t/9.0)+(rand()-0.5)*0.4,cos(t/13.0)+(rand()-0.5)*0.4}' > "$WORK/ab_ref.csv"
+awk 'BEGIN{srand(11);print "a,b";for(t=0;t<400;++t)printf "%.6f,%.6f\n",
+  sin((t+40)/9.0)+(rand()-0.5)*0.4,cos((t+40)/13.0)+(rand()-0.5)*0.4}' \
+  > "$WORK/ab_qry.csv"
+AB=(--reference="$WORK/ab_ref.csv" --query="$WORK/ab_qry.csv" --window=32
+    --tiles=4 --devices=1 --motifs=0)
+"$CLI" "${AB[@]}" --output="$WORK/ab_clean.csv" > "$WORK/ab_clean.log"
+timeout 10 "$CLI" "${AB[@]}" --watchdog --faults="hang@0:at=2:ms=60000" \
+    --output="$WORK/uncalibrated.csv" > "$WORK/uncalibrated.log"
+cmp "$WORK/ab_clean.csv" "$WORK/uncalibrated.csv"
+grep -q "run health: DEGRADED" "$WORK/uncalibrated.log"
+grep -q "watchdog fired" "$WORK/uncalibrated.log"
 
 echo "chaos soak OK"

@@ -82,21 +82,10 @@ grep -q "run health: DEGRADED" "$WORK/faults.log"
 grep -q "retry" "$WORK/faults.log"
 cmp "$WORK/tiled.csv" "$WORK/faulty.csv"
 
-# An out-of-range retry budget is rejected up front (exit 1, naming the
-# field) instead of retrying a persistent fault with an ever-doubling
-# backoff.
-rc=0
-"$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-    --query="$WORK/qry.csv" --window=32 --repair --tiles=4 \
-    --faults="kernel@0:every=1" --max-retries=40 \
-    > "$WORK/retries.log" 2>&1 || rc=$?
-[ "$rc" -eq 1 ]
-grep -q "max_retries" "$WORK/retries.log"
-
-# Out-of-range numbers are rejected the same way, naming the flag: a NaN
-# watchdog slack (it would floor every deadline), a negative memory cap
-# and one whose byte count overflows (either would wrap), and negative
-# slicing / chaos counts.
+# Out-of-range numbers are rejected up front (exit 1), naming the flag: a
+# fleet over 64 devices (each starts a worker thread and a pool), a
+# negative memory cap and one whose byte count overflows (either would
+# wrap), and negative slicing / chaos counts.
 reject() {
   local flag=$1 rc=0
   shift
@@ -106,7 +95,7 @@ reject() {
   [ "$rc" -eq 1 ]
   grep -q -- "$flag" "$WORK/reject.log"
 }
-reject --watchdog-slack --watchdog --watchdog-slack=nan
+reject --devices --devices=65
 reject --device-memory-mb --device-memory-mb=-1
 reject --device-memory-mb --device-memory-mb=17592186044416
 reject --slice-rows --checkpoint="$WORK/neg.ckpt" --slice-rows=-4

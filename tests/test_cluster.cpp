@@ -617,6 +617,20 @@ TEST(ElasticCoordinator, ValidatesNodeCount) {
   config.nodes = 65;  // > the journal suffix scan bound
   EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
                ConfigError);
+  // Each device starts a worker and a pool: the fleet is bounded too.
+  config.nodes = 1;
+  config.devices = 65;
+  EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
+               ConfigError);
+  config.nodes = 8;
+  config.devices = 9;
+  try {
+    mp::compute_matrix_profile(data.reference, data.query, config);
+    ADD_FAILURE() << "8 nodes x 9 devices was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("devices"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

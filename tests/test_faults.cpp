@@ -388,6 +388,40 @@ TEST(ResilientScheduler, WatchdogSpeculationBeatsHungDevice) {
   EXPECT_TRUE(saw_fire);
 }
 
+TEST(ResilientScheduler, UncalibratedWatchdogRescuesFirstTileHang) {
+  const auto data = small_dataset(160, 2, 16, 14);
+  MatrixProfileConfig config;
+  config.window = 16;
+  config.mode = PrecisionMode::FP64;
+  config.tiles = 4;
+  config.devices = 1;
+  config.resilience.watchdog = true;
+
+  const auto clean = compute_matrix_profile(data.reference, data.query,
+                                            config);
+
+  // The first tile's second launch stalls for a minute on the only
+  // device, before any attempt completed (no calibration, no peer for a
+  // backup).  With no progress for kWatchdogSlack x kWatchdogMinDeadlineMs
+  // the watchdog cancels the attempt and the retry commits the tile.
+  FaultInjector injector;
+  injector.configure("hang@0:at=2:ms=60000");
+  config.fault_injector = &injector;
+  Stopwatch sw;
+  const auto faulty = compute_matrix_profile(data.reference, data.query,
+                                             config);
+  EXPECT_LT(sw.seconds(), 10.0);
+
+  EXPECT_EQ(faulty.profile, clean.profile);
+  EXPECT_EQ(faulty.index, clean.index);
+  EXPECT_TRUE(faulty.health.degraded);
+  EXPECT_EQ(faulty.health.watchdog_fires, 1);
+  EXPECT_EQ(faulty.health.speculative_wins, 0);
+  ASSERT_EQ(faulty.health.devices.size(), 1u);
+  EXPECT_FALSE(faulty.health.devices[0].blacklisted);  // no strike
+  EXPECT_EQ(faulty.health.devices[0].tiles_completed, 4);
+}
+
 TEST(ResilientScheduler, RepeatedHangsBlacklistTheDevice) {
   const auto data = small_dataset(160, 2, 16, 12);
   MatrixProfileConfig config;

@@ -520,6 +520,41 @@ TEST(ServeServer, MultiNodeQueriesAreByteIdenticalToSingleNode) {
   std::filesystem::remove(ref_path);
 }
 
+TEST(ServeServer, OversizedFleetIsAnErrorAndTheDaemonStaysUp) {
+  // Each device of a run starts a worker thread and a pool: a query asking
+  // for more than 64 devices gets an error header naming the flag, and
+  // the daemon goes on answering valid queries.
+  clear_shutdown();
+  const auto ref_path = temp_file("mpsim_serve_fleet_ref.csv");
+  write_csv(ref_path, make_noise_series(256, 2, 0.5, 19));
+
+  ServerOptions options;
+  options.unix_socket = temp_file("mpsim_serve_fleet.sock");
+  options.executors = 1;
+  Server server(options);
+  server.start();
+
+  {
+    RawClient client(options.unix_socket);
+    client.send_line("query --reference=" + ref_path +
+                     " --self-join --window=16 --devices=65 --id=big");
+    const auto err = client.read_header();
+    EXPECT_NE(err.find("\"status\": \"error\""), std::string::npos) << err;
+    EXPECT_NE(err.find("devices"), std::string::npos) << err;
+
+    client.send_line("query --reference=" + ref_path +
+                     " --self-join --window=16 --devices=2 --id=ok");
+    const auto header = client.read_header();
+    ASSERT_NE(header.find("\"status\": \"ok\""), std::string::npos)
+        << header;
+    EXPECT_GT(client.read_payload(payload_bytes(header)).size(), 0u);
+    client.send_line("shutdown");
+  }
+  server.wait();
+  clear_shutdown();
+  std::filesystem::remove(ref_path);
+}
+
 TEST(ServeServer, RejectsQueriesOnceQueueIsFull) {
   clear_shutdown();
   ServerOptions options;

@@ -40,14 +40,14 @@ int run(int argc, char** argv) {
   args.check_known({"reference", "query", "window", "mode", "tiles",
                     "devices", "machine", "self-join", "exclusion", "output",
                     "motifs", "discords", "repair", "auto-tiles", "chains",
-                    "faults", "max-retries", "escalate-precision",
+                    "faults", "escalate-precision",
                     "metrics-out", "trace-out", "row-path", "simd",
                     "prefilter", "prefilter-budget",
                     "checkpoint",
                     "resume", "checkpoint-interval", "kill-after-tiles",
                     "slice-rows", "kill-after-slices",
                     "nodes", "node-faults", "steal",
-                    "watchdog", "watchdog-slack", "device-memory-mb",
+                    "watchdog", "device-memory-mb",
                     "help"});
   if (args.get_bool("help", false) || !args.has("reference")) {
     std::printf(
@@ -58,8 +58,7 @@ int run(int argc, char** argv) {
         "                 [--output=profile.csv] [--motifs=K] "
         "[--discords=K] [--repair]\n"
         "                 [--auto-tiles] [--chains]\n"
-        "                 [--faults=SPEC] [--max-retries=N] "
-        "[--escalate-precision]\n"
+        "                 [--faults=SPEC] [--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
         "                 [--row-path=auto|cooperative]\n"
         "                 [--simd=auto|scalar|f16c|avx2]\n"
@@ -67,7 +66,7 @@ int run(int argc, char** argv) {
         "                 [--checkpoint=FILE.ckpt] [--resume=FILE.ckpt]\n"
         "                 [--checkpoint-interval=K] [--slice-rows=R]\n"
         "                 [--kill-after-slices=N] [--watchdog]\n"
-        "                 [--watchdog-slack=S] [--device-memory-mb=M]\n"
+        "                 [--device-memory-mb=M]\n"
         "                 [--nodes=N] [--node-faults=SPEC] [--steal=on|off]\n"
         "fault spec: comma-separated kind[@device][:key=value]... with kind\n"
         "  kernel|copy|offline|nan|bitflip|hang|slow and keys at=N, every=N,\n"
@@ -127,8 +126,6 @@ int run(int argc, char** argv) {
 
   // Shared with the serve daemon's query verb (byte-diff contract).
   mp::MatrixProfileConfig config = serve::config_from_args(args, self_join);
-  config.resilience.max_retries =
-      args.get_int32("max-retries", config.resilience.max_retries);
   config.resilience.escalate_precision =
       args.get_bool("escalate-precision", false);
   // SIMD kernel dispatch is a process-wide executor knob, not a per-run
@@ -151,8 +148,6 @@ int run(int argc, char** argv) {
   }
   config.steal = steal == "on";
   config.resilience.watchdog = args.get_bool("watchdog", false);
-  config.resilience.watchdog_slack = args.get_double(
-      "watchdog-slack", config.resilience.watchdog_slack);
   // The byte count must fit: a shift past size_t wraps to a bogus cap.
   const std::int64_t memory_mb = args.get_int("device-memory-mb", 0);
   constexpr std::uint64_t kMaxMemoryMb =
