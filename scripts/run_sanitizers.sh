@@ -49,7 +49,7 @@ run_one() {
   # sketch layer's split passes: range sketching inside the GEMM-seed
   # launch and concurrent flag_cols writes inside the row dispatch, across
   # pool sizes and against the serial build / score_batch.
-  for level in scalar f16c avx2; do
+  for level in scalar f16c avx2 avx512fp16; do
     MPSIM_SIMD=$level "$dir"/tests/test_simd_dispatch \
         --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows:BlockedRows.*'
     MPSIM_SIMD=$level "$dir"/tests/test_sketch_prefilter \

@@ -85,6 +85,15 @@ class CheckpointError : public Error {
   Reason reason_;
 };
 
+/// Raised when a file the run must write (a checkpoint journal, an output
+/// or observability file) cannot be opened, written or synced.  Not a
+/// device fault: retrying the tile elsewhere cannot help, so the
+/// execution driver stops the whole run and rethrows it to the caller.
+class IoError : public Error {
+ public:
+  explicit IoError(const std::string& what) : Error(what) {}
+};
+
 /// Raised when a whole simulated *node* (one device fleet of the run)
 /// crashes via an injected `node_crash` fault.  The scheduler stops the
 /// node's workers, drops its partial slices and moves its jobs to the

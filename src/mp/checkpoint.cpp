@@ -240,9 +240,11 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
   // parent directory so the rename itself survives a power cut.  This is
   // the warm-restart contract the serve daemon relies on.
   const std::string tmp = path + ".tmp";
+  const auto fail = [](const std::string& what, int err) {
+    throw IoError(what + ": " + std::strerror(err));
+  };
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  MPSIM_CHECK(fd >= 0, "cannot open '" << tmp << "' for writing: "
-                                       << std::strerror(errno));
+  if (fd < 0) fail("cannot open '" + tmp + "' for writing", errno);
   std::size_t written = 0;
   while (written < w.buf.size()) {
     const ssize_t n =
@@ -251,36 +253,33 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
     if (n < 0) {
       const int err = errno;
       ::close(fd);
-      MPSIM_CHECK(false,
-                  "write to '" << tmp << "' failed: " << std::strerror(err));
+      fail("write to '" + tmp + "' failed", err);
     }
     written += std::size_t(n);
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
     ::close(fd);
-    MPSIM_CHECK(false, "fsync of '" << tmp << "' failed: "
-                                    << std::strerror(err));
+    fail("fsync of '" + tmp + "' failed", err);
   }
   detail::note_durable_sync();
-  MPSIM_CHECK(::close(fd) == 0, "close of '" << tmp << "' failed: "
-                                             << std::strerror(errno));
-  MPSIM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot rename '" << tmp << "' over '" << path << "'");
+  if (::close(fd) != 0) fail("close of '" + tmp + "' failed", errno);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    fail("cannot rename '" + tmp + "' over '" + path + "'", errno);
+  }
 
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
                               : path.substr(0, slash == 0 ? 1 : slash);
   const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  MPSIM_CHECK(dirfd >= 0, "cannot open directory '" << dir
-                              << "' to sync the rename: "
-                              << std::strerror(errno));
+  if (dirfd < 0) {
+    fail("cannot open directory '" + dir + "' to sync the rename", errno);
+  }
   if (::fsync(dirfd) != 0) {
     const int err = errno;
     ::close(dirfd);
-    MPSIM_CHECK(false, "fsync of directory '" << dir << "' failed: "
-                                              << std::strerror(err));
+    fail("fsync of directory '" + dir + "' failed", err);
   }
   detail::note_durable_sync();
   ::close(dirfd);

@@ -102,7 +102,7 @@ std::uint64_t profile_cache_key(const TimeSeries& reference,
 /// fsync'd before the rename and the parent directory after it, so a
 /// crash at any point leaves either the previous journal or the complete
 /// new one — never a zero-length or stale-behind-the-rename file.
-/// Throws Error on I/O failure.
+/// Throws IoError on I/O failure.
 void write_checkpoint(const std::string& path, const CheckpointData& data);
 
 namespace detail {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -67,6 +68,9 @@ struct Driver {
   std::mutex mutex{};
   std::condition_variable cv{};
   bool stop_monitor = false;
+  /// The first error a driver thread could not handle; rethrown on the
+  /// calling thread once every thread has joined.
+  std::exception_ptr failure{};
 
   const MatrixProfileConfig& config() const { return *run.config; }
 };
@@ -86,6 +90,14 @@ void kill_run(Driver& s) {
   if (!s.config().resilience.honor_shutdown) return;
   std::lock_guard lock(s.mutex);
   apply_locked(s, s.core.interrupt());
+}
+
+/// A driver thread's root caught `error`: keep the first one for the
+/// calling thread and stop the run (every node, every claim).
+void fail_run(Driver& s, std::exception_ptr error) {
+  std::lock_guard lock(s.mutex);
+  if (!s.failure) s.failure = std::move(error);
+  apply_locked(s, s.core.fail());
 }
 
 /// Journals node `k`'s view (the committed tiles — its own in a side
@@ -189,6 +201,8 @@ Outcome run_attempt(Driver& s, int g, gpusim::Device& device,
     return {Outcome::Kind::kCancelled};
   } catch (const DeviceFailedError& e) {
     return {Outcome::Kind::kDeviceLost, 0.0, e.what()};
+  } catch (const IoError&) {
+    throw;  // a journal write failed: no retry can clear it
   } catch (const std::exception& e) {
     return {Outcome::Kind::kTransient, 0.0, e.what()};
   }
@@ -207,7 +221,7 @@ Outcome run_attempt(Driver& s, int g, gpusim::Device& device,
 /// shutdown (a signal cannot notify the condition variable) into an
 /// interrupt and, when the watchdog is enabled, ticks it with each
 /// device's progress.
-void monitor_thread(Driver& s) {
+void monitor(Driver& s) {
   const ResilienceConfig& rc = s.config().resilience;
   const auto poll = std::chrono::duration<double, std::milli>(kWatchdogPollMs);
   auto& registry = MetricsRegistry::global();
@@ -236,10 +250,9 @@ void monitor_thread(Driver& s) {
   }
 }
 
-/// Worker of global device `g`: claims, runs and reports attempts until
-/// the core says kExit; the last worker of a node to exit closes the
-/// node's trace span.
-void device_worker(Driver& s, int g) {
+/// Claims, runs and reports attempts on global device `g` until the core
+/// says kExit.
+void claim_and_run(Driver& s, int g) {
   const int k = g / s.config().devices;
   NodeState& node = s.nodes[std::size_t(k)];
   gpusim::Device& device = node.system->device(g % s.config().devices);
@@ -274,9 +287,30 @@ void device_worker(Driver& s, int g) {
     }
     if (next.kind == Decision::Kind::kExit) break;
   }
+}
+
+/// Thread roots.  Whatever escapes one (a failed journal write, say)
+/// fails the run instead of terminating the process.
+void monitor_thread(Driver& s) {
+  try {
+    monitor(s);
+  } catch (...) {
+    fail_run(s, std::current_exception());
+  }
+}
+
+/// Worker of global device `g`; the last worker of a node to exit closes
+/// the node's trace span.
+void device_worker(Driver& s, int g) {
+  try {
+    claim_and_run(s, g);
+  } catch (...) {
+    fail_run(s, std::current_exception());
+  }
+  NodeState& node = s.nodes[std::size_t(g / s.config().devices)];
   std::unique_ptr<ScopedEvent> span;  // closed after the lock is released
+  std::lock_guard lock(s.mutex);
   if (--node.live_workers == 0) span = std::move(node.span);
-  lock.unlock();
 }
 
 /// Adds one run's tally to the registry.  Every counter is added, zero
@@ -436,6 +470,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     // Nothing runs on the fleets any more: stop their pools before the
     // tile merge starts its own.
     for (NodeState& node : s.nodes) node.system.reset();
+    if (s.failure) std::rethrow_exception(s.failure);
   }
 
   // The journal of the whole run: committed tiles plus the furthest

@@ -228,6 +228,7 @@ void SchedulerCore::calibrate(double modeled_seconds, double wall_seconds) {
 }
 
 Decision SchedulerCore::claim(int g, double now) {
+  if (failed_) return {Decision::Kind::kExit};
   const int k = node_of(g);
   if (std::optional<TileJob>& held = held_[std::size_t(g)]) {
     TileJob job = std::move(*held);
@@ -312,6 +313,10 @@ Decision SchedulerCore::finish(std::uint64_t id, Outcome outcome,
   const int tile_id = tiles_[t].id;
   RunHealth::DeviceStatus& status = health_.devices[std::size_t(g)];
   Decision d;
+  if (failed_) {  // the run is over: whatever the attempt made is dropped
+    drop(job);
+    return {Decision::Kind::kExit};
+  }
   switch (outcome.kind) {
     case Outcome::Kind::kNodeLost:
       // The node is gone; its journal is deliberately not flushed (a
@@ -457,7 +462,9 @@ Decision SchedulerCore::slice(std::size_t t, int g, SliceSnapshot& snap) {
   Decision d;
   const int k = node_of(g);
   NodeState& node = nodes_[std::size_t(k)];
-  if (done_.committed[t] || interrupted_ || node.crashed) return d;
+  if (done_.committed[t] || interrupted_ || failed_ || node.crashed) {
+    return d;
+  }
   CheckpointSlice& slot = node.partials[t];
   if (slot.r_count >= snap.rows_done) return d;  // a racing attempt led
   const Tile& tile = tiles_[t];
@@ -481,7 +488,7 @@ Decision SchedulerCore::slice(std::size_t t, int g, SliceSnapshot& snap) {
 Decision SchedulerCore::tick(double now,
                              const std::vector<std::uint64_t>& progress) {
   Decision d;
-  if (!config_.resilience.watchdog || interrupted_) return d;
+  if (!config_.resilience.watchdog || interrupted_ || failed_) return d;
   const bool calibrated = wall_per_modeled_ > 0.0;
   for (auto& [id, attempt] : inflight_) {
     if (attempt.fired) continue;
@@ -560,6 +567,14 @@ Decision SchedulerCore::interrupt() {
       std::to_string(tiles_.size() - outstanding_) + "/" +
           std::to_string(tiles_.size()) +
           " tiles committed");
+  for (const auto& [id, attempt] : inflight_) d.cancel.push_back(id);
+  return d;
+}
+
+Decision SchedulerCore::fail() {
+  Decision d;
+  if (failed_) return d;
+  failed_ = true;
   for (const auto& [id, attempt] : inflight_) d.cancel.push_back(id);
   return d;
 }

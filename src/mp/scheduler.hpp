@@ -118,6 +118,10 @@ class SchedulerCore {
   Decision tick(double now, const std::vector<std::uint64_t>& progress);
   /// A shutdown: the run unwinds and every attempt is cancelled.
   Decision interrupt();
+  /// The driver caught an error no retry can clear (a journal write
+  /// failed): every attempt is cancelled, nothing more is claimed,
+  /// committed or journalled, and every worker exits.
+  Decision fail();
   /// Node `k` is gone: its attempts are cancelled (they requeue as they
   /// unwind), its slices die and its queued jobs become orphans.
   Decision crash(int k, const std::string& reason);
@@ -143,6 +147,7 @@ class SchedulerCore {
   /// Per tile: queued, held or running speculative backups.
   int backups(std::size_t t) const { return tiles_state_[t].backups; }
   bool interrupted() const { return interrupted_; }
+  bool failed() const { return failed_; }
   bool crashed(int k) const { return nodes_[std::size_t(k)].crashed; }
   std::size_t outstanding() const { return outstanding_; }
 
@@ -198,6 +203,7 @@ class SchedulerCore {
 
   RunHealth health_;
   bool interrupted_ = false;
+  bool failed_ = false;
 };
 
 }  // namespace mpsim::mp

@@ -22,6 +22,15 @@ Level probe() {
   // the F16C conversions), so it only unlocks on top of it.
   if (level == kF16C && __builtin_cpu_supports("avx2")) level = kAvx2;
 #endif
+#ifdef MPSIM_SIMD_FP16
+  // The native-FP16 kernels chain into the kAvx2-level kernels for their
+  // ragged tails, so this tier only unlocks on top of kAvx2.
+  if (level == kAvx2 && __builtin_cpu_supports("avx512fp16") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl")) {
+    level = kAvx512Fp16;
+  }
+#endif
   return level;
 #else
   return kScalar;
@@ -53,6 +62,7 @@ const char* to_string(Level level) {
     case kScalar: return "scalar";
     case kF16C: return "f16c";
     case kAvx2: return "avx2";
+    case kAvx512Fp16: return "avx512fp16";
   }
   return "scalar";
 }
@@ -72,8 +82,9 @@ Level parse_level(const std::string& name) {
   if (name == "scalar") return kScalar;
   if (name == "f16c") return kF16C;
   if (name == "avx2") return kAvx2;
+  if (name == "avx512fp16") return kAvx512Fp16;
   throw ConfigError("unknown simd level '" + name +
-                    "' (expected auto|scalar|f16c|avx2)");
+                    "' (expected auto|scalar|f16c|avx2|avx512fp16)");
 }
 
 void apply_option(const std::string& name) {

@@ -1,18 +1,24 @@
 // Runtime CPU-feature dispatch of the explicit SIMD kernel layer
 // (src/mp/simd/).
 //
-// The row-pipeline kernels ship in up to three variants per (mode, stage):
+// The row-pipeline kernels ship in up to four variants per (mode, stage):
 //
-//   kScalar — the templated scalar bodies (every platform),
-//   kF16C   — 8-wide F16C widen-op-round kernels of the emulated-FP16
-//             storage family (FP16 / Mixed / FP16C),
-//   kAvx2   — the 4-wide f64 / 8-wide f32 AVX recurrence kernels, the
-//             AVX2 BF16/TF32 kernels and the AVX2 merge kernels.
+//   kScalar     — the templated scalar bodies (every platform),
+//   kF16C       — 8-wide F16C widen-op-round kernels of the emulated-FP16
+//                 storage family (FP16 / Mixed / FP16C),
+//   kAvx2       — the 4-wide f64 / 8-wide f32 AVX recurrence kernels, the
+//                 AVX2 BF16/TF32 kernels and the AVX2 merge kernels,
+//   kAvx512Fp16 — 32-wide native binary16 arithmetic (AVX512-FP16) for the
+//                 FP16 dist_calc / QT-only spans, block sort + scan, fused
+//                 merge and FP16-mode GEMM seed panel (kernels_fp16.hpp);
+//                 each chains into the kAvx2-level kernels for the columns
+//                 past its last whole 32-column block.
 //
 // The hardware level is cpuid-probed once (first use); the *active* level
 // is min(requested, detected) — a request above the hardware silently
 // clamps, so `--simd=avx2` is portable to any host.  The request comes
-// from the CLI flag (--simd=auto|scalar|f16c|avx2), the MPSIM_SIMD
+// from the CLI flag (--simd=auto|scalar|f16c|avx2|avx512fp16), the
+// MPSIM_SIMD
 // environment variable (benches and script-driven tests), or
 // set_override() (unit tests switching variants in-process).
 //
@@ -42,6 +48,15 @@
 #define MPSIM_SIMD_AVX2 1
 #endif
 
+#if defined(MPSIM_SIMD_AVX2) && defined(__F16C__) && \
+    defined(MPSIM_HAVE_AVX512FP16)
+// Native FP16 kernels: compiled inside a `#pragma GCC target`
+// AVX512-FP16 region when the compiler accepts -mavx512fp16 (CMake
+// defines MPSIM_HAVE_AVX512FP16), runtime-gated by the cpuid probe.  They
+// hand their ragged tails to the F16C kernels, hence __F16C__.
+#define MPSIM_SIMD_FP16 1
+#endif
+
 // Restrict qualifier of the kernel layer (kept separate from kernels.hpp's
 // MPSIM_RESTRICT so the simd headers are self-contained).
 #if defined(__GNUC__) || defined(__clang__)
@@ -59,7 +74,7 @@ inline constexpr std::size_t kMaxSortRows = 64;
 
 /// Dispatch level, ordered: a request of level L enables every kernel of
 /// level <= L (subject to the hardware probe).
-enum Level { kScalar = 0, kF16C = 1, kAvx2 = 2 };
+enum Level { kScalar = 0, kF16C = 1, kAvx2 = 2, kAvx512Fp16 = 3 };
 
 /// Pipeline stages whose kernels have SIMD variants, as reported by the
 /// per-stage metrics counters (`simd.<stage>.<variant>`).
@@ -69,7 +84,8 @@ const char* to_string(Level level);
 const char* to_string(Stage stage);
 
 /// Parses a --simd / MPSIM_SIMD level name; throws ConfigError on
-/// anything but scalar|f16c|avx2 ("auto" is handled by apply_option).
+/// anything but scalar|f16c|avx2|avx512fp16 ("auto" is handled by
+/// apply_option).
 Level parse_level(const std::string& name);
 
 /// Applies a --simd value: "auto" clears the override, any other name

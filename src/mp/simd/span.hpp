@@ -3,8 +3,10 @@
 // variant the active dispatch level allows for the storage/compute type —
 // or reports "not handled", in which case the caller runs its scalar
 // body.  Every function here is a thin runtime gate; the bit-identity
-// arguments live with the kernels (kernels_f16.hpp, kernels_native.hpp,
-// kernels_avx2.hpp).
+// arguments live with the kernels (kernels_f16.hpp, kernels_fp16.hpp,
+// kernels_native.hpp, kernels_avx2.hpp).  A kAvx512Fp16 kernel handles
+// whole 32-column blocks and hands the rest to its kF16C/kAvx2 sibling,
+// whose own scalar tail (or the caller's) finishes the span.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +20,7 @@
 #include "mp/simd/dispatch.hpp"
 #include "mp/simd/kernels_avx2.hpp"
 #include "mp/simd/kernels_f16.hpp"
+#include "mp/simd/kernels_fp16.hpp"
 #include "mp/simd/kernels_gemm.hpp"
 #include "mp/simd/kernels_native.hpp"
 #include "mp/simd/kernels_qt.hpp"
@@ -39,13 +42,19 @@ inline constexpr int kSoftShift = 23 - (std::numeric_limits<T>::digits - 1);
 
 // --- Per-stage variant selection (what WOULD run for this type now) -----
 
+/// Level of the emulated-half kernels that have a native-FP16 variant.
+inline Level half_variant(Level lv) {
+#ifdef MPSIM_SIMD_FP16
+  if (lv >= kAvx512Fp16) return kAvx512Fp16;
+#endif
+  return lv >= kF16C ? kF16C : kScalar;
+}
+
 template <typename T>
 Level dist_calc_variant() {
   const Level lv = active_level();
 #ifdef MPSIM_SIMD_F16
-  if constexpr (std::is_same_v<T, float16>) {
-    return lv >= kF16C ? kF16C : kScalar;
-  }
+  if constexpr (std::is_same_v<T, float16>) return half_variant(lv);
 #endif
 #ifdef MPSIM_SIMD_NATIVE
   if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
@@ -65,9 +74,7 @@ template <typename T>
 Level sort_scan_variant() {
   const Level lv = active_level();
 #ifdef MPSIM_SIMD_F16
-  if constexpr (std::is_same_v<T, float16>) {
-    return lv >= kF16C ? kF16C : kScalar;
-  }
+  if constexpr (std::is_same_v<T, float16>) return half_variant(lv);
 #endif
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (kIsSoftFloat<T>) {
@@ -82,6 +89,11 @@ Level sort_scan_variant() {
 template <typename T>
 Level merge_variant() {
   const Level lv = active_level();
+#ifdef MPSIM_SIMD_FP16
+  if constexpr (std::is_same_v<T, float16>) {
+    if (lv >= kAvx512Fp16) return kAvx512Fp16;
+  }
+#endif
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (std::is_same_v<T, float16> || kIsSoftFloat<T>) {
     return lv >= kAvx2 ? kAvx2 : kScalar;
@@ -101,14 +113,18 @@ inline Level precalc_f16_variant() {
 
 /// Variant the GEMM seed panels (mp/gemm.hpp) would run with for this
 /// mode: keyed on Storage — the emulated-half family (FP16 / Mixed /
-/// FP16C) uses the F16C conversion panels whatever its accumulation
-/// type, the native and soft formats ride the AVX/AVX2 tiers.
+/// FP16C) uses the F16C conversion panels, FP16 (binary16 accumulation)
+/// the native-FP16 panel where available; the native and soft formats
+/// ride the AVX/AVX2 tiers.
 template <typename Traits>
 Level gemm_variant() {
   using ST = typename Traits::Storage;
   const Level lv = active_level();
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<ST, float16>) {
+    if constexpr (std::is_same_v<typename Traits::PrecalcCompute, float16>) {
+      return half_variant(lv);
+    }
     return lv >= kF16C ? kF16C : kScalar;
   }
 #endif
@@ -146,7 +162,14 @@ inline std::size_t gemm_panels(const typename Traits::PrecalcCompute* a,
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kF16C) {
       if constexpr (std::is_same_v<PC, float16>) {
-        return gemm_panels_f16(a, m, slide, smu, n, out);
+        std::size_t jj = 0;
+#ifdef MPSIM_SIMD_FP16
+        if (active_level() >= kAvx512Fp16) {
+          jj = fp16::gemm_panels(a, m, slide, smu, n, out);
+        }
+#endif
+        return jj + gemm_panels_f16(a, m, slide + jj, smu + jj, n - jj,
+                                    out + jj);
       } else if constexpr (Traits::kCompensatedPrecalc) {
         return gemm_panels_f16_kahan(a, m, slide, smu, n, out);
       } else {
@@ -197,8 +220,16 @@ inline std::int64_t dist_calc_span(std::int64_t n, CT df_ri, CT dg_ri,
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<CT, float16>) {
     if (active_level() >= kF16C) {
-      return dist_calc_span_f16(n, df_ri, dg_ri, inv_ri, two_m, qt_prev_m1,
-                                df_q, dg_q, inv_q, qt_next, dist);
+      std::int64_t t = 0;
+#ifdef MPSIM_SIMD_FP16
+      if (active_level() >= kAvx512Fp16) {
+        t = fp16::dist_calc_span(n, df_ri, dg_ri, inv_ri, two_m, qt_prev_m1,
+                                 df_q, dg_q, inv_q, qt_next, dist);
+      }
+#endif
+      return t + dist_calc_span_f16(n - t, df_ri, dg_ri, inv_ri, two_m,
+                                    qt_prev_m1 + t, df_q + t, dg_q + t,
+                                    inv_q + t, qt_next + t, dist + t);
     }
   }
 #endif
@@ -246,8 +277,15 @@ inline std::int64_t qt_only_span(std::int64_t n, CT df_ri, CT dg_ri,
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<CT, float16>) {
     if (active_level() >= kF16C) {
-      return qt_only_span_f16(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
-                              qt_next);
+      std::int64_t t = 0;
+#ifdef MPSIM_SIMD_FP16
+      if (active_level() >= kAvx512Fp16) {
+        t = fp16::qt_only_span(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
+                               qt_next);
+      }
+#endif
+      return t + qt_only_span_f16(n - t, df_ri, dg_ri, qt_prev_m1 + t,
+                                  df_q + t, dg_q + t, qt_next + t);
     }
   }
 #endif
@@ -365,7 +403,13 @@ inline bool sort_scan_rows_emulated(ST* blk, std::size_t bstride,
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kF16C) {
-      sort_scan_rows_f16(blk, bstride, bn, d);
+      std::size_t jj = 0;
+#ifdef MPSIM_SIMD_FP16
+      if (active_level() >= kAvx512Fp16) {
+        jj = fp16::sort_scan_rows(blk, bstride, bn, d);
+      }
+#endif
+      sort_scan_rows_f16(blk + jj, bstride, bn - jj, d);
       return true;
     }
   }
@@ -396,9 +440,16 @@ inline std::int64_t merge_rows(const ST* src, ST* prof, std::int64_t* idx,
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kAvx2) {
-      return avx2::merge_rows_f16(
-          reinterpret_cast<const std::uint16_t*>(src),
-          reinterpret_cast<std::uint16_t*>(prof), idx, n, (long long)(row));
+      std::int64_t j = 0;
+#ifdef MPSIM_SIMD_FP16
+      if (active_level() >= kAvx512Fp16) {
+        j = fp16::merge_rows(src, prof, idx, n, row);
+      }
+#endif
+      return j + avx2::merge_rows_f16(
+                     reinterpret_cast<const std::uint16_t*>(src + j),
+                     reinterpret_cast<std::uint16_t*>(prof + j), idx + j,
+                     n - j, (long long)(row));
     }
   } else if constexpr (kIsSoftFloat<ST>) {
     if (active_level() >= kAvx2) {

@@ -127,4 +127,17 @@ user_error --steal "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
 user_error "different shapes" "$BUILD/tools/mpsim_diff" \
     --baseline="$WORK/ref.csv" --test="$WORK/qry.csv"
 
+# An unwritable output file is a clean error before any work (exit 1, the
+# flag named, never an abort): the checkpoint journal, the profile CSV and
+# both observability files.
+for flag in checkpoint output metrics-out trace-out; do
+  user_error "--$flag" "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
+      --query="$WORK/qry.csv" --window=32 --tiles=4 --devices=2 \
+      --checkpoint-interval=1 --"$flag"="$WORK/missing/dir/$flag.out"
+  if grep -q "computed" "$WORK/user_error.out"; then
+    echo "--$flag: unwritable file rejected after the run" >&2
+    exit 1
+  fi
+done
+
 echo "cli pipeline OK"

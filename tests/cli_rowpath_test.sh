@@ -73,24 +73,25 @@ cmp "$WORK/auto_nan.csv" "$WORK/cooperative_nan.csv"
 
 # --simd= is a pure performance knob: every dispatch level must produce
 # byte-identical profiles (levels above the host clamp, so asking for
-# avx2 is safe anywhere).  BF16 rides along to cover the AVX2 payload
-# kernels; the NaN-fault FP16 run drives the vector kernels' scalar
-# fallbacks through the CLI.
+# avx2 or avx512fp16 is safe anywhere).  BF16 rides along to cover the
+# AVX2 payload kernels; the NaN-fault FP16 runs drive the vector kernels'
+# scalar fallbacks through the CLI.
 for mode in FP64 FP16 BF16; do
   run auto "$WORK/s_scalar_$mode.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode="$mode" --tiles=2 --simd=scalar
-  for level in f16c avx2 auto; do
+  for level in f16c avx2 avx512fp16 auto; do
     run auto "$WORK/s_${level}_$mode.csv" --reference="$WORK/ref3.csv" \
         --self-join --window=32 --mode="$mode" --tiles=2 --simd="$level"
     cmp "$WORK/s_${level}_$mode.csv" "$WORK/s_scalar_$mode.csv"
   done
 done
-for level in scalar auto; do
+for level in scalar avx2 auto; do
   run auto "$WORK/s_${level}_nan.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode=FP16 --simd="$level" \
       --faults="seed=9,nan@0:at=1:frac=0.05"
 done
 cmp "$WORK/s_auto_nan.csv" "$WORK/s_scalar_nan.csv"
+cmp "$WORK/s_avx2_nan.csv" "$WORK/s_scalar_nan.csv"
 
 # Temporal-blocked rows with halos: an FP16 d=4 AB-join whose one tile
 # is 2100 columns wide.  On a host with two or more cores the column

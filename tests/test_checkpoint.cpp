@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
 #include "mp/checkpoint.hpp"
@@ -720,6 +721,38 @@ TEST(CheckpointResume, IntervalControlsJournalCadence) {
     EXPECT_EQ(slice.complete, 1);
   }
   std::remove(ckpt.c_str());
+}
+
+TEST(CheckpointResume, UnwritableJournalFailsTheRunWithIoError) {
+  // A journal that cannot be written is no device fault: whether the write
+  // comes from a worker between attempts (the interval cadence) or from a
+  // row-slice snapshot inside an attempt, the run stops on every node and
+  // the caller gets one IoError — never an abort, a retry or a blacklist.
+  const auto data = small_dataset(160, 2, 16, 7);
+  auto& registry = MetricsRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  for (const int nodes : {1, 2}) {
+    for (const int slice_rows : {0, 8}) {
+      MatrixProfileConfig config;
+      config.window = 16;
+      config.tiles = 4;
+      config.devices = 2;
+      config.nodes = nodes;
+      config.checkpoint.write_path =
+          testing::TempDir() + "mpsim_missing_dir/x.ckpt";
+      config.checkpoint.interval_tiles = 1;
+      config.checkpoint.slice_rows = slice_rows;
+      EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+                   IoError)
+          << "nodes " << nodes << " slice rows " << slice_rows;
+    }
+  }
+  EXPECT_EQ(registry.counter("resilient.retries").value(), 0u);
+  EXPECT_EQ(registry.counter("resilient.blacklist_events").value(), 0u);
+  EXPECT_EQ(registry.counter("resilient.checkpoint_writes").value(), 0u);
+  registry.set_enabled(false);
+  registry.reset();
 }
 
 }  // namespace

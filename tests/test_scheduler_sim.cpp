@@ -13,6 +13,7 @@
 //    between attempts or running);
 //  * the tally adds up: attempts, commits, faults and the event kinds;
 //  * an interrupted run starts no further attempt;
+//  * a failed run starts, commits and journals nothing more and ends;
 //  * no schedule deadlocks: some worker always has something to wait for.
 #include <gtest/gtest.h>
 
@@ -66,6 +67,7 @@ struct Scenario {
   double hang = 0.0;       ///< polls stop part way for hang_s
   double hang_s = 3.0;
   double interrupt_at = kInf;
+  double fail_at = kInf;   ///< the driver fails the run (a journal write)
   double crash_at = kInf;  ///< a crash of crash_node between attempts
   int crash_node = 0;
 };
@@ -137,6 +139,7 @@ class Sim {
     }
     ASSERT_TRUE(core_->inflight().empty());
     SchedulerCore& core = *core_;
+    if (core.failed()) return;  // the driver rethrows the error
     if (core.interrupted() && core.outstanding() > 0) return;  // unwinds
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       if (core.done().committed[t]) continue;
@@ -245,6 +248,10 @@ class Sim {
 
   /// Applies a decision's effects for device `g` (-1 = none).
   void apply(const Decision& d, int g) {
+    if (core_->failed()) {
+      EXPECT_FALSE(d.journal) << "journal due after fail at " << now_;
+      EXPECT_FALSE(d.kill) << "kill due after fail at " << now_;
+    }
     for (const std::uint64_t id : d.cancel) cancel(id);
     if (d.journal && !core_->crashed(node_of(g))) {
       core_->journal_written({RunEvent::Kind::kCheckpointWritten, -1, -1,
@@ -274,6 +281,7 @@ class Sim {
         }
         ASSERT_EQ(d.kind, Decision::Kind::kRun);
         ASSERT_FALSE(core_->interrupted()) << "attempt started after interrupt";
+        ASSERT_FALSE(core_->failed()) << "attempt started after fail";
         runs_ += 1;
         started_[d.attempt.job.index] = 1;
         w.state = Worker::State::kRunning;
@@ -325,7 +333,10 @@ class Sim {
     const double crash_at = core.crashed(sc_.crash_node)
                                 ? kInf
                                 : std::max(now_, sc_.crash_at);
-    const double next = std::min({best, tick, interrupt_at, crash_at});
+    const double fail_at =
+        core.failed() ? kInf : std::max(now_, sc_.fail_at);
+    const double next =
+        std::min({best, tick, interrupt_at, crash_at, fail_at});
     if (next == kInf) {
       for (const Worker& w : workers_) {
         EXPECT_NE(w.state, Worker::State::kWaiting)
@@ -353,6 +364,9 @@ class Sim {
       wake_all();
     } else if (interrupt_at == next) {
       apply(core.interrupt(), -1);
+      wake_all();
+    } else if (fail_at == next) {
+      apply(core.fail(), -1);
       wake_all();
     } else {
       apply(core.crash(sc_.crash_node, "simulated crash"), -1);
@@ -385,14 +399,17 @@ class Sim {
     outcome.kind = w.plan.kind;
     outcome.non_finite = w.plan.non_finite;
     outcome.error = "simulated fault";
-    if (outcome.kind == Outcome::Kind::kTransient ||
-        outcome.kind == Outcome::Kind::kDeviceLost) {
+    // After a fail the core drops every outcome unread.
+    if (!core.failed() && (outcome.kind == Outcome::Kind::kTransient ||
+                           outcome.kind == Outcome::Kind::kDeviceLost)) {
       faults_ += 1;
     }
     const bool crashed_before = core.crashed(node_of(g));
+    const bool failed_before = core.failed();
     const bool was_committed = core.done().committed[t] != 0;
     const Decision d = core.finish(w.claim.attempt.id, outcome, now_);
     if (!was_committed && core.done().committed[t]) {
+      EXPECT_FALSE(failed_before) << "tile " << t << " committed after fail";
       EXPECT_FALSE(crashed_before) << "crashed node " << node_of(g)
                                    << " committed tile " << t;
       EXPECT_EQ(commits_[t], 0) << "tile " << t << " committed twice";
@@ -642,6 +659,38 @@ TEST(SchedulerSim, SameSeedGivesTheSameEventLog) {
     EXPECT_EQ(first.event_log(), second.event_log()) << "seed " << seed;
     EXPECT_EQ(first.now(), second.now()) << "seed " << seed;
   }
+}
+
+TEST(SchedulerSim, FailedRunStartsAndCommitsNothingMoreAndEnds) {
+  // The driver fails the run when a thread root catches an error no retry
+  // can clear (an unwritable journal).  From then on no attempt starts,
+  // none commits, no journal or kill is due, the running attempts are
+  // cancelled and every worker exits — under the seeded chaos mix.
+  int failed = 0, cut_short = 0;
+  for (int nodes = 1; nodes <= 3; ++nodes) {
+    for (int devices = 1; devices <= 2; ++devices) {
+      for (const int tiles : {1, 4, 9}) {
+        for (std::uint64_t seed = 0; seed < 10; ++seed) {
+          const std::uint64_t key =
+              ((std::uint64_t(nodes) * 4 + devices) * 16 + tiles) * 16 + seed;
+          Scenario sc =
+              random_scenario(nodes, devices, tiles, true, seed % 2, key);
+          sc.interrupt_at = kInf;
+          sc.fail_at = 0.004 * double(seed);
+          Sim sim(sc, key);
+          sim.run();
+          ASSERT_FALSE(::testing::Test::HasFailure())
+              << "nodes " << nodes << " devices " << devices << " tiles "
+              << tiles << " seed " << seed << "\n"
+              << sim.event_log();
+          failed += sim.core().failed();
+          cut_short += sim.core().failed() && sim.core().outstanding() > 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed, 50);
+  EXPECT_GT(cut_short, 50);
 }
 
 TEST(SchedulerSim, StalledFirstAttemptIsCancelledRetriedAndCommitted) {

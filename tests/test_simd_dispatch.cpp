@@ -2,8 +2,8 @@
 //
 // Every kernel variant in src/mp/simd/ claims bit-identity with the
 // templated scalar bodies; this suite enforces it by running the SAME
-// end-to-end computation at every dispatch level (scalar / f16c / avx2,
-// clamped to what the host supports) and across temporal-blocked batch
+// end-to-end computation at every dispatch level (scalar / f16c / avx2 /
+// avx512fp16, clamped to what the host supports) and across temporal-blocked batch
 // sizes, then comparing FNV checksums of the full profile + index output.
 // NaN-poisoned runs (fault-injector staging corruption) are included:
 // they drive the kernels' NaN fallbacks, where operand-order-dependent
@@ -14,12 +14,14 @@
 // parallel_for the blocked executor relies on are covered at the bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,8 +33,11 @@
 #include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/simd/dispatch.hpp"
+#include "mp/simd/span.hpp"
 #include "mp/single_tile.hpp"
+#include "mp/sort_scan.hpp"
 #include "mp/tuning.hpp"
+#include "precision/float16.hpp"
 #include "precision/modes.hpp"
 #include "tsdata/synthetic.hpp"
 
@@ -498,6 +503,308 @@ TEST(BlockedRows, SlicesAndResumeMatchCooperative) {
   }
 }
 
+// --- Native FP16 tier against the F16C kernels and the scalar operators --
+//
+// Each kAvx512Fp16 kernel must reproduce the scalar float16 operators, and
+// with them its F16C/AVX2 sibling, lane for lane and bit for bit: on
+// realistic magnitudes, on arbitrary non-NaN bit patterns (subnormals,
+// +-0, +-inf, values that overflow when combined) and with NaNs sprinkled
+// in, where the handled-count contract applies (a span stops before the
+// first 32-column block whose chain holds a NaN and stores nothing of it).
+// A compiler that fuses a multiply into the following add (vfmadd*ph)
+// rounds once instead of twice and fails these lane comparisons.
+
+#if defined(MPSIM_SIMD_FP16) && defined(MPSIM_SIMD_F16)
+
+bool native_fp16_host() {
+  return mp::simd::detected_level() >= mp::simd::kAvx512Fp16;
+}
+
+/// How one trial draws its operands: a share of arbitrary non-NaN bit
+/// patterns and a share of NaNs; the rest are uniform in [lo, hi].
+struct HalfMix {
+  double special = 0.0;
+  double nan = 0.0;
+};
+constexpr HalfMix kHalfMixes[] = {
+    {0.0, 0.0}, {0.05, 0.0}, {0.02, 0.004}, {0.3, 0.02}};
+
+float16 draw_half(Rng& rng, const HalfMix& mix, double lo, double hi) {
+  const double u = rng.uniform();
+  if (u < mix.nan) {
+    const auto payload = std::uint16_t(1 + rng.uniform_index(0x3ff));
+    const auto sign = std::uint16_t(rng.uniform_index(2) << 15);
+    return float16::from_bits(std::uint16_t(sign | 0x7c00 | payload));
+  }
+  if (u < mix.nan + mix.special) {
+    for (;;) {
+      auto bits = std::uint16_t(rng.uniform_index(0x10000));
+      if (rng.uniform() < 0.25) bits &= 0x83ff;  // subnormal or +-0
+      if (!float16::nan_bits(bits)) return float16::from_bits(bits);
+    }
+  }
+  return float16(rng.uniform(lo, hi));
+}
+
+std::vector<float16> draw_halves(Rng& rng, const HalfMix& mix,
+                                 std::size_t n, double lo, double hi) {
+  std::vector<float16> out(n);
+  for (float16& h : out) h = draw_half(rng, mix, lo, hi);
+  return out;
+}
+
+bool is_nan(float16 h) { return float16::nan_bits(h.bits()); }
+
+/// Filler of output buffers: a store into a column the contract says is
+/// left alone shows up as a changed payload.
+constexpr std::uint16_t kUntouched = 0x7e5a;
+
+TEST(NativeFp16Kernels, DistCalcAndQtOnlySpansMatchF16cAndScalar) {
+  if (!native_fp16_host()) GTEST_SKIP() << "host lacks AVX512-FP16";
+  constexpr std::int64_t n = 32 * 4 + 21;
+  Rng rng(2024);
+  int clean_blocks = 0, broken_spans = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const HalfMix& mix = kHalfMixes[trial % std::size(kHalfMixes)];
+    const auto prev = draw_halves(rng, mix, n, -128.0, 128.0);
+    const auto df_q = draw_halves(rng, mix, n, -1.0, 1.0);
+    const auto dg_q = draw_halves(rng, mix, n, -1.0, 1.0);
+    const auto inv_q = draw_halves(rng, mix, n, 0.005, 0.5);
+    const HalfMix row_mix{mix.special, mix.nan / 8};
+    const float16 df_ri = draw_half(rng, row_mix, -1.0, 1.0);
+    const float16 dg_ri = draw_half(rng, row_mix, -1.0, 1.0);
+    const float16 inv_ri = draw_half(rng, row_mix, 0.005, 0.5);
+    const float16 two_m = draw_half(rng, row_mix, 16.0, 256.0);
+
+    // The scalar operators, column by column.
+    std::vector<float16> ref_qt(n), ref_dist(n);
+    std::int64_t first_nan_dist = n, first_nan_qt = n;
+    for (std::int64_t t = 0; t < n; ++t) {
+      ref_qt[t] = prev[t] + df_ri * dg_q[t] + dg_ri * df_q[t];
+      ref_dist[t] = mp::qt_to_distance(ref_qt[t], inv_ri, inv_q[t], two_m);
+      if (is_nan(ref_dist[t])) first_nan_dist = std::min(first_nan_dist, t);
+      if (is_nan(ref_qt[t])) first_nan_qt = std::min(first_nan_qt, t);
+    }
+    const bool nan_row = is_nan(df_ri) || is_nan(dg_ri) || is_nan(inv_ri);
+    const bool nan_qt_row = is_nan(df_ri) || is_nan(dg_ri);
+    const auto expect_handled = [](bool refused, std::int64_t first_nan,
+                                   std::int64_t width) {
+      return refused ? 0 : first_nan / width * width;
+    };
+    broken_spans += first_nan_dist < n;
+
+    // dist_calc: native, then the F16C sibling on a fresh buffer.
+    for (const bool native : {true, false}) {
+      std::vector<float16> qt(n, float16::from_bits(kUntouched));
+      std::vector<float16> dist(n, float16::from_bits(kUntouched));
+      const std::int64_t handled =
+          native ? mp::simd::fp16::dist_calc_span(
+                       n, df_ri, dg_ri, inv_ri, two_m, prev.data(),
+                       df_q.data(), dg_q.data(), inv_q.data(), qt.data(),
+                       dist.data())
+                 : mp::simd::dist_calc_span_f16(
+                       n, df_ri, dg_ri, inv_ri, two_m, prev.data(),
+                       df_q.data(), dg_q.data(), inv_q.data(), qt.data(),
+                       dist.data());
+      const std::int64_t width = native ? 32 : 8;
+      ASSERT_EQ(handled, expect_handled(nan_row, first_nan_dist, width))
+          << "trial " << trial << (native ? " native" : " f16c");
+      if (native) clean_blocks += int(handled / 32);
+      for (std::int64_t t = 0; t < n; ++t) {
+        const std::uint16_t want_qt = t < handled ? ref_qt[t].bits()
+                                                  : kUntouched;
+        const std::uint16_t want_dist = t < handled ? ref_dist[t].bits()
+                                                    : kUntouched;
+        ASSERT_EQ(qt[t].bits(), want_qt)
+            << "trial " << trial << " column " << t
+            << (native ? " native" : " f16c");
+        ASSERT_EQ(dist[t].bits(), want_dist)
+            << "trial " << trial << " column " << t
+            << (native ? " native" : " f16c");
+      }
+    }
+
+    // QT-only: the QT prefix of the same spans.
+    for (const bool native : {true, false}) {
+      std::vector<float16> qt(n, float16::from_bits(kUntouched));
+      const std::int64_t handled =
+          native ? mp::simd::fp16::qt_only_span(n, df_ri, dg_ri, prev.data(),
+                                                df_q.data(), dg_q.data(),
+                                                qt.data())
+                 : mp::simd::qt_only_span_f16(n, df_ri, dg_ri, prev.data(),
+                                              df_q.data(), dg_q.data(),
+                                              qt.data());
+      ASSERT_EQ(handled,
+                expect_handled(nan_qt_row, first_nan_qt, native ? 32 : 8))
+          << "trial " << trial << (native ? " native" : " f16c");
+      for (std::int64_t t = 0; t < n; ++t) {
+        ASSERT_EQ(qt[t].bits(), t < handled ? ref_qt[t].bits() : kUntouched)
+            << "trial " << trial << " column " << t
+            << (native ? " native" : " f16c");
+      }
+    }
+  }
+  // Both halves of the contract were exercised.
+  EXPECT_GT(clean_blocks, 1000);
+  EXPECT_GT(broken_spans, 100);
+}
+
+TEST(NativeFp16Kernels, SortScanMatchesF16cAndScalar) {
+  if (!native_fp16_host()) GTEST_SKIP() << "host lacks AVX512-FP16";
+  constexpr std::size_t bn = 32 * 2 + 19;
+  constexpr std::size_t bstride = bn + 5;
+  Rng rng(77);
+  int nan_columns = 0;
+  for (const std::size_t d : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 16ul}) {
+    const std::size_t p2 = mp::next_pow2(d);
+    for (int trial = 0; trial < 40; ++trial) {
+      const HalfMix& mix = kHalfMixes[trial % std::size(kHalfMixes)];
+      std::vector<float16> block(p2 * bstride, float16::from_bits(0x7c00));
+      for (std::size_t l = 0; l < d; ++l) {
+        for (std::size_t j = 0; j < bn; ++j) {
+          block[l * bstride + j] = draw_half(rng, mix, 0.0, 24.0);
+        }
+      }
+      std::vector<float16> native = block, f16c = block;
+      ASSERT_EQ(mp::simd::fp16::sort_scan_rows(native.data(), bstride, bn, d),
+                bn / 32 * 32);
+      mp::simd::sort_scan_rows_f16(f16c.data(), bstride, bn, d);
+      for (std::size_t j = 0; j < bn; ++j) {
+        float16 column[mp::simd::kMaxSortRows];
+        bool poisoned = false;
+        for (std::size_t l = 0; l < p2; ++l) {
+          column[l] = block[l * bstride + j];
+          poisoned |= l < d && is_nan(column[l]);
+        }
+        nan_columns += poisoned;
+        mp::sort_scan_column(column, d);
+        for (std::size_t l = 0; l < d; ++l) {
+          const std::size_t e = l * bstride + j;
+          ASSERT_EQ(f16c[e].bits(), column[l].bits())
+              << "d " << d << " trial " << trial << " row " << l
+              << " column " << j << " f16c";
+          if (j >= bn / 32 * 32) continue;  // past the native blocks
+          ASSERT_EQ(native[e].bits(), column[l].bits())
+              << "d " << d << " trial " << trial << " row " << l
+              << " column " << j << " native";
+        }
+      }
+      // Past its blocks the native kernel touches nothing.
+      for (std::size_t l = 0; l < p2; ++l) {
+        for (std::size_t j = bn / 32 * 32; j < bstride; ++j) {
+          ASSERT_EQ(native[l * bstride + j].bits(),
+                    block[l * bstride + j].bits());
+        }
+      }
+    }
+  }
+  EXPECT_GT(nan_columns, 50);
+}
+
+TEST(NativeFp16Kernels, MergeMatchesAvx2AndScalar) {
+  if (!native_fp16_host()) GTEST_SKIP() << "host lacks AVX512-FP16";
+  constexpr std::int64_t n = 32 * 3 + 11;
+  constexpr std::int64_t row = 4321;
+  Rng rng(5);
+  for (int trial = 0; trial < 400; ++trial) {
+    const HalfMix& mix = kHalfMixes[trial % std::size(kHalfMixes)];
+    const auto src = draw_halves(rng, mix, n, 0.0, 8.0);
+    auto prof = draw_halves(rng, mix, n, 0.0, 8.0);
+    std::vector<std::int64_t> idx(n);
+    for (std::int64_t j = 0; j < n; ++j) {
+      idx[j] = std::int64_t(rng.uniform_index(1000));
+      // Ties and signed zeros: the earliest row must keep them.
+      const double u = rng.uniform();
+      if (u < 0.1) prof[j] = src[j];
+      if (u > 0.95) prof[j] = -src[j];
+    }
+    std::vector<float16> ref_prof = prof;
+    std::vector<std::int64_t> ref_idx = idx;
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (src[j] < ref_prof[j]) {
+        ref_prof[j] = src[j];
+        ref_idx[j] = row;
+      }
+    }
+    std::vector<float16> native = prof, avx2 = prof;
+    std::vector<std::int64_t> native_idx = idx, avx2_idx = idx;
+    ASSERT_EQ(mp::simd::fp16::merge_rows(src.data(), native.data(),
+                                         native_idx.data(), n, row),
+              n / 32 * 32);
+    const std::int64_t avx2_handled = mp::simd::avx2::merge_rows_f16(
+        reinterpret_cast<const std::uint16_t*>(src.data()),
+        reinterpret_cast<std::uint16_t*>(avx2.data()), avx2_idx.data(), n,
+        row);
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (j < n / 32 * 32) {
+        ASSERT_EQ(native[j].bits(), ref_prof[j].bits()) << trial << " " << j;
+        ASSERT_EQ(native_idx[j], ref_idx[j]) << trial << " " << j;
+      } else {
+        ASSERT_EQ(native[j].bits(), prof[j].bits()) << trial << " " << j;
+        ASSERT_EQ(native_idx[j], idx[j]) << trial << " " << j;
+      }
+      if (j < avx2_handled) {
+        ASSERT_EQ(avx2[j].bits(), ref_prof[j].bits()) << trial << " " << j;
+        ASSERT_EQ(avx2_idx[j], ref_idx[j]) << trial << " " << j;
+      }
+    }
+  }
+}
+
+TEST(NativeFp16Kernels, GemmPanelMatchesF16cAndScalar) {
+  if (!native_fp16_host()) GTEST_SKIP() << "host lacks AVX512-FP16";
+  constexpr std::size_t n = 32 * 2 + 9;
+  Rng rng(31);
+  int clean = 0;
+  for (const std::size_t m : {1ul, 7ul, 32ul, 100ul}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const HalfMix& mix = kHalfMixes[trial % std::size(kHalfMixes)];
+      const auto a = draw_halves(rng, mix, m, -2.0, 2.0);
+      const auto slide = draw_halves(rng, mix, n + m - 1, -2.0, 2.0);
+      const auto smu = draw_halves(rng, mix, n, -0.5, 0.5);
+      std::vector<float16> ref(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        float16 acc(0.0);
+        for (std::size_t t = 0; t < m; ++t) {
+          acc = acc + a[t] * (slide[j + t] - smu[j]);
+        }
+        ref[j] = acc;
+      }
+      for (const bool native : {true, false}) {
+        std::vector<float16> out(n, float16::from_bits(kUntouched));
+        const std::size_t handled =
+            native ? mp::simd::fp16::gemm_panels(a.data(), m, slide.data(),
+                                                 smu.data(), n, out.data())
+                   : mp::simd::gemm_panels_f16(a.data(), m, slide.data(),
+                                               smu.data(), n, out.data());
+        ASSERT_EQ(handled, n / (native ? 32 : 8) * (native ? 32 : 8));
+        for (std::size_t j = 0; j < n; ++j) {
+          const char* who = native ? " native" : " f16c";
+          if (j >= handled) {
+            ASSERT_EQ(out[j].bits(), kUntouched) << j << who;
+          } else if (is_nan(ref[j])) {
+            // The driver re-derives NaN columns; only NaN-ness must hold.
+            ASSERT_TRUE(is_nan(out[j])) << "m " << m << " " << j << who;
+          } else {
+            clean += native;
+            ASSERT_EQ(out[j].bits(), ref[j].bits())
+                << "m " << m << " trial " << trial << " column " << j << who;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(clean, 5000);
+}
+
+#else
+
+TEST(NativeFp16Kernels, DistCalcAndQtOnlySpansMatchF16cAndScalar) {
+  GTEST_SKIP() << "built without the AVX512-FP16 tier";
+}
+
+#endif  // MPSIM_SIMD_FP16 && MPSIM_SIMD_F16
+
 // --- Dispatch plumbing ----------------------------------------------------
 
 TEST(SimdDispatch, ParseAndClamp) {
@@ -506,6 +813,8 @@ TEST(SimdDispatch, ParseAndClamp) {
   EXPECT_EQ(parse_level("scalar"), kScalar);
   EXPECT_EQ(parse_level("f16c"), kF16C);
   EXPECT_EQ(parse_level("avx2"), kAvx2);
+  EXPECT_EQ(parse_level("avx512fp16"), kAvx512Fp16);
+  EXPECT_EQ(std::string(to_string(kAvx512Fp16)), "avx512fp16");
   EXPECT_THROW(parse_level("sse9"), ConfigError);
   EXPECT_THROW(apply_option("bogus"), ConfigError);
 
@@ -513,6 +822,8 @@ TEST(SimdDispatch, ParseAndClamp) {
   apply_option("avx2");
   EXPECT_EQ(active_level(), detected_level() < kAvx2 ? detected_level()
                                                      : kAvx2);
+  apply_option("avx512fp16");  // the top level: never above the host
+  EXPECT_EQ(active_level(), detected_level());
   apply_option("scalar");
   EXPECT_EQ(active_level(), kScalar);
   apply_option("auto");

@@ -10,8 +10,14 @@
 // is detected automatically).  With --self-join the reference file is
 // joined against itself (exclusion defaults to window/2).
 // The output CSV has 2*d columns: profile_k, index_k for each dimension.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -34,6 +40,23 @@
 namespace {
 
 using namespace mpsim;
+
+/// Fails before any work unless the file `--flag` names can be opened
+/// for writing.  A file the probe created is removed again; an existing
+/// one is opened for append and left untouched.
+void probe_writable(const CliArgs& args, const std::string& flag) {
+  if (!args.has(flag)) return;
+  const std::string path = args.get_string(flag, "");
+  struct stat st {};
+  const bool existed = ::stat(path.c_str(), &st) == 0;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) {
+    throw IoError("--" + flag + "=" + path + ": cannot open for writing: " +
+                  std::strerror(errno));
+  }
+  ::close(fd);
+  if (!existed) ::unlink(path.c_str());
+}
 
 int run(int argc, char** argv) {
   CliArgs args(argc, argv);
@@ -61,7 +84,7 @@ int run(int argc, char** argv) {
         "                 [--faults=SPEC] [--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
         "                 [--row-path=auto|cooperative]\n"
-        "                 [--simd=auto|scalar|f16c|avx2]\n"
+        "                 [--simd=auto|scalar|f16c|avx2|avx512fp16]\n"
         "                 [--prefilter=off|sketch] [--prefilter-budget=B]\n"
         "                 [--checkpoint=FILE.ckpt] [--resume=FILE.ckpt]\n"
         "                 [--checkpoint-interval=K] [--slice-rows=R]\n"
@@ -96,6 +119,11 @@ int run(int argc, char** argv) {
         "  any one node's N-th row-slice snapshot (counted per node); both\n"
         "  stop every node at once, flush the checkpoint and exit 130\n");
     return args.has("reference") ? 0 : 2;
+  }
+
+  for (const char* flag : {"checkpoint", "output", "metrics-out",
+                           "trace-out"}) {
+    probe_writable(args, flag);
   }
 
   // Observability must be armed before any instrumented work runs.

@@ -2,7 +2,8 @@
 //
 //   mpsim_serve --socket=/tmp/mpsim.sock [--port=0] [--executors=2]
 //               [--max-queue=64] [--metrics-out=FILE.json]
-//               [--trace-out=FILE.json] [--simd=auto|scalar|f16c|avx2]
+//               [--trace-out=FILE.json]
+//               [--simd=auto|scalar|f16c|avx2|avx512fp16]
 //
 // Accepts newline-delimited requests over a unix-domain socket and/or a
 // loopback TCP port (see src/serve/protocol.hpp and docs/API.md for the
@@ -39,7 +40,7 @@ int run(int argc, char** argv) {
         "                   [--executors=2] [--max-queue=64] [--nodes=N]\n"
         "                   [--metrics-out=FILE.json] "
         "[--trace-out=FILE.json]\n"
-        "                   [--simd=auto|scalar|f16c|avx2]\n"
+        "                   [--simd=auto|scalar|f16c|avx2|avx512fp16]\n"
         "protocol (newline-delimited; see docs/API.md \"Serving\"):\n"
         "  query --reference=ref.csv [--query=q.csv|--self-join]\n"
         "        [--window=M] [--mode=FP64] [--tiles=N] [--devices=N]\n"
