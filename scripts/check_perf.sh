@@ -222,3 +222,42 @@ if failures:
     sys.exit(1)
 print("check_perf cluster diff: PASS")
 PY
+
+# ---- Journal bytes diff ----------------------------------------------------
+# The checkpoint journal is append-only: each commit or row-slice snapshot
+# appends its own record, and a finished run compacts once, so the
+# records and bytes a fault-free one-device run writes are exact numbers —
+# pinned in the "metrics_journal" baseline section.  Rewriting the whole
+# journal per snapshot would multiply checkpoint.bytes_written.  The run
+# journals to a relative path from inside $WORK, so the path recorded in
+# the journal's events has the same length on every host.  Reuses the
+# srand(5) CSV from the metrics leg above.
+CLI_ABS=$(cd "$(dirname "$CLI")" && pwd)/$(basename "$CLI")
+(cd "$WORK" && "$CLI_ABS" --reference=ref.csv --self-join --window=32 \
+    --mode=Mixed --tiles=4 --devices=1 --simd=scalar --slice-rows=64 \
+    --checkpoint=journal.ckpt --checkpoint-interval=1 \
+    --metrics-out=journal_metrics.json --motifs=0 > /dev/null)
+
+python3 - "$BASELINE" "$WORK/journal_metrics.json" <<'PY'
+import json, sys
+
+baseline_path, metrics_path = sys.argv[1:3]
+base = json.load(open(baseline_path)).get("metrics_journal", {}).get("counters", {})
+head = json.load(open(metrics_path))["counters"]
+
+failures = []
+for name, ref in sorted(base.items()):
+    got = head.get(name)
+    verdict = "ok"
+    if got != ref:
+        verdict = "CHANGED"
+        failures.append(f"{name}: {got} vs baseline {ref}")
+    print(f"  {name:36s} baseline {ref!s:>12}  head {got!s:>12}  {verdict}")
+
+if failures:
+    print("check_perf journal diff: FAIL")
+    for f in failures:
+        print("  " + f)
+    sys.exit(1)
+print("check_perf journal diff: PASS")
+PY

@@ -30,7 +30,7 @@ run_one() {
   # The chaos, cluster and resume legs must be deterministic, not merely
   # pass once: node faults fire at claims fixed when the tiles are dealt,
   # so a seeded fault fires the same under any interleaving, and every
-  # node's commits, side journal (ElasticCoordinator.SideJournals*) and
+  # node's commits, journal segment (ElasticCoordinator.SideJournals*) and
   # kill hooks go through the one scheduler lock; the ResilientScheduler
   # tests race hung attempts against their backups and retries.  Idle
   # workers wait on the condition variable with no timeout, so a lost
@@ -55,6 +55,15 @@ run_one() {
     MPSIM_SIMD=$level "$dir"/tests/test_sketch_prefilter \
         --gtest_filter='SketchPrefilter.BlockedBatchesMatchPerRowDispatch:SketchPrefilter.PoolSizesMatchOneWorker:SketchPrefilter.Split*'
   done
+  if [ "$kind" = address ]; then
+    # The journal reader parses bytes a crash may have torn: sweep every
+    # bit flip and truncation of a v5 segment, resume from damaged
+    # segments, and run the multi-node CLI legs (a torn node segment
+    # included) under ASan/UBSan.
+    "$dir"/tests/test_checkpoint \
+        --gtest_filter='CheckpointJournal.EveryBitFlipAndTruncationIsRejected:CheckpointResume.DamagedSegmentResumesItsValidPrefixBitIdentically'
+    bash tests/cli_cluster_test.sh "$dir"
+  fi
   if [ "$kind" = thread ]; then
     # Hammer the lock-free metrics registry beyond the single CTest pass:
     # repeated runs of the concurrent-recording tests give TSan many more

@@ -1,9 +1,14 @@
 #include "common/cli.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string_view>
 
@@ -115,6 +120,20 @@ void CliArgs::check_known(std::initializer_list<const char*> known) const {
                                 [&](const char* k) { return name == k; });
     if (!ok) throw ConfigError("unknown flag --" + name);
   }
+}
+
+void probe_writable(const CliArgs& args, const std::string& flag) {
+  if (!args.has(flag)) return;
+  const std::string path = args.get_string(flag, "");
+  struct stat st {};
+  const bool existed = ::stat(path.c_str(), &st) == 0;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) {
+    throw IoError("--" + flag + "=" + path + ": cannot open for writing: " +
+                  std::strerror(errno));
+  }
+  ::close(fd);
+  if (!existed) ::unlink(path.c_str());
 }
 
 }  // namespace mpsim

@@ -33,6 +33,12 @@ class CliArgs {
   std::map<std::string, std::string> values_;
 };
 
+/// Fails before any work unless the file `--flag` names (when given) can
+/// be opened for writing: throws IoError naming the flag.  A file the
+/// probe created is removed again; an existing one is opened for append
+/// and left untouched.  Shared by mpsim_cli and mpsim_serve.
+void probe_writable(const CliArgs& args, const std::string& flag);
+
 /// Parses `text` as a base-10 integer, requiring the whole string to be
 /// consumed: "--tiles=abc" and "--window=64garbage" both throw Error
 /// naming `flag` instead of silently becoming 0 / 64.  Used by

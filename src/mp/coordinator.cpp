@@ -2,8 +2,8 @@
 // coordinator run over config.nodes simulated nodes (one by default):
 //
 //   validate → plan → restore journals → SchedulerCore → device workers
-//   + one monitor → interrupt flush / CPU fallback → journal → assemble
-//   + the plan's model → health
+//   + one monitor → interrupt flush / CPU fallback → compaction →
+//   assemble + the plan's model → health
 //
 // Every decision is the SchedulerCore's (mp/scheduler.hpp).  The driver
 // owns what the core must not — the threads, the one mutex and condition
@@ -18,8 +18,11 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,7 +52,8 @@ namespace {
 struct NodeState {
   std::unique_ptr<gpusim::System> system;
   std::string journal_path;          ///< "" = not journalling
-  std::mutex journal_io;             ///< serialises this node's writes
+  std::mutex journal_io;             ///< serialises this node's appends
+  std::unique_ptr<JournalWriter> segment;  ///< made at the first append
   int live_workers = 0;
   std::unique_ptr<ScopedEvent> span; ///< the "node k" trace span
 };
@@ -62,6 +66,10 @@ struct Driver {
   std::vector<NodeState> nodes;
   std::vector<gpusim::CancellationToken> tokens;  ///< per global device
   const std::vector<CheckpointSlice>& prefixes;   ///< per tile
+  /// Journal files restore read, with their valid prefixes in bytes.
+  const std::map<std::string, std::uint64_t>& journal_prefixes;
+  /// The core's events already in the base journal (`write_path`).
+  std::size_t journalled_events;
   const Stopwatch& clock;
   gpusim::FaultInjector& node_faults;
   Histogram& tile_seconds;
@@ -100,24 +108,76 @@ void fail_run(Driver& s, std::exception_ptr error) {
   apply_locked(s, s.core.fail());
 }
 
-/// Journals node `k`'s view (the committed tiles — its own in a side
-/// journal — its partial slices and the events), copied under the lock
-/// and written outside it, serialised per journal file.
+/// A writer of journal file `path`: it continues the valid prefix that
+/// restore read from `path` (a run resuming from the file it journals
+/// to), else starts the file fresh.
+std::unique_ptr<JournalWriter> journal_writer(const Driver& s,
+                                              const std::string& path) {
+  const auto it = s.journal_prefixes.find(path);
+  return std::make_unique<JournalWriter>(
+      path, s.run.fingerprint, s.run.tiles->size(),
+      it == s.journal_prefixes.end() ? 0 : it->second);
+}
+
+/// Buffers in node `k`'s segment what it has not journalled yet (see
+/// SchedulerCore::take_unjournalled): each due commit as a complete
+/// slice, each still uncommitted tile's latest row-slice snapshot on the
+/// node, and — in a one-node run, whose segment is the base journal —
+/// the events since the last append.  The
+/// caller holds the node's journal_io and, while workers run, the mutex.
+/// Returns the kCheckpointWritten detail of the append.
+std::string stage_journal(Driver& s, int k) {
+  NodeState& node = s.nodes[std::size_t(k)];
+  if (!node.segment) node.segment = journal_writer(s, node.journal_path);
+  const CommittedTiles& done = s.core.done();
+  const std::vector<CheckpointSlice>& partials = s.core.partials(k);
+  const SchedulerCore::Unjournalled due = s.core.take_unjournalled(k);
+  std::size_t partial = 0;
+  for (const std::size_t t : due.commits) {
+    add_committed_slice(*node.segment, s.run, done, t);
+  }
+  for (const std::size_t t : due.slices) {
+    // A tile committed since (here or elsewhere) needs no prefix.
+    if (done.committed[t] || partials[t].r_count == 0) continue;
+    node.segment->add_slice(partials[t]);
+    partial += 1;
+  }
+  if (s.nodes.size() == 1) {
+    const std::vector<RunEvent>& events = s.core.health().events;
+    node.segment->add_events(
+        std::span(events).subspan(s.journalled_events));
+    s.journalled_events = events.size();
+  }
+  return std::to_string(due.commits.size()) + " tile(s) + " +
+         std::to_string(partial) + " partial slice(s)";
+}
+
+/// Appends what is buffered in `journal` (one write, one fdatasync) and
+/// logs the kCheckpointWritten event of `staged`; with nothing buffered
+/// it does neither.
+void append_journal(Driver& s, JournalWriter& journal,
+                    const std::string& staged) {
+  const std::size_t bytes = journal.append();
+  if (bytes == 0) return;
+  std::lock_guard lock(s.mutex);
+  s.core.journal_written({RunEvent::Kind::kCheckpointWritten, -1, -1,
+                          staged + " appended (" + std::to_string(bytes) +
+                              " bytes) -> " + journal.path()});
+}
+
+/// Appends node `k`'s unjournalled slices to its segment: staged under
+/// the lock, written and synced outside it, serialised per node.
 void write_node_journal(Driver& s, int k) {
   NodeState& node = s.nodes[std::size_t(k)];
   if (node.journal_path.empty()) return;
   std::lock_guard io(node.journal_io);
-  CheckpointData data;
+  std::string staged;
   {
     std::lock_guard lock(s.mutex);
     if (s.core.crashed(k)) return;
-    data = journal_data(s.run, s.core.done(), s.core.partials(k),
-                        s.nodes.size() > 1 ? k : -1);
-    data.events = s.core.health().events;
+    staged = stage_journal(s, k);
   }
-  RunEvent written = write_journal(node.journal_path, data);
-  std::lock_guard lock(s.mutex);
-  s.core.journal_written(std::move(written));
+  append_journal(s, *node.segment, staged);
 }
 
 /// SliceProgress::on_slice sink: hands the snapshot, with the restored
@@ -408,6 +468,14 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
   RestoredState restored = restore_from_journals(
       config.checkpoint.resume_path, run.fingerprint, tiles, d, config);
   const std::vector<CheckpointSlice> prefixes = std::move(restored.prefixes);
+  const std::map<std::string, std::uint64_t> journal_prefixes =
+      std::move(restored.journal_prefixes);
+  // The history restore read from the base journal is already in it when
+  // this run continues that very file.
+  const std::size_t journalled_events =
+      journal_prefixes.count(config.checkpoint.write_path) != 0
+          ? restored.base_events
+          : 0;
 
   // ---- Deal and plan the node faults.  The node injector is separate
   // from config.fault_injector, which keeps addressing devices by their
@@ -427,6 +495,8 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
            std::vector<NodeState>(std::size_t(nodes)),
            std::vector<gpusim::CancellationToken>(fleet),
            prefixes,
+           journal_prefixes,
+           journalled_events,
            wall,
            node_injector,
            registry.histogram("resilient.tile_seconds")};
@@ -446,7 +516,7 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
       const std::string& path = config.checkpoint.write_path;
       node.journal_path = path.empty() || nodes == 1
                               ? path
-                              : path + ".node" + std::to_string(k);
+                              : journal_segment_path(path, k);
       node.live_workers = devices;
       node.span = std::make_unique<ScopedEvent>(
           registry, "node " + std::to_string(k), k, "node");
@@ -473,25 +543,24 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     if (s.failure) std::rethrow_exception(s.failure);
   }
 
-  // The journal of the whole run: committed tiles plus the furthest
-  // row-slice snapshot any live node holds of each uncommitted tile.
-  const auto write_run_journal = [&] {
-    std::vector<CheckpointSlice> partials(tiles.size());
-    for (int k = 0; k < nodes; ++k) {
-      const std::vector<CheckpointSlice>& mine = s.core.partials(k);
-      for (std::size_t t = 0; t < mine.size(); ++t) {
-        if (mine[t].r_count > partials[t].r_count) partials[t] = mine[t];
-      }
-    }
-    CheckpointData data = journal_data(s.run, s.core.done(), partials);
-    data.events = s.core.health().events;
-    s.core.journal_written(write_journal(config.checkpoint.write_path, data));
-  };
-
-  // ---- Interruption: flush the journal and unwind. ----
+  // ---- Interruption: append what the segments still lack — commits
+  // since the last append and the events — and unwind. ----
   if (s.core.outstanding() > 0 && config.resilience.honor_shutdown &&
       (s.core.interrupted() || shutdown_requested())) {
-    if (config.checkpoint.enabled()) write_run_journal();
+    if (config.checkpoint.enabled()) {
+      for (int k = 0; k < nodes; ++k) {  // the workers have joined
+        const std::string staged = stage_journal(s, k);
+        append_journal(s, *s.nodes[std::size_t(k)].segment, staged);
+      }
+      if (nodes > 1) {  // events go to the base journal only
+        const std::span events =
+            std::span(s.core.health().events).subspan(s.journalled_events);
+        const std::unique_ptr<JournalWriter> base =
+            journal_writer(s, config.checkpoint.write_path);
+        base->add_events(events);
+        append_journal(s, *base, std::to_string(events.size()) + " event(s)");
+      }
+    }
     std::string what = "run interrupted: " +
                        std::to_string(tiles.size() - s.core.outstanding()) +
                        "/" + std::to_string(tiles.size()) +
@@ -520,8 +589,12 @@ MatrixProfileResult compute_matrix_profile(const TimeSeries& reference,
     s.core.cpu_commit(t, result);
   }
 
-  // ---- Final journal: a complete run leaves a complete checkpoint. ----
-  if (config.checkpoint.enabled()) write_run_journal();
+  // ---- Compaction: a complete run leaves one complete journal. ----
+  if (config.checkpoint.enabled()) {
+    for (NodeState& node : s.nodes) node.segment.reset();
+    s.core.journal_written(
+        compact_journal(s.run, s.core.done(), s.core.health().events));
+  }
 
   MatrixProfileResult out =
       assemble_tile_results(tiles, s.core.results(), n_q, d, config.workers);

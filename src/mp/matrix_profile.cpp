@@ -24,7 +24,7 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.devices < 1) throw ConfigError("devices must be >= 1");
   if (config.nodes < 1) throw ConfigError("nodes must be >= 1");
   // Each device runs a worker thread plus a pool of at least one, and
-  // resume probes 64 per-node side journals; 64 devices cover 8 nodes of
+  // resume probes 64 per-node journal segments; 64 devices cover 8 nodes of
   // the paper's 8-GPU DGX-1.
   if (std::int64_t(config.nodes) * config.devices > 64) {
     throw ConfigError("nodes x devices must be <= 64, got " +

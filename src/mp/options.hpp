@@ -166,11 +166,13 @@ struct ResilienceConfig {
 };
 
 /// Durable checkpoint/resume of the resilient scheduler.  The journal
-/// (format `mpsim-ckpt-v4`, see mp/checkpoint.hpp) records every
-/// completed tile's merged profile slice — and, with `slice_rows > 0`,
-/// mid-tile row-slice snapshots — plus the RunEvent history; it is
-/// written atomically (temp + rename) every `interval_tiles` completed
-/// tiles, at the end of the run, and when a shutdown is requested.
+/// (format `mpsim-ckpt-v5`, see mp/checkpoint.hpp) is an append-only log
+/// per node: every `interval_tiles` commits of a node append their merged
+/// profile slices as records — and, with `slice_rows > 0`, each mid-tile
+/// row-slice snapshot appends one record at once — with one fdatasync
+/// per append.  A shutdown appends what is still pending plus the
+/// RunEvent history; a finished run compacts into one complete journal
+/// (temp + rename).
 struct CheckpointConfig {
   std::string write_path;   ///< journal destination ("" = checkpointing off)
   std::string resume_path;  ///< journal to restore from ("" = fresh run)
@@ -289,17 +291,17 @@ struct RunEvent {
     kSpeculationLost,   ///< backup cancelled; primary finished first
     kTileSplit,         ///< tile split into row sub-tiles (memory pressure)
     kResumed,           ///< tile restored from a checkpoint journal
-    kCheckpointWritten, ///< journal flushed to disk
+    kCheckpointWritten, ///< journal records appended or compacted
     kInterrupted,       ///< shutdown requested; run stopped early
     // v3 additions — appended so the int32 wire encoding of the kinds
     // above stays frozen.
     kResumeFallback,    ///< --resume journal unusable; fresh run instead
     kSliceRestored,     ///< tile seeded from a journalled row-slice prefix
-    kSliceDiscarded,    ///< journalled slice unusable on the current grid
+    kSliceDiscarded,    ///< journalled slice unusable on the current grid,
+                        ///< or (tile -1) a journal's bad tail record
     kNodeJoined,        ///< node's device fleet came up (device = node)
     kNodeCrashed,       ///< node lost to an injected crash (device = node)
     kNodeStolen,        ///< tile stolen across nodes (device = thief node)
-    kNodeDuplicated,    ///< reserved: no longer emitted (older journals)
   };
 
   Kind kind = Kind::kRetry;

@@ -1,5 +1,9 @@
 #include "mp/resilient.hpp"
 
+#include <unistd.h>
+
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -36,8 +40,8 @@ void merge_sub_tiles(const TileResult& left, const TileResult& right,
   out.prefilter.merge_from(right.prefilter);
 }
 
-/// Side journals a multi-node run may have left next to the base journal
-/// (one per node id); restore probes this many of them.
+/// Node segments a multi-node run may have left next to the base journal
+/// (one per node id); restore probes and compaction unlinks this many.
 constexpr int kMaxNodeJournals = 64;
 
 }  // namespace
@@ -124,7 +128,9 @@ std::string RunEvent::to_string() const {
     case Kind::kSliceRestored:
       return tile + ": " + detail;
     case Kind::kSliceDiscarded:
-      return tile + ": journalled slice discarded (" + detail + ")";
+      return tile_id < 0 ? "journal tail discarded: " + detail
+                         : tile + ": journalled slice discarded (" + detail +
+                               ")";
     case Kind::kNodeJoined:
       return "node " + std::to_string(device) + " joined (" + detail + ")";
     case Kind::kNodeCrashed:
@@ -132,9 +138,6 @@ std::string RunEvent::to_string() const {
     case Kind::kNodeStolen:
       return tile + ": stolen by node " + std::to_string(device) +
              (detail.empty() ? "" : " (" + detail + ")");
-    case Kind::kNodeDuplicated:
-      return tile + ": straggler duplicated to node " +
-             std::to_string(device) + " (" + detail + ")";
   }
   return detail;
 }
@@ -180,6 +183,10 @@ std::string RunHealth::summary() const {
   return os.str();
 }
 
+std::string journal_segment_path(const std::string& path, int node) {
+  return node < 0 ? path : path + ".node" + std::to_string(node);
+}
+
 RestoredState restore_from_journals(const std::string& resume_path,
                                     std::uint64_t fingerprint,
                                     const std::vector<Tile>& tiles,
@@ -190,116 +197,133 @@ RestoredState restore_from_journals(const std::string& resume_path,
   out.prefixes.assign(tiles.size(), CheckpointSlice{});
   if (resume_path.empty()) return out;
 
-  auto note_fallback = [&out](const std::string& why) {
+  // The restore's own events follow the prior run's history in `out`.
+  std::vector<RunEvent> notes;
+  auto note_fallback = [&](const std::string& why) {
     out.fallbacks += 1;
-    out.events.push_back({RunEvent::Kind::kResumeFallback, -1, -1, why});
+    notes.push_back({RunEvent::Kind::kResumeFallback, -1, -1, why});
+  };
+  auto note_discard = [&](int tile_id, int device, std::string why) {
+    out.discarded += 1;
+    notes.push_back(
+        {RunEvent::Kind::kSliceDiscarded, tile_id, device, std::move(why)});
   };
 
-  // The base journal (the single-node / coordinator one, node -1 here)
-  // carries the prior run's event history; per-node side journals only
-  // add slices.
-  std::vector<CheckpointData> journals;
-  std::string base_missing;
-  for (int node = -1; node < kMaxNodeJournals; ++node) {
-    const std::string path =
-        node < 0 ? resume_path : resume_path + ".node" + std::to_string(node);
-    const std::string then = node < 0 ? "starting fresh" : "ignoring it";
-    try {
-      CheckpointData data = read_checkpoint(path);
-      if (data.fingerprint != fingerprint) {
-        note_fallback("journal '" + path +
-                      "' was written for different inputs or configuration "
-                      "(fingerprint mismatch), " + then);
-        continue;
+  // Re-keys one journalled slice by its absolute row/column ranges
+  // against the *current* grid — the journal may have been written under
+  // a different tile count or node count — and keeps what it restores:
+  // the first complete slice of a tile, the furthest row prefix.
+  const auto restore_slice = [&](CheckpointSlice& slice) {
+    std::size_t target = tiles.size();
+    SliceFit fit = SliceFit::kNone;
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      fit = classify_slice(std::size_t(slice.r_begin),
+                           std::size_t(slice.r_count),
+                           std::size_t(slice.q_begin),
+                           std::size_t(slice.q_count),
+                           std::size_t(slice.dims), tiles[t], dims);
+      if (fit != SliceFit::kNone) {
+        target = t;
+        break;
       }
-      if (node < 0) out.events = data.events;
-      journals.push_back(std::move(data));
+    }
+    if (target == tiles.size()) {
+      note_discard(int(slice.tile_id), int(slice.device),
+                   "rows [" + std::to_string(slice.r_begin) + ", +" +
+                       std::to_string(slice.r_count) + ") x cols [" +
+                       std::to_string(slice.q_begin) + ", +" +
+                       std::to_string(slice.q_count) +
+                       ") does not fit the current tile grid");
+      return;
+    }
+    if (fit == SliceFit::kComplete) {
+      if (out.committed[target]) return;  // duplicate across journals
+      out.committed[target] = 1;
+      out.results[target].profile = std::move(slice.profile);
+      out.results[target].index = std::move(slice.index);
+      out.results[target].qt = std::move(slice.qt);
+      out.results[target].prefilter = slice.prefilter;
+      out.executed_device[target] = int(slice.device);
+      out.final_mode[target] = slice.mode;
+      out.resumed += 1;
+      return;
+    }
+    // Row prefix: only usable at the run's base precision and without
+    // the prefilter, and only with its QT row — the tail attempt
+    // continues the recurrence from exactly that state.  The reader
+    // admits an empty or an exactly sized row; a prefix without one (a
+    // CPU-fallback, split or corrupted-input tile) is recomputed from
+    // row 0.
+    if (slice.mode != config.mode || config.prefilter.enabled()) {
+      note_discard(int(slice.tile_id), int(slice.device),
+                   "row prefix at " + to_string(slice.mode) +
+                       " is not restorable under this configuration");
+    } else if (slice.qt.size() != std::size_t(slice.q_count) *
+                                      std::size_t(slice.dims) *
+                                      storage_bytes(slice.mode)) {
+      note_discard(int(slice.tile_id), int(slice.device),
+                   "row prefix carries no QT row (CPU-fallback, split or "
+                   "corrupted-input tile); recomputed from row 0");
+    } else if (slice.r_count > out.prefixes[target].r_count) {
+      out.prefixes[target] = std::move(slice);  // keep the furthest prefix
+    }
+  };
+
+  // The base journal (the one-node segment or a multi-node run's event
+  // log, node -1 here) carries the prior run's event history; node
+  // segments only add slices.  Each file is streamed record by record.
+  std::string base_missing;
+  bool any_read = false;
+  for (int node = -1; node < kMaxNodeJournals; ++node) {
+    const std::string path = journal_segment_path(resume_path, node);
+    const std::string then = node < 0 ? "starting fresh" : "ignoring it";
+    std::optional<JournalReader> reader;
+    try {
+      reader.emplace(path);
     } catch (const CheckpointError& e) {
-      // Absent node journals are the norm: a run with fewer nodes simply
-      // wrote fewer of them (and a crashed node never flushed one).
+      // Absent node segments are the norm: a run with fewer nodes simply
+      // wrote fewer of them.
       if (e.reason() != CheckpointError::Reason::kMissing) {
         note_fallback("journal '" + path + "' is unreadable (" + e.what() +
                       "), " + then);
       } else if (node < 0) {
         base_missing = e.what();
       }
+      continue;
     }
-  }
-  if (!base_missing.empty() && journals.empty()) {
-    note_fallback("journal '" + resume_path + "' is missing (" +
-                  base_missing + "), starting fresh");
-  }
-
-  // Re-key every journalled slice by its absolute row/column ranges
-  // against the *current* grid — the journal may have been written under
-  // a different tile count or node count.
-  for (const CheckpointData& data : journals) {
-    for (const CheckpointSlice& slice : data.slices) {
-      std::size_t target = tiles.size();
-      SliceFit fit = SliceFit::kNone;
-      for (std::size_t t = 0; t < tiles.size(); ++t) {
-        fit = classify_slice(std::size_t(slice.r_begin),
-                             std::size_t(slice.r_count),
-                             std::size_t(slice.q_begin),
-                             std::size_t(slice.q_count),
-                             std::size_t(slice.dims), tiles[t], dims);
-        if (fit != SliceFit::kNone) {
-          target = t;
-          break;
+    if (reader->fingerprint() != fingerprint) {
+      note_fallback("journal '" + path +
+                    "' was written for different inputs or configuration "
+                    "(fingerprint mismatch), " + then);
+      continue;
+    }
+    any_read = true;
+    try {
+      for (;;) {
+        const JournalReader::Record record = reader->next();
+        if (record == JournalReader::Record::kEnd) break;
+        if (record == JournalReader::Record::kSlice) {
+          restore_slice(reader->slice());
+        } else if (node < 0) {
+          for (RunEvent& event : reader->events()) {
+            out.events.push_back(std::move(event));
+          }
         }
       }
-      if (target == tiles.size()) {
-        out.discarded += 1;
-        out.events.push_back(
-            {RunEvent::Kind::kSliceDiscarded, int(slice.tile_id),
-             int(slice.device),
-             "rows [" + std::to_string(slice.r_begin) + ", +" +
-                 std::to_string(slice.r_count) + ") x cols [" +
-                 std::to_string(slice.q_begin) + ", +" +
-                 std::to_string(slice.q_count) +
-                 ") does not fit the current tile grid"});
-        continue;
-      }
-      if (fit == SliceFit::kComplete) {
-        if (out.committed[target]) continue;  // duplicate across journals
-        out.committed[target] = 1;
-        out.results[target].profile = slice.profile;
-        out.results[target].index = slice.index;
-        out.results[target].qt = slice.qt;
-        out.results[target].prefilter = slice.prefilter;
-        out.executed_device[target] = int(slice.device);
-        out.final_mode[target] = slice.mode;
-        out.resumed += 1;
-        continue;
-      }
-      // Row prefix: only usable at the run's base precision and without
-      // the prefilter, and only with its QT row — the tail attempt
-      // continues the recurrence from exactly that state.  The reader
-      // admits an empty or an exactly sized row; a prefix without one (a
-      // CPU-fallback, split or corrupted-input tile) is recomputed from
-      // row 0.
-      std::string unusable;
-      if (slice.mode != config.mode || config.prefilter.enabled()) {
-        unusable = "row prefix at " + to_string(slice.mode) +
-                   " is not restorable under this configuration";
-      } else if (slice.qt.size() != std::size_t(slice.q_count) *
-                                        std::size_t(slice.dims) *
-                                        storage_bytes(slice.mode)) {
-        unusable = "row prefix carries no QT row (CPU-fallback, split or "
-                   "corrupted-input tile); recomputed from row 0";
-      }
-      if (!unusable.empty()) {
-        out.discarded += 1;
-        out.events.push_back({RunEvent::Kind::kSliceDiscarded,
-                              int(slice.tile_id), int(slice.device),
-                              unusable});
-        continue;
-      }
-      CheckpointSlice& best = out.prefixes[target];
-      if (std::size_t(slice.r_count) > std::size_t(best.r_count)) {
-        best = slice;  // keep the furthest prefix
-      }
+    } catch (const CheckpointError& e) {
+      // A torn or corrupt record ends this file's log; the records
+      // before it stand.
+      note_discard(-1, -1,
+                   std::string(e.what()) + "; its first " +
+                       std::to_string(reader->records()) +
+                       " record(s) are used");
     }
+    if (node < 0) out.base_events = out.events.size();
+    out.journal_prefixes[path] = reader->valid_bytes();
+  }
+  if (!base_missing.empty() && !any_read) {
+    note_fallback("journal '" + resume_path + "' is missing (" +
+                  base_missing + "), starting fresh");
   }
 
   for (std::size_t t = 0; t < tiles.size(); ++t) {
@@ -309,13 +333,15 @@ RestoredState restore_from_journals(const std::string& resume_path,
     }
     if (out.prefixes[t].r_count == 0) continue;
     out.partial += 1;
-    out.events.push_back(
+    notes.push_back(
         {RunEvent::Kind::kSliceRestored, tiles[t].id,
          int(out.prefixes[t].device),
          "rows [0, +" + std::to_string(out.prefixes[t].r_count) + ") of " +
              std::to_string(tiles[t].r_count) +
              " restored; tail resumes from the journalled QT row"});
   }
+  out.events.insert(out.events.end(), std::make_move_iterator(notes.begin()),
+                    std::make_move_iterator(notes.end()));
   return out;
 }
 
@@ -427,46 +453,46 @@ void CommittedTiles::commit(std::size_t t, TileResult& result, int device,
   final_mode[t] = mode;
 }
 
-CheckpointData journal_data(const RunInputs& run, const CommittedTiles& done,
-                            const std::vector<CheckpointSlice>& partials,
-                            int node) {
-  const std::vector<Tile>& tiles = *run.tiles;
-  const int devices = run.config->devices;
-  CheckpointData data;
-  data.fingerprint = run.fingerprint;
-  data.tile_count = tiles.size();
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (!done.committed[t]) {
-      if (partials[t].r_count > 0) data.slices.push_back(partials[t]);
-      continue;
-    }
-    const Tile& tile = tiles[t];
-    const int device = done.executed_device[t];
-    if (node >= 0 && (device < 0 || device / devices != node)) continue;
-    const TileResult& result = done.results[t];
-    data.slices.push_back(
-        {.tile_index = t, .tile_id = std::int32_t(tile.id),
-         .device = std::int32_t(device),
-         .node = run.config->nodes > 1 && device >= 0
-                     ? std::int32_t(device / devices)
-                     : -1,
-         .mode = done.final_mode[t], .r_begin = tile.r_begin,
-         .r_count = tile.r_count, .q_begin = tile.q_begin,
-         .q_count = tile.q_count, .dims = run.reference->dims(),
-         .profile = result.profile, .index = result.index, .qt = result.qt,
-         .prefilter = result.prefilter});
-  }
-  return data;
+void add_committed_slice(JournalWriter& journal, const RunInputs& run,
+                         const CommittedTiles& done, std::size_t t) {
+  const Tile& tile = (*run.tiles)[t];
+  const int device = done.executed_device[t];
+  const TileResult& result = done.results[t];
+  journal.add_slice(
+      {.tile_index = t, .tile_id = std::int32_t(tile.id),
+       .device = std::int32_t(device),
+       .node = run.config->nodes > 1 && device >= 0
+                   ? std::int32_t(device / run.config->devices)
+                   : -1,
+       .mode = done.final_mode[t], .r_begin = tile.r_begin,
+       .r_count = tile.r_count, .q_begin = tile.q_begin,
+       .q_count = tile.q_count, .dims = run.reference->dims(),
+       .profile = {}, .index = {}, .qt = {}, .prefilter = result.prefilter},
+      result.profile, result.index, result.qt);
 }
 
-RunEvent write_journal(const std::string& path, const CheckpointData& data) {
-  write_checkpoint(path, data);
+RunEvent compact_journal(const RunInputs& run, const CommittedTiles& done,
+                         const std::vector<RunEvent>& events) {
+  const std::string& path = run.config->checkpoint.write_path;
+  const std::size_t tiles = run.tiles->size();
+  JournalWriter journal(path + ".tmp", run.fingerprint, tiles);
   std::size_t complete = 0;
-  for (const CheckpointSlice& slice : data.slices) complete += slice.complete;
+  for (std::size_t t = 0; t < tiles; ++t) {
+    if (!done.committed[t]) continue;
+    add_committed_slice(journal, run, done, t);
+    journal.write();  // one record at a time: no copy of every result
+    complete += 1;
+  }
+  journal.add_events(events);
+  journal.write();
+  journal.commit(path);
+  // The complete journal supersedes every node segment of the path.
+  for (int node = 0; node < kMaxNodeJournals; ++node) {
+    ::unlink(journal_segment_path(path, node).c_str());
+  }
   return {RunEvent::Kind::kCheckpointWritten, -1, -1,
-          std::to_string(complete) + "/" + std::to_string(data.tile_count) +
-              " tiles (" + std::to_string(data.slices.size() - complete) +
-              " partial slices) -> " + path};
+          "compacted " + std::to_string(complete) + "/" +
+              std::to_string(tiles) + " tiles -> " + path};
 }
 
 }  // namespace mpsim::mp

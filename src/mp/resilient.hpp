@@ -1,6 +1,6 @@
 // The parts of the resilient execution layer that hold no scheduler
 // state: tile attempts and memory-pressure splits, journal restore and
-// writing, the CPU reference fallback, the final assembly of per-tile
+// compaction, the CPU reference fallback, the final assembly of per-tile
 // results and the RunEvent / RunHealth rendering.  Every scheduling
 // decision lives in mp::SchedulerCore (mp/scheduler.hpp); the driver that
 // applies them is mp::compute_matrix_profile (mp/coordinator.cpp).
@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -58,20 +59,34 @@ struct CommittedTiles {
 /// kSliceDiscarded record and its tile recomputed from row 0.
 struct RestoredState : CommittedTiles {
   std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
-  /// The prior run's event history, then the restore-time events.
+  /// The prior run's event history (the base journal's), then the
+  /// restore-time events.
   std::vector<RunEvent> events;
+  std::size_t base_events = 0;        ///< history entries of `events`
+  /// Valid prefix in bytes of every journal file read whose header and
+  /// fingerprint matched: a run journalling to one of them continues it
+  /// from there.
+  std::map<std::string, std::uint64_t> journal_prefixes;
   std::size_t resumed = 0;            ///< tiles restored whole
   std::size_t partial = 0;            ///< tiles seeded from a row prefix
-  std::size_t discarded = 0;          ///< slices unusable on this grid
+  std::size_t discarded = 0;          ///< unusable slices and bad tails
   std::size_t fallbacks = 0;          ///< journals rejected (missing/...)
 };
 
-/// Reads `resume_path` plus any per-node side journals
-/// (`resume_path + ".node<k>"`) and re-keys their slices onto `tiles`.
-/// Unreadable journals never take the run down: each missing / corrupt /
-/// fingerprint-mismatched file is reported as a kResumeFallback entry in
-/// RestoredState::events (a missing base journal is only reported when no
-/// journal at all was readable — per-node files are optional by design).
+/// `path` for node -1 (the base journal), else the segment of node
+/// `node`: `path + ".node<node>"`.
+std::string journal_segment_path(const std::string& path, int node);
+
+/// Streams `resume_path` plus any per-node segments
+/// (`resume_path + ".node<k>"`) record by record and re-keys their slices
+/// onto `tiles`, keeping only the first complete slice and the furthest
+/// row prefix of each tile.  Unreadable journals never take the run down:
+/// each missing / bad-header / fingerprint-mismatched file is reported as
+/// a kResumeFallback entry in RestoredState::events (a missing base
+/// journal is only reported when no journal at all was readable — node
+/// segments are optional by design), and a bad record ends its file's
+/// log with a kSliceDiscarded entry (tile -1) naming the byte offset,
+/// the records before it still restored.
 RestoredState restore_from_journals(const std::string& resume_path,
                                     std::uint64_t fingerprint,
                                     const std::vector<Tile>& tiles,
@@ -88,20 +103,18 @@ struct RunInputs {
   std::uint64_t fingerprint = 0;    ///< checkpoint identity of the run
 };
 
-/// The journal of one run state: every committed tile of `done` as a
-/// complete slice tagged with its executing node (-1 in a one-node run or
-/// for the CPU), plus the row-slice snapshot in `partials` (r_count == 0
-/// = none) of every uncommitted tile.  `node` >= 0 keeps only the
-/// committed tiles executed on that node (a side journal).  The caller
-/// adds the events.
-CheckpointData journal_data(const RunInputs& run,
-                            const CommittedTiles& done,
-                            const std::vector<CheckpointSlice>& partials,
-                            int node = -1);
+/// Buffers committed tile `t` of `done` in `journal` as a complete slice
+/// record, tagged with its executing node (-1 in a one-node run or for
+/// the CPU).
+void add_committed_slice(JournalWriter& journal, const RunInputs& run,
+                         const CommittedTiles& done, std::size_t t);
 
-/// Writes `data` to `path` and returns the kCheckpointWritten event
-/// that records it (the caller logs and counts the write).
-RunEvent write_journal(const std::string& path, const CheckpointData& data);
+/// Compaction: writes every committed tile of `done` and `events` as one
+/// complete journal to the run's checkpoint path (temp file, sync,
+/// rename), unlinks the path's node segments and returns the
+/// kCheckpointWritten event that records it.
+RunEvent compact_journal(const RunInputs& run, const CommittedTiles& done,
+                         const std::vector<RunEvent>& events);
 
 /// Executes one attempt of `tile` at `mode` on `device`, on the calling
 /// thread, so any failure propagates to the caller.  Under memory

@@ -51,6 +51,15 @@ SchedulerCore::SchedulerCore(const MatrixProfileConfig& config,
   health_.slices_discarded = int(restored.discarded);
   outstanding_ = n - restored.resumed;
   done_ = std::move(static_cast<CommittedTiles&>(restored));
+  if (config.checkpoint.enabled() &&
+      config.checkpoint.write_path != config.checkpoint.resume_path) {
+    for (std::size_t t = 0; t < n; ++t) {
+      if (!done_.committed[t]) continue;
+      const int k = node_of(done_.executed_device[t]);
+      nodes_[k >= 0 && k < config.nodes ? std::size_t(k) : 0]
+          .unjournalled.commits.push_back(t);
+    }
+  }
 
   // ---- Deal: queue the tiles where they were dealt and plan the node
   // faults over each node's deal in grid order (a node plans nothing
@@ -448,6 +457,7 @@ Decision SchedulerCore::finish(std::uint64_t id, Outcome outcome,
     if (other.job.index == t) d.cancel.push_back(other_id);
   }
   calibrate(attempt.modeled_seconds, wall);
+  node.unjournalled.commits.push_back(t);
   node.commits_since_journal += 1;
   if (config_.checkpoint.enabled() &&
       node.commits_since_journal >=
@@ -478,6 +488,7 @@ Decision SchedulerCore::slice(std::size_t t, int g, SliceSnapshot& snap) {
           .qt = std::exchange(snap.qt, std::move(slot.qt)), .prefilter = {}};
   health_.slice_commits += 1;
   node.slices += 1;
+  node.unjournalled.slices.push_back(t);
   d.journal = config_.checkpoint.enabled();
   if (d.journal) node.commits_since_journal = 0;
   const int kill_after = config_.checkpoint.kill_after_slices;
@@ -601,6 +612,15 @@ void SchedulerCore::split(std::size_t t, int g, std::string detail) {
 void SchedulerCore::journal_written(RunEvent written) {
   health_.checkpoint_writes += 1;
   health_.events.push_back(std::move(written));
+}
+
+SchedulerCore::Unjournalled SchedulerCore::take_unjournalled(int k) {
+  Unjournalled out = std::exchange(nodes_[std::size_t(k)].unjournalled, {});
+  for (std::vector<std::size_t>* tiles : {&out.commits, &out.slices}) {
+    std::sort(tiles->begin(), tiles->end());
+    tiles->erase(std::unique(tiles->begin(), tiles->end()), tiles->end());
+  }
+  return out;
 }
 
 void SchedulerCore::cpu_commit(std::size_t t, TileResult& result) {

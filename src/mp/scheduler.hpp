@@ -129,6 +129,18 @@ class SchedulerCore {
   /// Tally-only events.
   void split(std::size_t t, int g, std::string detail);
   void journal_written(RunEvent written);
+  /// What node `k` must journal at its next append, each tile once in
+  /// ascending order; both lists start over empty.
+  struct Unjournalled {
+    /// Tiles committed on the node since its last append — and, in a run
+    /// journalling to another file than it resumed from, the restored
+    /// tiles of the node (node 0 for the CPU or a device this fleet lacks),
+    /// so the run's own journal resumes it alone.
+    std::vector<std::size_t> commits;
+    /// Tiles given a new row-slice snapshot on the node since then.
+    std::vector<std::size_t> slices;
+  };
+  Unjournalled take_unjournalled(int k);
   /// Tile `t`, left uncommitted by every device, finished on the CPU.
   void cpu_commit(std::size_t t, TileResult& result);
 
@@ -165,6 +177,7 @@ class SchedulerCore {
     std::vector<CheckpointSlice> partials;  ///< see partials()
     std::size_t slices = 0;               ///< what kill_after_slices counts
     std::size_t commits_since_journal = 0;
+    Unjournalled unjournalled;            ///< see take_unjournalled()
   };
 
   int node_of(int g) const { return g / devices_; }

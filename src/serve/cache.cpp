@@ -109,10 +109,10 @@ std::shared_ptr<CachedInput> ServeCache::input(
   return it->second.input;
 }
 
-std::shared_ptr<const mp::MatrixProfileResult> ServeCache::find_profile(
-    std::uint64_t fingerprint) {
+std::shared_ptr<const CachedProfile> ServeCache::find_profile(
+    std::uint64_t key) {
   std::lock_guard lock(mutex_);
-  const auto it = profiles_.find(fingerprint);
+  const auto it = profiles_.find(key);
   if (it == profiles_.end()) {
     CacheMetrics::get().profile_misses.add();
     return nullptr;
@@ -121,16 +121,12 @@ std::shared_ptr<const mp::MatrixProfileResult> ServeCache::find_profile(
   return it->second;
 }
 
-void ServeCache::store_profile(
-    std::uint64_t fingerprint,
-    std::shared_ptr<const mp::MatrixProfileResult> result) {
+void ServeCache::store_profile(std::uint64_t key,
+                               std::shared_ptr<const CachedProfile> profile) {
   std::lock_guard lock(mutex_);
-  const auto [it, inserted] = profiles_.emplace(fingerprint, std::move(result));
-  if (inserted) {
-    profiles_fifo_.push_back(fingerprint);
+  if (profiles_.emplace(key, std::move(profile)).second) {
+    profiles_fifo_.push_back(key);
     evict_oldest(profiles_, profiles_fifo_, limits_.max_profiles);
-  } else {
-    (void)it;
   }
 }
 

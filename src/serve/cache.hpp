@@ -13,11 +13,12 @@
 //                reduced-precision conversion a once-per-input cost
 //                instead of once-per-query; retried, escalated and
 //                repeated queries all reuse the staged bytes.
-//   * profiles — checkpoint_fingerprint(reference, query, config) →
-//                completed MatrixProfileResult.  The fingerprint covers
-//                the raw series bytes and every output-affecting config
-//                knob, so a hit is byte-identical to recomputing by
-//                construction.
+//   * profiles — profile_cache_key(reference, query, config) → the
+//                completed profile, rendered once as its response payload
+//                (the profile CSV).  The key covers the raw series bytes
+//                and every output-affecting config knob, so a hit is
+//                byte-identical to recomputing by construction, and it
+//                costs no rendering.
 //
 // All lookups are counted in the global MetricsRegistry
 // (serve.*_cache.hits / .misses) and every map is bounded with FIFO
@@ -54,6 +55,14 @@ struct CachedInput {
         staging(*reference, *query) {}
 };
 
+/// A completed profile as a query response carries it: the rendered
+/// profile CSV (byte-identical to `mpsim_cli --output`) and its shape.
+struct CachedProfile {
+  std::string csv;
+  std::size_t segments = 0;
+  std::size_t dims = 0;
+};
+
 /// Entry caps of each cache layer (FIFO eviction beyond them).
 struct CacheLimits {
   std::size_t max_series = 32;
@@ -77,11 +86,10 @@ class ServeCache {
   std::shared_ptr<CachedInput> input(const std::string& reference_path,
                                      const std::string& query_path);
 
-  /// Completed-profile lookup/insert by input+config fingerprint.
-  std::shared_ptr<const mp::MatrixProfileResult> find_profile(
-      std::uint64_t fingerprint);
-  void store_profile(std::uint64_t fingerprint,
-                     std::shared_ptr<const mp::MatrixProfileResult> result);
+  /// Completed-profile lookup/insert by profile_cache_key.
+  std::shared_ptr<const CachedProfile> find_profile(std::uint64_t key);
+  void store_profile(std::uint64_t key,
+                     std::shared_ptr<const CachedProfile> profile);
 
  private:
   struct SeriesEntry {
@@ -107,8 +115,7 @@ class ServeCache {
   std::deque<std::string> series_fifo_;
   std::map<std::pair<std::string, std::string>, InputEntry> inputs_;
   std::deque<std::pair<std::string, std::string>> inputs_fifo_;
-  std::map<std::uint64_t, std::shared_ptr<const mp::MatrixProfileResult>>
-      profiles_;
+  std::map<std::uint64_t, std::shared_ptr<const CachedProfile>> profiles_;
   std::deque<std::uint64_t> profiles_fifo_;
 };
 

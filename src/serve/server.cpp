@@ -290,8 +290,8 @@ Response Server::execute_query(const Request& request) {
   const std::uint64_t cache_key =
       mp::profile_cache_key(*input->reference, *input->query, config);
 
-  auto result = cache_.find_profile(cache_key);
-  const bool cached = result != nullptr;
+  auto profile = cache_.find_profile(cache_key);
+  const bool cached = profile != nullptr;
   if (!cached) {
     // Serve policy on top of the one-shot defaults: reuse the input's
     // staging conversions, and never let a drain truncate an admitted
@@ -300,21 +300,21 @@ Response Server::execute_query(const Request& request) {
     config.staging_cache = &input->staging;
     config.resilience.honor_shutdown = false;
     config.nodes = options_.nodes;
-    auto computed = std::make_shared<const mp::MatrixProfileResult>(
-        mp::compute_matrix_profile(*input->reference, *input->query,
-                                   config));
-    cache_.store_profile(cache_key, computed);
-    result = std::move(computed);
+    const mp::MatrixProfileResult result = mp::compute_matrix_profile(
+        *input->reference, *input->query, config);
+    // Rendered once: every later hit answers with these bytes.
+    profile = std::make_shared<const CachedProfile>(CachedProfile{
+        profile_to_csv(result), result.segments, result.dims});
+    cache_.store_profile(cache_key, profile);
   }
 
-  std::string payload = profile_to_csv(*result);
   std::ostringstream extra;
   extra << ", \"cached\": " << (cached ? "true" : "false")
-        << ", \"segments\": " << result->segments
-        << ", \"dims\": " << result->dims << ", \"mode\": \""
+        << ", \"segments\": " << profile->segments
+        << ", \"dims\": " << profile->dims << ", \"mode\": \""
         << to_string(request.config.mode) << "\"";
-  return {ok_header(request.id, payload.size(), extra.str()),
-          std::move(payload)};
+  return {ok_header(request.id, profile->csv.size(), extra.str()),
+          profile->csv};
 }
 
 void Server::wait() {

@@ -86,8 +86,8 @@ fi
     --output="$WORK/storm_resumed.csv" > "$WORK/storm_resumed.log"
 cmp "$WORK/clean.csv" "$WORK/storm_resumed.csv"
 
-# --- Leg 4: node chaos.  A node crash mid-tile (the dying node never
-# flushes its side journal) followed by a resume on *fewer* nodes, and a
+# --- Leg 4: node chaos.  A node crash mid-tile (the dying node gets no
+# last append) followed by a resume on *fewer* nodes, and a
 # steal storm where every tile start on node 0 stutters — the elastic
 # coordinator must converge to the clean bytes in both shapes.
 status=0

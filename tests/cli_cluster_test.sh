@@ -84,6 +84,23 @@ assert "kernel.qt_replay.launches" not in c, c
 EOF
 fi
 
+# --- Torn tail: a write cut short mid-record (a crash during an append)
+# ends that node segment's log at its last whole record; the resume uses
+# the valid prefix, names the discarded tail, and still matches the bytes.
+if [ "$status" -eq 130 ]; then
+  for f in "$WORK"/elastic.ckpt*; do
+    cp "$f" "$WORK/torn${f#"$WORK"/elastic}"
+  done
+  size=$(wc -c < "$WORK/torn.ckpt.node0")
+  truncate -s $((size - 7)) "$WORK/torn.ckpt.node0"
+  "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 \
+      --resume="$WORK/torn.ckpt" --output="$WORK/torn_resumed.csv" \
+      > "$WORK/torn_resumed.log"
+  cmp "$WORK/one_Mixed_auto.csv" "$WORK/torn_resumed.csv"
+  grep -q "journal tail discarded: .*torn.ckpt.node0' has a bad record at byte" \
+      "$WORK/torn_resumed.log"
+fi
+
 # --- Requirement 3: the same journal re-keyed onto a *different grid*
 # (tiles=6 -> tiles=4) and yet another node count.  The bytes must match
 # the clean single-node run under the new grid.

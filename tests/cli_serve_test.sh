@@ -232,4 +232,17 @@ CLI_STATUS=$?
 set -e
 [ "$CLI_STATUS" -eq 143 ]
 
+# An unwritable --metrics-out / --trace-out is refused before the daemon
+# binds its socket: exit 1 at once with the flag named, no socket left
+# behind (it used to serve until shutdown and then lose the metrics).
+for flag in metrics-out trace-out; do
+  status=0
+  timeout 20 "$BUILD/tools/mpsim_serve" --socket="$WORK/probe.sock" \
+      --"$flag"="$WORK/missing/dir/$flag.json" > "$WORK/probe.log" 2>&1 \
+      || status=$?
+  [ "$status" -eq 1 ]
+  grep -q -- "--$flag" "$WORK/probe.log"
+  [ ! -e "$WORK/probe.sock" ]
+done
+
 echo "cli serve OK"

@@ -1,15 +1,17 @@
-// Durable checkpoint/resume: the v4 slice journal round-trips bit-exactly
-// (QT rows included), every single-bit flip or truncation of a journal is
-// rejected, damaged or foreign journals fall back to a fresh run through a
-// structured RunEvent (distinguishing missing vs corrupt vs
-// fingerprint-mismatch), a killed-then-resumed computation produces the
-// same profile/index bits as the uninterrupted run in every precision mode
-// and on both row paths, and slices written under one tile grid re-key
-// onto a different grid (whole tiles restore outright, row prefixes with a
-// QT row run only their tail, everything else is discarded and
-// recomputed).
+// Durable checkpoint/resume: the v5 append-only journal round-trips
+// bit-exactly (QT rows included), every single-bit flip or truncation of a
+// segment ends its valid prefix exactly at the damaged record and the
+// resume from what is left matches the uninterrupted run, damaged or
+// foreign headers fall back to a fresh run through a structured RunEvent
+// (distinguishing missing vs corrupt vs fingerprint-mismatch), a
+// killed-then-resumed computation produces the same profile/index bits as
+// the uninterrupted run in every precision mode and on both row paths,
+// and slices written under one tile grid re-key onto a different grid
+// (whole tiles restore outright, row prefixes with a QT row run only
+// their tail, everything else is discarded and recomputed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -135,8 +137,9 @@ TEST(CheckpointJournal, WriteIsAtomicReplace) {
 TEST(CheckpointJournal, WriteIsDurablySynced) {
   // Regression: the tmp-write + rename used to issue no fsync at all, so
   // a crash shortly after a "successful" write could surface a zero-length
-  // or stale file behind the rename.  Every write must now place two sync
-  // barriers: the tmp file before the rename, the parent directory after.
+  // or stale file behind the rename.  A complete journal (compaction)
+  // places two sync barriers: the tmp file before the rename, the parent
+  // directory after.
   const std::string path = temp_path("durable");
   const std::uint64_t before = detail::durable_sync_count();
   write_checkpoint(path, sample_data());
@@ -145,6 +148,69 @@ TEST(CheckpointJournal, WriteIsDurablySynced) {
   // Replacing an existing journal is synced the same way.
   write_checkpoint(path, sample_data());
   EXPECT_EQ(detail::durable_sync_count() - before, 4u);
+
+  // A segment: one fdatasync per append, plus one directory sync when the
+  // segment is created; an append with nothing buffered does no I/O.
+  const CheckpointData data = sample_data();
+  const std::string segment = temp_path("durable_segment");
+  {
+    JournalWriter journal(segment, data.fingerprint, data.tile_count);
+    std::uint64_t mark = detail::durable_sync_count();
+    EXPECT_EQ(journal.append(), 0u);
+    EXPECT_EQ(detail::durable_sync_count() - mark, 0u);
+    journal.add_slice(data.slices[0]);
+    EXPECT_GT(journal.append(), 0u);
+    EXPECT_EQ(detail::durable_sync_count() - mark, 2u);
+    mark = detail::durable_sync_count();
+    journal.add_slice(data.slices[0]);
+    journal.add_events(data.events);
+    journal.append();
+    EXPECT_EQ(detail::durable_sync_count() - mark, 1u);
+  }
+  // Continuing an existing segment creates nothing: one sync per append.
+  const std::uint64_t size = read_file(segment).size();
+  {
+    JournalWriter journal(segment, data.fingerprint, data.tile_count, size);
+    const std::uint64_t mark = detail::durable_sync_count();
+    journal.add_slice(data.slices[0]);
+    journal.append();
+    EXPECT_EQ(detail::durable_sync_count() - mark, 1u);
+  }
+  EXPECT_EQ(read_checkpoint(segment).slices.size(), 3u);
+  std::remove(path.c_str());
+  std::remove(segment.c_str());
+}
+
+TEST(CheckpointJournal, AppendWritesOnlyItsRecords) {
+  // O(record), not O(journal): each append writes the records buffered
+  // since the last one and nothing else, so the file grows by exactly the
+  // bytes each append reports; a writer continuing a valid prefix cuts off
+  // whatever follows it before appending.
+  const CheckpointData data = sample_data();
+  const std::string path = temp_path("append_only");
+  std::size_t first = 0;
+  std::size_t second = 0;
+  {
+    JournalWriter journal(path, data.fingerprint, data.tile_count);
+    journal.add_slice(data.slices[0]);
+    first = journal.append();  // header + one slice record
+    EXPECT_EQ(read_file(path).size(), first);
+    journal.add_slice(data.slices[0]);
+    second = journal.append();
+    EXPECT_EQ(read_file(path).size(), first + second);
+    EXPECT_LT(second, first);  // no header, no earlier record again
+  }
+  std::string torn = read_file(path);
+  torn.resize(first + second / 2);  // a write cut mid-record
+  write_file(path, torn);
+  {
+    JournalWriter journal(path, data.fingerprint, data.tile_count, first);
+    journal.add_events(data.events);
+    journal.append();
+  }
+  const CheckpointData back = read_checkpoint(path);
+  EXPECT_EQ(back.slices.size(), 1u);
+  EXPECT_EQ(back.events.size(), 1u);
   std::remove(path.c_str());
 }
 
@@ -194,15 +260,17 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   write_file(path, corrupt);
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
   // A different magic is not an mpsim checkpoint at all (this also covers
-  // older journals: the "mpsim-ckpt-v2"/"-v3" magics no longer match).
+  // older journals: the "mpsim-ckpt-v3"/"-v4" magics no longer match).
   std::string foreign = good;
   foreign[0] = 'X';
   write_file(path, foreign);
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
-  std::string v3 = good;
-  v3[std::string("mpsim-ckpt-v").size()] = '3';
-  write_file(path, v3);
-  EXPECT_THROW(read_checkpoint(path), CheckpointError);
+  for (const char older : {'3', '4'}) {
+    std::string v = good;
+    v[std::string("mpsim-ckpt-v").size()] = older;
+    write_file(path, v);
+    EXPECT_THROW(read_checkpoint(path), CheckpointError) << older;
+  }
   // Checksum-valid journals carrying values no writer emits: an
   // out-of-range precision mode, a `complete` flag outside {0, 1}, a QT
   // row of the wrong length, an event kind outside the enum.
@@ -237,9 +305,8 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   bad = sample_data();
   bad.events[0].kind = RunEvent::Kind(-1);
   expect_corrupt(bad, "event kind -1");
-  // Trailing garbage after the journal is rejected too (the checksum is
-  // recomputed over everything before the trailer, so append + re-hash
-  // could otherwise smuggle bytes past it).
+  // Bytes smuggled into the last record, before its checksum, are
+  // rejected too.
   std::string padded = good;
   padded.insert(padded.size() - 8, "????");
   write_file(path, padded);
@@ -247,46 +314,151 @@ TEST(CheckpointJournal, RejectsMissingTruncatedAndCorruptFiles) {
   std::remove(path.c_str());
 }
 
+/// Where each record of the journal at `path` ends, as the streaming
+/// reader finds them; `header` gets where the first one starts.
+std::vector<std::size_t> record_ends(const std::string& path,
+                                     std::size_t& header) {
+  std::vector<std::size_t> ends;
+  JournalReader reader(path);
+  header = reader.valid_bytes();
+  while (reader.next() != JournalReader::Record::kEnd) {
+    ends.push_back(reader.valid_bytes());
+  }
+  return ends;
+}
+
 TEST(CheckpointJournal, EveryBitFlipAndTruncationIsRejected) {
-  // A small v4 journal: two tiles, one committed and one a partial row
-  // slice with its QT row, plus an event.  The checksum folds 64-bit
-  // words, so this sweeps every word lane, the byte tail and the
-  // trailer itself.
-  CheckpointData data = sample_data();
-  data.tile_count = 2;
-  data.slices[0].tile_index = 1;
+  // A small v5 segment of two appends: a committed tile, a partial row
+  // slice with its QT row and an event batch, then another partial.
+  // Every single-bit flip makes the record holding that bit the first one
+  // the streaming reader rejects (a header bit voids the file), and every
+  // truncation keeps exactly the records before the cut; the strict
+  // reader rejects a cut unless it falls on a record boundary.  The
+  // checksum folds 64-bit words, so this sweeps every word lane, the byte
+  // tails and the trailers.
+  const CheckpointData data = sample_data();
   CheckpointSlice whole = data.slices[0];
   whole.tile_index = 0;
   whole.tile_id = 0;
   whole.complete = 1;
   whole.r_begin = 0;
   whole.r_count = 40;
-  data.slices.insert(data.slices.begin(), whole);
   const std::string path = temp_path("sweep");
-  write_checkpoint(path, data);
+  {
+    JournalWriter journal(path, data.fingerprint, data.tile_count);
+    journal.add_slice(whole);
+    journal.add_slice(data.slices[0]);
+    journal.add_events(data.events);
+    journal.append();
+    CheckpointSlice further = data.slices[0];
+    further.r_count += 8;
+    journal.add_slice(further);
+    journal.append();
+  }
   const std::string good = read_file(path);
-  ASSERT_EQ(read_checkpoint(path).slices.size(), 2u);
-  ASSERT_NE((good.size() - sizeof(std::uint64_t)) % 8, 0u)
-      << "the payload should end in a sub-word tail";
+  std::size_t header = 0;
+  const std::vector<std::size_t> ends = record_ends(path, header);
+  ASSERT_EQ(ends.size(), 4u);
+  ASSERT_EQ(ends.back(), good.size());
 
-  const auto rejected = [&](const std::string& bytes) {
+  // Records the streaming reader accepts from `bytes` before it stops
+  // (-1: the header is rejected); every rejection is kCorrupt.
+  const auto scan = [&](const std::string& bytes) {
     write_file(path, bytes);
+    int records = -1;
     try {
-      read_checkpoint(path);
+      JournalReader reader(path);
+      records = 0;
+      while (reader.next() != JournalReader::Record::kEnd) ++records;
     } catch (const CheckpointError& e) {
-      return e.reason() == CheckpointError::Reason::kCorrupt;
+      EXPECT_EQ(e.reason(), CheckpointError::Reason::kCorrupt);
     }
-    return false;
+    return records;
   };
+  // Records that end at or before byte `at` (-1: inside the header).
+  const auto records_before = [&](std::size_t at) {
+    if (at < header) return -1;
+    return int(std::upper_bound(ends.begin(), ends.end(), at) - ends.begin());
+  };
+
   for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
     std::string flipped = good;
     flipped[bit / 8] = char(flipped[bit / 8] ^ (1 << (bit % 8)));
-    EXPECT_TRUE(rejected(flipped)) << "bit " << bit << " of " << good.size()
-                                   << " bytes";
+    // The strict reader, built on the same reader, rejects it too.
+    ASSERT_EQ(scan(flipped), records_before(bit / 8)) << "bit " << bit;
   }
   for (std::size_t keep = 0; keep < good.size(); ++keep) {
-    EXPECT_TRUE(rejected(good.substr(0, keep))) << "truncated to " << keep;
+    const std::string cut = good.substr(0, keep);
+    ASSERT_EQ(scan(cut), records_before(keep)) << "truncated to " << keep;
+    const bool boundary =
+        keep == header || std::binary_search(ends.begin(), ends.end(), keep);
+    if (boundary) {
+      EXPECT_NO_THROW(read_checkpoint(path)) << "truncated to " << keep;
+    } else {
+      EXPECT_THROW(read_checkpoint(path), CheckpointError)
+          << "truncated to " << keep;
+    }
   }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, DamagedSegmentResumesItsValidPrefixBitIdentically) {
+  // The segment of a killed one-node run — row-slice snapshots with their
+  // QT rows, a committed tile and event batches, appended as the run went
+  // — damaged in each of its records, by a cut inside the record or a
+  // flipped bit in it.  Whatever the reader keeps (the sweep above pins
+  // which records that is for every offset), the resumed profile matches
+  // the uninterrupted run's bytes.
+  const auto data = small_dataset(40, 1, 8, 31);
+  MatrixProfileConfig config;
+  config.window = 8;
+  config.tiles = 2;
+  const auto clean =
+      compute_matrix_profile(data.reference, data.query, config);
+  const std::string path = temp_path("damaged_segment");
+  config.checkpoint.write_path = path;
+  config.checkpoint.interval_tiles = 1;
+  config.checkpoint.slice_rows = 4;
+  config.checkpoint.kill_after_slices = 6;
+  clear_shutdown();
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+  const std::string good = read_file(path);
+  std::size_t header = 0;
+  const std::vector<std::size_t> ends = record_ends(path, header);
+  const CheckpointData journal = read_checkpoint(path);
+  int complete = 0;
+  for (const CheckpointSlice& slice : journal.slices) {
+    complete += slice.complete;
+  }
+  ASSERT_GE(complete, 1);
+  ASSERT_GT(int(journal.slices.size()), complete);
+  ASSERT_FALSE(journal.events.empty());
+
+  MatrixProfileConfig resume = config;
+  resume.checkpoint = {};
+  resume.checkpoint.resume_path = path;
+  const auto resumes_clean = [&](const std::string& bytes) {
+    write_file(path, bytes);
+    const auto r = compute_matrix_profile(data.reference, data.query, resume);
+    return r.profile == clean.profile && r.index == clean.index;
+  };
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    const std::size_t begin = i == 0 ? header : ends[i - 1];
+    EXPECT_TRUE(resumes_clean(good.substr(0, (begin + ends[i]) / 2)))
+        << "cut in record " << i;
+    std::string flipped = good;
+    flipped[(begin + ends[i]) / 2] ^= 0x10;
+    EXPECT_TRUE(resumes_clean(flipped)) << "bit flip in record " << i;
+  }
+  EXPECT_TRUE(resumes_clean(good.substr(0, header - 1)));  // bad header
+  write_file(path, good);  // intact: the tile and the prefix are reused
+  const auto intact = compute_matrix_profile(data.reference, data.query,
+                                             resume);
+  EXPECT_EQ(intact.profile, clean.profile);
+  EXPECT_GE(intact.health.resumed_tiles, 1);
+  EXPECT_GE(intact.health.partial_slices, 1);
   std::remove(path.c_str());
 }
 
@@ -455,6 +627,88 @@ TEST(CheckpointResume, MidTileSliceKillResumesBitIdentically) {
   }
 }
 
+TEST(CheckpointResume, SamePathResumeCutsTheTornTailAndAppends) {
+  // `--resume=X --checkpoint=X`: the resumed run continues X from the
+  // valid prefix it read — a torn tail is cut off before anything is
+  // appended, so X stays one valid log — and a finished run compacts it.
+  const auto data = small_dataset(160, 2, 16, 9);
+  MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 2;
+  config.mode = PrecisionMode::Mixed;
+  const auto clean =
+      compute_matrix_profile(data.reference, data.query, config);
+
+  const std::string ckpt = temp_path("same_path");
+  config.checkpoint.write_path = ckpt;
+  config.checkpoint.slice_rows = 8;
+  config.checkpoint.kill_after_slices = 2;
+  clear_shutdown();
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+  std::string bytes = read_file(ckpt);
+  bytes.resize(bytes.size() - 5);  // a write cut mid-record
+  write_file(ckpt, bytes);
+  EXPECT_THROW(read_checkpoint(ckpt), CheckpointError);
+
+  config.checkpoint.resume_path = ckpt;
+  clear_shutdown();
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+  const CheckpointData continued = read_checkpoint(ckpt);  // no torn bytes
+  EXPECT_GE(continued.slices.size(), 2u);
+
+  config.checkpoint.kill_after_slices = 0;
+  const auto resumed =
+      compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(resumed.profile, clean.profile);
+  EXPECT_EQ(resumed.index, clean.index);
+  EXPECT_GE(resumed.health.partial_slices, 1);
+  for (const CheckpointSlice& slice : read_checkpoint(ckpt).slices) {
+    EXPECT_EQ(slice.complete, 1);  // compacted
+  }
+  std::remove(ckpt.c_str());
+}
+
+TEST(CheckpointResume, ResumeIntoAnotherFileCarriesTheRestoredTiles) {
+  // A run resuming from X while journalling to Y appends the tiles it
+  // restored to Y as well, so Y alone resumes it if it is killed again.
+  const auto data = small_dataset(160, 2, 16, 7);
+  MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 6;
+  const auto clean =
+      compute_matrix_profile(data.reference, data.query, config);
+  const std::string first = temp_path("carry_first");
+  const std::string second = temp_path("carry_second");
+  config.checkpoint.interval_tiles = 1;
+  config.checkpoint.write_path = first;
+  config.checkpoint.kill_after_tiles = 2;
+  clear_shutdown();
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+
+  config.checkpoint.resume_path = first;
+  config.checkpoint.write_path = second;
+  config.checkpoint.kill_after_tiles = 4;  // restored tiles count
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+  std::remove(first.c_str());
+
+  config.checkpoint = {};
+  config.checkpoint.resume_path = second;
+  const auto resumed =
+      compute_matrix_profile(data.reference, data.query, config);
+  EXPECT_EQ(resumed.health.resumed_tiles, 4);
+  EXPECT_EQ(resumed.profile, clean.profile);
+  EXPECT_EQ(resumed.index, clean.index);
+  std::remove(second.c_str());
+}
+
 TEST(CheckpointResume, CompletedJournalSkipsAllWork) {
   const auto data = small_dataset(120, 2, 16, 4);
   MatrixProfileConfig config;
@@ -530,10 +784,12 @@ TEST(CheckpointResume, CorruptJournalFallsBackWithStructuredEvent) {
   MatrixProfileConfig writer = config;
   writer.checkpoint.write_path = ckpt;
   compute_matrix_profile(data.reference, data.query, writer);
-  std::string bytes = read_file(ckpt);
-  bytes[bytes.size() / 2] = char(bytes[bytes.size() / 2] ^ 0x01);
-  write_file(ckpt, bytes);
+  const std::string good = read_file(ckpt);
 
+  // A corrupt header voids the journal: a fresh run.
+  std::string bytes = good;
+  bytes[20] = char(bytes[20] ^ 0x01);  // inside the fingerprint
+  write_file(ckpt, bytes);
   config.checkpoint.resume_path = ckpt;
   const auto resumed = compute_matrix_profile(data.reference, data.query,
                                               config);
@@ -541,6 +797,36 @@ TEST(CheckpointResume, CorruptJournalFallsBackWithStructuredEvent) {
   EXPECT_EQ(resumed.health.resume_fallbacks, 1);
   EXPECT_EQ(count_fallbacks(resumed.health, "is unreadable"), 1);
   EXPECT_EQ(resumed.profile, clean.profile);
+
+  // A corrupt record ends the log there: the record before it restores
+  // its tile, and the discarded tail is named with its byte offset.
+  std::size_t second = 0;  // where the second record starts
+  write_file(ckpt, good);
+  {
+    JournalReader reader(ckpt);
+    ASSERT_EQ(reader.next(), JournalReader::Record::kSlice);
+    second = reader.valid_bytes();
+  }
+  bytes = good;
+  bytes[second + 40] = char(bytes[second + 40] ^ 0x01);
+  write_file(ckpt, bytes);
+  const auto torn = compute_matrix_profile(data.reference, data.query,
+                                           config);
+  EXPECT_EQ(torn.health.resumed_tiles, 1);
+  EXPECT_EQ(torn.health.resume_fallbacks, 0);
+  EXPECT_EQ(torn.health.slices_discarded, 1);
+  EXPECT_EQ(torn.profile, clean.profile);
+  EXPECT_EQ(torn.index, clean.index);
+  int tails = 0;
+  for (const auto& event : torn.health.events) {
+    if (event.kind == RunEvent::Kind::kSliceDiscarded &&
+        event.tile_id == -1 &&
+        event.detail.find("at byte " + std::to_string(second)) !=
+            std::string::npos) {
+      ++tails;
+    }
+  }
+  EXPECT_EQ(tails, 1);
   std::remove(ckpt.c_str());
 }
 
@@ -656,12 +942,23 @@ TEST(CheckpointResume, PrefixWithoutQtRowIsDiscardedAndRecomputed) {
   }
   EXPECT_EQ(no_qt, 4);
 
+  // A wrong-length QT row makes its record the first bad one: the log
+  // ends before it, so nothing after it is restored either.
   journal.slices[0].qt.assign(3, 0);
   write_checkpoint(ckpt, journal);
   const auto fallback = compute_matrix_profile(data.reference, data.query,
                                                coarse);
   EXPECT_EQ(fallback.health.partial_slices, 0);
-  EXPECT_EQ(count_fallbacks(fallback.health, "is unreadable"), 1);
+  EXPECT_EQ(fallback.health.slices_discarded, 1);
+  int bad_records = 0;
+  for (const auto& event : fallback.health.events) {
+    if (event.kind == RunEvent::Kind::kSliceDiscarded &&
+        event.tile_id == -1 &&
+        event.detail.find("inconsistent slice") != std::string::npos) {
+      ++bad_records;
+    }
+  }
+  EXPECT_EQ(bad_records, 1);
   EXPECT_EQ(fallback.profile, clean.profile);
   EXPECT_EQ(fallback.index, clean.index);
   std::remove(ckpt.c_str());

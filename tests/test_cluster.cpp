@@ -371,7 +371,7 @@ TEST(ElasticCoordinator, KillMidRunResumesOnDifferentNodeCount) {
   clear_shutdown();
 
   // Resume on 2 nodes instead of 4: journalled slices (base journal plus
-  // any .nodeK side journals) re-key onto the new fleet.
+  // any .nodeK segments) re-key onto the new fleet.
   config.checkpoint.kill_after_tiles = 0;
   config.checkpoint.write_path.clear();
   config.checkpoint.resume_path = ckpt;
@@ -420,6 +420,9 @@ TEST(ElasticCoordinator, SideJournalsHoldEachNodesOwnCommits) {
     std::remove((ckpt + ".node0").c_str());
     std::remove((ckpt + ".node1").c_str());
   };
+  const auto exists = [](const std::string& path) {
+    return std::ifstream(path).good();
+  };
 
   // A journal's complete tiles: tile index -> the node it is tagged with.
   using Tiles = std::map<std::uint64_t, int>;
@@ -432,22 +435,50 @@ TEST(ElasticCoordinator, SideJournalsHoldEachNodesOwnCommits) {
     return out;
   };
 
+  // A finished run compacts: one journal, each tile tagged with the node
+  // that committed it, and no node segment left behind.
   remove_journals();
   const auto clean =
       mp::compute_matrix_profile(data.reference, data.query, config);
-  EXPECT_EQ(complete_tiles(ckpt + ".node0"), (Tiles{{0, 0}, {2, 0}}));
-  EXPECT_EQ(complete_tiles(ckpt + ".node1"), (Tiles{{1, 1}, {3, 1}}));
-  EXPECT_EQ(complete_tiles(ckpt).size(), 4u);
+  EXPECT_EQ(complete_tiles(ckpt), (Tiles{{0, 0}, {1, 1}, {2, 0}, {3, 1}}));
+  EXPECT_FALSE(exists(ckpt + ".node0"));
+  EXPECT_FALSE(exists(ckpt + ".node1"));
 
-  // Node 1 journals tile 1, then crashes on its second claim (tile 3): its
-  // side journal gets no final flush, and node 0 takes tile 3 over.
+  // Node 1 journals tile 1, then crashes on its second claim (tile 3), and
+  // node 0 takes tile 3 over.  Killed after the third commit (tile 2),
+  // each node's segment holds only that node's own commits and the base
+  // journal only the events.
   remove_journals();
   config.node_faults = "node_crash@1:at=2";
+  config.checkpoint.kill_after_tiles = 3;
+  clear_shutdown();
+  EXPECT_THROW(mp::compute_matrix_profile(data.reference, data.query, config),
+               InterruptedError);
+  clear_shutdown();
+  EXPECT_EQ(complete_tiles(ckpt + ".node0"), (Tiles{{0, 0}, {2, 0}}));
+  EXPECT_EQ(complete_tiles(ckpt + ".node1"), (Tiles{{1, 1}}));
+  const mp::CheckpointData base = mp::read_checkpoint(ckpt);
+  EXPECT_TRUE(base.slices.empty());
+  EXPECT_FALSE(base.events.empty());
+
+  // Resumed from the segments, the run finishes tile 3 alone.
+  mp::MatrixProfileConfig resume = config;
+  resume.node_faults.clear();
+  resume.checkpoint = {};
+  resume.checkpoint.resume_path = ckpt;
+  const auto resumed =
+      mp::compute_matrix_profile(data.reference, data.query, resume);
+  EXPECT_EQ(resumed.health.resumed_tiles, 3);
+  EXPECT_EQ(resumed.profile, clean.profile);
+  EXPECT_EQ(resumed.index, clean.index);
+
+  // Uninterrupted, the crashed run compacts tile 3 as node 0's.
+  remove_journals();
+  config.checkpoint.kill_after_tiles = 0;
   const auto crashed =
       mp::compute_matrix_profile(data.reference, data.query, config);
   EXPECT_EQ(crashed.health.node_crashes, 1);
-  EXPECT_EQ(complete_tiles(ckpt + ".node1"), (Tiles{{1, 1}}));
-  EXPECT_EQ(complete_tiles(ckpt + ".node0"), (Tiles{{0, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(complete_tiles(ckpt), (Tiles{{0, 0}, {1, 1}, {2, 0}, {3, 0}}));
   EXPECT_EQ(crashed.profile, clean.profile);
   EXPECT_EQ(crashed.index, clean.index);
   remove_journals();

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -311,15 +313,16 @@ TEST(ServeCacheTest, ProfileCacheStoresFindsAndEvictsFifo) {
   limits.max_profiles = 2;
   ServeCache cache(limits);
 
-  auto result = std::make_shared<mp::MatrixProfileResult>();
-  result->segments = 7;
-  cache.store_profile(1, result);
-  cache.store_profile(2, std::make_shared<mp::MatrixProfileResult>());
+  // Entries hold the rendered payload, so a hit renders nothing.
+  cache.store_profile(1, std::make_shared<const CachedProfile>(
+                             CachedProfile{"profile_0,index_0\n", 7, 1}));
+  cache.store_profile(2, std::make_shared<const CachedProfile>());
   ASSERT_NE(cache.find_profile(1), nullptr);
   EXPECT_EQ(cache.find_profile(1)->segments, 7u);
+  EXPECT_EQ(cache.find_profile(1)->csv, "profile_0,index_0\n");
 
-  // A third insert evicts the oldest fingerprint (FIFO).
-  cache.store_profile(3, std::make_shared<mp::MatrixProfileResult>());
+  // A third insert evicts the oldest key (FIFO).
+  cache.store_profile(3, std::make_shared<const CachedProfile>());
   EXPECT_EQ(cache.find_profile(1), nullptr);
   EXPECT_NE(cache.find_profile(2), nullptr);
   EXPECT_NE(cache.find_profile(3), nullptr);
@@ -432,12 +435,23 @@ TEST(ServeServer, EndToEndQueriesCachingAndGracefulShutdown) {
         mp::compute_matrix_profile(reference, reference, request.config));
     EXPECT_EQ(body1, expected);
 
-    // Same query again: served from the profile cache, byte-identical.
+    // Same query again: served from the profile cache — the payload
+    // rendered on the miss — byte-identical to the miss and to the file
+    // `mpsim_cli --output` writes for the same flags.
     client.send_line(query_line);
     const auto header2 = client.read_header();
     EXPECT_NE(header2.find("\"cached\": true"), std::string::npos)
         << header2;
-    EXPECT_EQ(client.read_payload(payload_bytes(header2)), body1);
+    const auto body2 = client.read_payload(payload_bytes(header2));
+    EXPECT_EQ(body2, body1);
+    const std::string output = temp_file("mpsim_serve_e2e_output.csv");
+    serve::write_profile_csv(
+        output,
+        mp::compute_matrix_profile(reference, reference, request.config));
+    std::ifstream written(output, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(written), {}),
+              body2);
+    std::filesystem::remove(output);
     EXPECT_GE(reg.counter("serve.profile_cache.hits").value(), 1u);
 
     // A malformed query is an error response, not a dead connection.

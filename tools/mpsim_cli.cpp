@@ -10,14 +10,8 @@
 // is detected automatically).  With --self-join the reference file is
 // joined against itself (exclusion defaults to window/2).
 // The output CSV has 2*d columns: profile_k, index_k for each dimension.
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -40,23 +34,6 @@
 namespace {
 
 using namespace mpsim;
-
-/// Fails before any work unless the file `--flag` names can be opened
-/// for writing.  A file the probe created is removed again; an existing
-/// one is opened for append and left untouched.
-void probe_writable(const CliArgs& args, const std::string& flag) {
-  if (!args.has(flag)) return;
-  const std::string path = args.get_string(flag, "");
-  struct stat st {};
-  const bool existed = ::stat(path.c_str(), &st) == 0;
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    throw IoError("--" + flag + "=" + path + ": cannot open for writing: " +
-                  std::strerror(errno));
-  }
-  ::close(fd);
-  if (!existed) ::unlink(path.c_str());
-}
 
 int run(int argc, char** argv) {
   CliArgs args(argc, argv);
@@ -99,10 +76,12 @@ int run(int argc, char** argv) {
         "  (counters/gauges/histograms, mpsim-metrics-v2 JSON) and\n"
         "  --trace-out writes the measured wall-clock timeline as\n"
         "  Chrome-tracing JSON (load in Perfetto / chrome://tracing)\n"
-        "durability: --checkpoint journals completed tiles every K commits\n"
-        "  (atomic write; SIGINT/SIGTERM flush it before exit, status 130)\n"
-        "  and --resume restores them, skipping finished tiles; --watchdog\n"
-        "  re-executes hung tiles speculatively on another device\n"
+        "durability: --checkpoint appends completed tiles to a synced\n"
+        "  append-only journal every K commits (SIGINT/SIGTERM flush it\n"
+        "  before exit, status 130; a finished run compacts it into one\n"
+        "  file) and --resume restores its valid prefix, skipping finished\n"
+        "  tiles; --watchdog re-executes hung tiles speculatively on\n"
+        "  another device\n"
         "approximation: --prefilter=sketch gates the exact recurrence with\n"
         "  FP16 random-projection sketches (fused row path only; default\n"
         "  off = bit-exact); --prefilter-budget bounds the acceptable miss\n"

@@ -71,6 +71,12 @@ int run(int argc, char** argv) {
   // byte-identical responses, a wider simulated fleet.
   options.nodes = args.get_int32("nodes", 1);
 
+  // An unwritable flush target fails now, not at shutdown after a whole
+  // lifetime of metrics (and before the socket exists).
+  for (const char* flag : {"metrics-out", "trace-out"}) {
+    probe_writable(args, flag);
+  }
+
   install_signal_handlers();
   serve::Server server(std::move(options));
   server.start();
