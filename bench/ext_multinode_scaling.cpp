@@ -6,7 +6,7 @@
 // profiles over a 200 Gb/s-class interconnect, at the paper's problem
 // size.  A scaled executed run (tests/test_cluster.cpp) verifies that
 // multi-node execution is functionally identical to single-node.
-#include "cluster/cluster.hpp"
+#include "gpusim/spec.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                 "Expected: near-linear compute scaling; the profile "
                 "reduction adds a logarithmic network term.");
 
-  const std::size_t n = std::size_t(args.get_int("n", 1 << 17));
+  const std::size_t n = args.get_size("n", 1 << 17);
   const std::size_t d = 1 << 6;
   const std::size_t m = 1 << 6;
 
@@ -28,18 +28,22 @@ int main(int argc, char** argv) {
   for (PrecisionMode mode : {PrecisionMode::FP64, PrecisionMode::Mixed}) {
     double single = 0.0;
     for (int nodes : {1, 2, 4, 8, 16}) {
-      cluster::ClusterConfig config;
-      config.nodes = nodes;
-      config.devices_per_node = 4;
+      mp::ModelConfig config;
+      config.spec = gpusim::a100();
+      config.n_r = n;
+      config.n_q = n;
+      config.dims = d;
       config.window = m;
       config.mode = mode;
       config.tiles = args.get_int32("tiles", 128);
-      const auto r = cluster::model_cluster(n, n, d, m, config);
+      config.nodes = nodes;
+      config.devices = 4;
+      const auto r = mp::model_cluster(config);
       if (nodes == 1) single = r.total_seconds();
       const double eff =
           single / (double(nodes) * r.total_seconds());
       table.add_row({std::to_string(nodes), std::to_string(nodes * 4),
-                     bench::mode_label(mode), fmt_fixed(r.compute_seconds, 2),
+                     bench::mode_label(mode), fmt_fixed(r.device_seconds, 2),
                      fmt_fixed(r.merge_seconds, 2),
                      fmt_fixed(r.network_seconds, 3),
                      fmt_fixed(r.total_seconds(), 2), fmt_pct(eff, 0)});

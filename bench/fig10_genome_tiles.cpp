@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const std::size_t n = bench::scaled(args, 2048);
   const std::size_t d = 8;   // paper: 2^4 chromosomes
-  const std::size_t m = std::size_t(args.get_int("window", 64));
+  const std::size_t m = args.get_size("window", 64);
 
   GenomeSpec spec;
   spec.length = n + m - 1;

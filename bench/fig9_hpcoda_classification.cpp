@@ -27,10 +27,8 @@ int main(int argc, char** argv) {
                 "Paper (HPC-ODA): >0.95 for Mixed/FP16C, ~0.9 for FP16; "
                 "slight runtime gain from reduced precision.");
 
-  const std::size_t length =
-      std::size_t(args.get_int("length", std::int64_t(
-                                              bench::scaled(args, 6000))));
-  const std::size_t window = std::size_t(args.get_int("window", 32));
+  const std::size_t length = args.get_size("length", bench::scaled(args, 6000));
+  const std::size_t window = args.get_size("window", 32);
 
   HpcTelemetrySpec spec;
   spec.length = length;

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   args.check_known({"length", "chromosomes", "window", "mode", "tiles"});
 
   GenomeSpec spec;
-  spec.length = std::size_t(args.get_int("length", 4096));
-  spec.chromosomes = std::size_t(args.get_int("chromosomes", 8));
-  const std::size_t window = std::size_t(args.get_int("window", 64));
+  spec.length = args.get_size("length", 4096);
+  spec.chromosomes = args.get_size("chromosomes", 8);
+  const std::size_t window = args.get_size("window", 64);
   const auto data = make_genome_dataset(spec);
   std::printf("genome: %zu chromosomes x %zu bases; ~%.0f%% of the query "
               "copied from the reference with %.1f%% point mutations\n\n",

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   args.check_known({"length", "window", "mode", "tiles"});
 
   HpcTelemetrySpec spec;
-  spec.length = std::size_t(args.get_int("length", 6000));
-  const std::size_t window = std::size_t(args.get_int("window", 32));
+  spec.length = args.get_size("length", 6000);
+  const std::size_t window = args.get_size("window", 32);
   const auto data = make_hpc_telemetry(spec);
 
   const std::size_t half = spec.length / 2;

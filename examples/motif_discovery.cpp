@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   args.check_known({"n", "d", "m", "tiles"});
 
   SyntheticSpec spec;
-  spec.segments = std::size_t(args.get_int("n", 2048));
-  spec.dims = std::size_t(args.get_int("d", 8));
-  spec.window = std::size_t(args.get_int("m", 64));
+  spec.segments = args.get_size("n", 2048);
+  spec.dims = args.get_size("d", 8);
+  spec.window = args.get_size("m", 64);
   spec.shape = PatternShape::kChirp;
   spec.injections_per_dim = 2;
   const auto data = make_synthetic_dataset(spec);

@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   args.check_known({"n", "window", "mode", "relaxation"});
 
   TurbineSpec spec;
-  spec.segments = std::size_t(args.get_int("n", 4096));
-  spec.window = std::size_t(args.get_int("window", 256));
+  spec.segments = args.get_size("n", 4096);
+  spec.window = args.get_size("window", 256);
   const double relaxation = args.get_double("relaxation", 0.05);
 
   // GT1's history (reference) contains both startup modes; GT2's current

@@ -75,6 +75,18 @@ int CliArgs::get_int32(const std::string& name, int fallback) const {
   return int(value);
 }
 
+std::size_t CliArgs::get_size(const std::string& name,
+                              std::size_t fallback) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::int64_t value = parse_int_flag(name, it->second);
+  if (value < 0) {
+    throw ConfigError("--" + name + "=" + it->second +
+                      " must not be negative");
+  }
+  return std::size_t(value);
+}
+
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -3,6 +3,7 @@
 // in experiment sweeps fail loudly instead of silently using defaults.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -22,6 +23,9 @@ class CliArgs {
   /// get_int for flags stored in an `int`: a value outside int's range
   /// throws Error naming the flag instead of wrapping on the cast.
   int get_int32(const std::string& name, int fallback) const;
+  /// get_int for counts and sizes: a negative value throws ConfigError
+  /// naming the flag instead of wrapping to 2^64 on the cast.
+  std::size_t get_size(const std::string& name, std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

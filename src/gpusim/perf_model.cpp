@@ -49,14 +49,6 @@ double modeled_copy_seconds(const MachineSpec& spec, std::int64_t bytes) {
          double(bytes) / (spec.copy_bandwidth_gbs * 1e9);
 }
 
-double modeled_dram_utilization(const MachineSpec& spec,
-                                const KernelCost& cost) {
-  const double t = modeled_seconds(spec, cost);
-  if (t <= 0.0) return 0.0;
-  const double achieved = double(cost.total_bytes()) / t;
-  return achieved / (spec.mem_bandwidth_gbs * 1e9);
-}
-
 void KernelLedger::record(const std::string& kernel, const KernelCost& cost,
                           double seconds, double measured_seconds) {
   std::lock_guard lock(mutex_);

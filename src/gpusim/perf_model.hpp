@@ -55,11 +55,6 @@ double modeled_seconds(const MachineSpec& spec, const KernelCost& cost);
 /// Modelled host<->device transfer time for `bytes`, in seconds.
 double modeled_copy_seconds(const MachineSpec& spec, std::int64_t bytes);
 
-/// Fraction of peak DRAM bandwidth the launch sustains under the model
-/// (the §V-C utilisation numbers).
-double modeled_dram_utilization(const MachineSpec& spec,
-                                const KernelCost& cost);
-
 /// Aggregated modelled statistics for one kernel name.
 struct KernelStats {
   std::int64_t launches = 0;

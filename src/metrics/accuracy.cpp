@@ -62,28 +62,6 @@ double embedded_motif_recall(const std::vector<std::int64_t>& index,
   return double(hits) / double(injections.size());
 }
 
-double relaxed_recall(const std::vector<std::int64_t>& index,
-                      std::size_t segments,
-                      const std::vector<std::size_t>& query_positions,
-                      const std::vector<std::size_t>& expected_positions,
-                      std::size_t window, double relaxation) {
-  MPSIM_CHECK(query_positions.size() == expected_positions.size(),
-              "positions vectors differ in size");
-  if (query_positions.empty()) return 1.0;
-  const auto tolerance = std::int64_t(relaxation * double(window));
-  std::size_t hits = 0;
-  for (std::size_t e = 0; e < query_positions.size(); ++e) {
-    MPSIM_CHECK(query_positions[e] < segments,
-                "query position outside the profile");
-    const std::int64_t found = index[query_positions[e]];
-    if (found < 0) continue;
-    if (std::llabs(found - std::int64_t(expected_positions[e])) <= tolerance) {
-      ++hits;
-    }
-  }
-  return double(hits) / double(query_positions.size());
-}
-
 double prefilter_miss_rate(const mp::PrefilterStats& stats) {
   if (stats.cols_verified == 0) return 0.0;
   return double(stats.cols_missed) / double(stats.cols_verified);

@@ -47,15 +47,6 @@ double embedded_motif_recall(const std::vector<std::int64_t>& index,
                              const std::vector<Injection>& injections,
                              std::size_t window, double relaxation = 0.0);
 
-/// Relaxed recall against explicit expected positions (turbine case study,
-/// §VI-C): detection i succeeds when |index[q_i] - expected_i| <=
-/// relaxation * window.
-double relaxed_recall(const std::vector<std::int64_t>& index,
-                      std::size_t segments,
-                      const std::vector<std::size_t>& query_positions,
-                      const std::vector<std::size_t>& expected_positions,
-                      std::size_t window, double relaxation);
-
 /// Realized miss rate of the sketch prefilter's verify sample: the
 /// fraction of verify-block columns whose exact execution updated a
 /// profile entry the sketch had declared update-free.  0 when nothing

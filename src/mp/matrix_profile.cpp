@@ -40,12 +40,13 @@ void validate_config(const TimeSeries& reference, const TimeSeries& query,
   if (config.checkpoint.interval_tiles < 1) {
     throw ConfigError("checkpoint.interval_tiles must be >= 1");
   }
-  const auto non_negative = [](const char* what, int value) {
+  const auto non_negative = [](const char* what, std::int64_t value) {
     if (value < 0) {
       throw ConfigError(std::string(what) + " must be >= 0, got " +
                         std::to_string(value));
     }
   };
+  non_negative("exclusion (--exclusion)", config.exclusion);
   non_negative("checkpoint.slice_rows (--slice-rows)",
                config.checkpoint.slice_rows);
   non_negative("checkpoint.kill_after_tiles (--kill-after-tiles)",

@@ -1,6 +1,7 @@
 #include "mp/model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -121,6 +122,22 @@ ModelReport model_tiles(const ModelConfig& config,
 
 ModelReport model_matrix_profile(const ModelConfig& config) {
   return model_tiles(config, plan_tiles(config));
+}
+
+ModelReport model_cluster(const ModelConfig& config,
+                          const InterconnectSpec& net) {
+  int rounds = 0;  // of a binomial tree over the nodes
+  while ((1 << rounds) < config.nodes) ++rounds;
+  // One message: the profile (binary64 after D2H) and the int64 index.
+  const auto bytes = std::int64_t(config.n_q * config.dims) * (8 + 8);
+  ModelReport report = model_matrix_profile(config);
+  report.merge_seconds =
+      report.merge_seconds / double(config.nodes) +
+      double(rounds) * model_merge_seconds(config.n_q, config.dims);
+  report.network_seconds =
+      double(rounds) * (net.latency_us * 1e-6 +
+                        double(bytes) / (net.bandwidth_gbs * 1e9));
+  return report;
 }
 
 Timeline model_timeline(const ModelConfig& config) {

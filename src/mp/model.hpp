@@ -36,11 +36,21 @@ struct ModelConfig {
 };
 
 struct ModelReport {
-  double device_seconds = 0.0;  ///< makespan across devices
-  double merge_seconds = 0.0;   ///< CPU-side tile merge
+  double device_seconds = 0.0;   ///< makespan across devices
+  double merge_seconds = 0.0;    ///< CPU-side tile merge
+  double network_seconds = 0.0;  ///< profile reduction (model_cluster)
   std::map<std::string, double> kernel_seconds;  ///< summed per kernel
 
-  double total_seconds() const { return device_seconds + merge_seconds; }
+  double total_seconds() const {
+    return device_seconds + merge_seconds + network_seconds;
+  }
+};
+
+/// Inter-node network of the cluster model (defaults: 200 Gb/s-class HDR
+/// InfiniBand with a few microseconds of latency).
+struct InterconnectSpec {
+  double bandwidth_gbs = 25.0;  ///< usable GB/s per link
+  double latency_us = 2.0;      ///< per message
 };
 
 /// The plan of a run: compute_tile_list, then deal_tiles over
@@ -58,6 +68,17 @@ ModelReport model_tiles(const ModelConfig& config,
 /// model_tiles of plan_tiles.
 ModelReport model_matrix_profile(const ModelConfig& config);
 
+/// The multi-node run of the paper's §VII extension ("extended to
+/// multiple nodes (e.g., using MPI)") at paper scale.  Executing it needs
+/// no model: compute_matrix_profile runs config.nodes simulated nodes
+/// bit-identically to one.  What the simulator does not execute is the
+/// interconnect, so this adds it to model_matrix_profile: the tile merges
+/// spread over the nodes, then a binomial-tree reduction of the
+/// (n_q * d)-entry profile and index arrays, ceil(log2 nodes) rounds of
+/// one message (latency + bytes / bandwidth) and one CPU merge each.
+ModelReport model_cluster(const ModelConfig& config,
+                          const InterconnectSpec& net = {});
+
 /// Builds the modelled execution timeline of the planned run: per global
 /// device, a "copy" lane (H2D/D2H transfers) and a "compute" lane (the
 /// per-tile kernel phases), with stream-overlapped scheduling.  Export
@@ -66,7 +87,7 @@ Timeline model_timeline(const ModelConfig& config);
 
 /// Modelled CPU cost of min-merging one partial profile of q_count
 /// columns x dims into another: one tile into the global profile, or one
-/// reduction round of the cluster model (cluster/cluster.cpp).
+/// reduction round of model_cluster.
 double model_merge_seconds(std::size_t q_count, std::size_t dims);
 
 /// Modelled device seconds (kernels + copies) of one tile — the same

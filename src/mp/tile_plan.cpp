@@ -142,16 +142,4 @@ SliceFit classify_slice(std::size_t slice_r_begin, std::size_t slice_r_count,
   return SliceFit::kPrefix;
 }
 
-std::size_t assignment_makespan(const std::vector<Tile>& tiles,
-                                int n_devices) {
-  MPSIM_CHECK(n_devices >= 1, "need at least one device");
-  std::vector<std::size_t> load(std::size_t(n_devices), 0);
-  for (const auto& tile : tiles) {
-    MPSIM_CHECK(tile.device >= 0 && tile.device < n_devices,
-                "tile assigned outside the device range");
-    load[std::size_t(tile.device)] += tile.r_count * tile.q_count;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
-
 }  // namespace mpsim::mp

@@ -68,11 +68,6 @@ void assign_tiles_lpt(std::vector<Tile>& tiles, int n_devices);
 void deal_tiles(std::vector<Tile>& tiles, int nodes, int devices,
                 TileAssignment assignment);
 
-/// Makespan (in tile-area units) of an assignment — the quantity LPT
-/// minimises; exposed for the scheduling ablation and tests.
-std::size_t assignment_makespan(const std::vector<Tile>& tiles,
-                                int n_devices);
-
 /// How a journalled result slice (absolute [r_begin, r_begin+r_count) x
 /// [q_begin, q_begin+q_count) ranges, see mp/checkpoint.hpp) relates to a
 /// tile of the *current* grid.  Used by elastic resume to re-key slices

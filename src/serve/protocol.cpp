@@ -35,7 +35,7 @@ CliArgs args_from_tokens(const std::vector<std::string>& tokens) {
 mp::MatrixProfileConfig config_from_args(const CliArgs& args,
                                          bool self_join) {
   mp::MatrixProfileConfig config;
-  config.window = std::size_t(args.get_int("window", 64));
+  config.window = args.get_size("window", 64);
   config.mode = parse_precision_mode(args.get_string("mode", "FP64"));
   config.tiles = args.get_int32("tiles", 1);
   config.devices = args.get_int32("devices", 1);

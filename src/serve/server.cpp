@@ -152,7 +152,11 @@ Server::~Server() {
 void Server::start() {
   MPSIM_CHECK(!options_.unix_socket.empty() || options_.tcp_port >= 0,
               "serve needs --socket=PATH and/or --port=N");
-  MPSIM_CHECK(options_.executors > 0, "serve needs at least one executor");
+  // Each executor is a thread: bound the count before any starts.
+  if (options_.executors < 1 || options_.executors > 64) {
+    throw ConfigError("--executors must be in [1, 64], got " +
+                      std::to_string(options_.executors));
+  }
   if (!options_.unix_socket.empty()) {
     unix_fd_ = make_unix_listener(options_.unix_socket);
     unix_path_ = options_.unix_socket;

@@ -46,7 +46,7 @@ struct ServerOptions {
   /// chosen port back with Server::tcp_port()).
   int tcp_port = -1;
   /// Executor threads — how many queries run concurrently on the
-  /// simulated fleet.
+  /// simulated fleet; start() accepts 1 to 64.
   std::size_t executors = 2;
   /// Admission cap: queued jobs not yet started beyond this are rejected.
   std::size_t max_queue = 64;

@@ -45,17 +45,13 @@ awk 'BEGIN {
   }
 }' > "$WORK/qry.csv"
 
-# Inject a NaN to exercise --repair.
-sed -i '100s/.*/nan,nan/' "$WORK/qry.csv"
-
 "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-    --query="$WORK/qry.csv" --window=32 --repair \
+    --query="$WORK/qry.csv" --window=32 \
     --output="$WORK/fp64.csv" --motifs=2 > "$WORK/fp64.log"
-grep -q "repaired 2 non-finite samples" "$WORK/fp64.log"
 grep -q "top motifs" "$WORK/fp64.log"
 
 "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-    --query="$WORK/qry.csv" --window=32 --repair --mode=Mixed \
+    --query="$WORK/qry.csv" --window=32 --mode=Mixed \
     --tiles=4 --output="$WORK/mixed.csv" --motifs=0 > /dev/null
 
 "$BUILD/tools/mpsim_diff" --baseline="$WORK/fp64.csv" \
@@ -63,19 +59,19 @@ grep -q "top motifs" "$WORK/fp64.log"
 grep -q "relative accuracy A" "$WORK/diff.log"
 grep -q "1-dim" "$WORK/diff.log"
 
-# Self-join with chains and auto-tiles must run clean too.
+# Self-join with auto-tiles must run clean too.
 "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" --self-join \
-    --window=32 --chains --auto-tiles --motifs=1 > "$WORK/self.log"
+    --window=32 --auto-tiles --motifs=1 > "$WORK/self.log"
 grep -q "auto-tiles:" "$WORK/self.log"
 
 # Fault injection: transient kernel faults must be retried transparently
 # and reported in the health summary, with the profile unchanged against
 # a fault-free run of the *same* tiling (tiling itself moves FP64 ulps).
 "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-    --query="$WORK/qry.csv" --window=32 --repair --tiles=4 \
+    --query="$WORK/qry.csv" --window=32 --tiles=4 \
     --output="$WORK/tiled.csv" --motifs=0 > /dev/null
 "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-    --query="$WORK/qry.csv" --window=32 --repair --tiles=4 \
+    --query="$WORK/qry.csv" --window=32 --tiles=4 \
     --faults="seed=7,kernel@0:at=2,kernel@0:at=9" \
     --output="$WORK/faulty.csv" --motifs=0 > "$WORK/faults.log"
 grep -q "run health: DEGRADED" "$WORK/faults.log"
@@ -90,7 +86,7 @@ reject() {
   local flag=$1 rc=0
   shift
   "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
-      --query="$WORK/qry.csv" --window=32 --repair --tiles=4 "$@" \
+      --query="$WORK/qry.csv" --window=32 --tiles=4 "$@" \
       > "$WORK/reject.log" 2>&1 || rc=$?
   [ "$rc" -eq 1 ]
   grep -q -- "$flag" "$WORK/reject.log"
@@ -101,12 +97,6 @@ reject --device-memory-mb --device-memory-mb=17592186044416
 reject --slice-rows --checkpoint="$WORK/neg.ckpt" --slice-rows=-4
 reject --kill-after-tiles --kill-after-tiles=-1
 reject --kill-after-slices --kill-after-slices=-1
-# --chains needs a self-join: rejected before any profile is computed.
-reject --chains --chains
-if grep -q "computed" "$WORK/reject.log"; then
-  echo "--chains without --self-join was rejected after the run" >&2
-  exit 1
-fi
 
 # Bad user input is the user's error: stderr says what is wrong (naming
 # the flag or file) and shows none of the check's internals (no source
@@ -124,6 +114,21 @@ user_error() {
 }
 user_error --steal "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
     --query="$WORK/qry.csv" --window=32 --steal=maybe
+# A negative count is an error naming the flag, not a wrap to 2^64, and
+# it is caught before any profile is computed.
+for bad in --window=-5 --motifs=-1; do
+  user_error "$bad" "$BUILD/tools/mpsim_cli" --reference="$WORK/ref.csv" \
+      --query="$WORK/qry.csv" --window=32 "$bad"
+  if grep -q "computed" "$WORK/user_error.out"; then
+    echo "$bad: rejected after the run" >&2
+    exit 1
+  fi
+done
+# --chains and --repair are gone: they are unknown flags now.
+for gone in chains repair; do
+  user_error "unknown flag --$gone" "$BUILD/tools/mpsim_cli" \
+      --reference="$WORK/ref.csv" --self-join --window=32 --"$gone"
+done
 user_error "different shapes" "$BUILD/tools/mpsim_diff" \
     --baseline="$WORK/ref.csv" --test="$WORK/qry.csv"
 

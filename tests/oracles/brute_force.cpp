@@ -1,4 +1,4 @@
-#include "mp/brute_force.hpp"
+#include "oracles/brute_force.hpp"
 
 #include <algorithm>
 #include <cmath>

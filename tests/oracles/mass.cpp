@@ -1,4 +1,4 @@
-#include "mp/mass.hpp"
+#include "oracles/mass.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "mp/sort_scan.hpp"
-#include "tsdata/znorm.hpp"
+#include "oracles/znorm.hpp"
 
 namespace mpsim::mp {
 

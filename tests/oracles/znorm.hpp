@@ -1,7 +1,6 @@
-// Z-normalisation utilities: sliding segment statistics and explicit
+// Z-normalisation oracle: sliding segment statistics and explicit
 // z-normalised segments.  The optimised engines never materialise these
-// (they use the streaming formulation), but downstream users inspecting
-// matched motifs — and the brute-force oracle — need them.
+// (they use the streaming formulation); the MASS oracle builds on these.
 #pragma once
 
 #include <cmath>

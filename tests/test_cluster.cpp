@@ -14,7 +14,6 @@
 #include <string>
 #include <thread>
 
-#include "cluster/cluster.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/shutdown.hpp"
@@ -26,7 +25,7 @@
 #include "mp/model.hpp"
 #include "tsdata/synthetic.hpp"
 
-namespace mpsim::cluster {
+namespace mpsim {
 namespace {
 
 SyntheticDataset small_dataset() {
@@ -71,64 +70,55 @@ TEST(Cluster, ComputeTimeShrinksWithNodes) {
   EXPECT_LT(four.modeled_device_seconds, one.modeled_device_seconds * 0.5);
 
   // ...but only multi-node runs pay network time.
-  ClusterConfig cluster;
-  cluster.tiles = config.tiles;
-  cluster.devices_per_node = config.devices;
-  const std::size_t n = data.reference.segment_count(config.window);
-  cluster.nodes = 1;
-  EXPECT_DOUBLE_EQ(
-      model_cluster(n, n, one.dims, config.window, cluster).network_seconds,
-      0.0);
-  cluster.nodes = 4;
-  EXPECT_GT(
-      model_cluster(n, n, four.dims, config.window, cluster).network_seconds,
-      0.0);
+  mp::ModelConfig model;
+  model.spec = gpusim::a100();
+  model.n_r = model.n_q = data.reference.segment_count(config.window);
+  model.dims = one.dims;
+  model.window = config.window;
+  model.tiles = config.tiles;
+  model.devices = config.devices;
+  model.nodes = 1;
+  EXPECT_DOUBLE_EQ(mp::model_cluster(model).network_seconds, 0.0);
+  model.nodes = 4;
+  EXPECT_GT(mp::model_cluster(model).network_seconds, 0.0);
+}
+
+/// A Raven-like cluster at paper scale: 4 A100s per node, n x n segments,
+/// d = m = 2^6, 64 tiles.
+mp::ModelConfig raven(std::size_t n, int nodes) {
+  mp::ModelConfig config;
+  config.spec = gpusim::a100();
+  config.n_r = config.n_q = n;
+  config.dims = 64;
+  config.window = 64;
+  config.tiles = 64;
+  config.nodes = nodes;
+  config.devices = 4;
+  return config;
 }
 
 TEST(ClusterModel, NearLinearScalingAtPaperScale) {
-  // A Raven-like cluster: 4 A100s per node, n=2^16, d=2^6, 64 tiles.
-  ClusterConfig config;
-  config.window = 1 << 6;
-  config.tiles = 64;
-  config.devices_per_node = 4;
-
-  config.nodes = 1;
-  const auto one = model_cluster(1 << 16, 1 << 16, 1 << 6, 1 << 6, config);
-  config.nodes = 4;
-  const auto four = model_cluster(1 << 16, 1 << 16, 1 << 6, 1 << 6, config);
-
+  const auto one = mp::model_cluster(raven(1 << 16, 1));
+  const auto four = mp::model_cluster(raven(1 << 16, 4));
   const double speedup = one.total_seconds() / four.total_seconds();
   EXPECT_GT(speedup, 3.0);   // near-linear
   EXPECT_LE(speedup, 4.05);  // no super-linear nonsense
 }
 
 TEST(ClusterModel, NetworkCostGrowsLogarithmically) {
-  ClusterConfig config;
-  config.window = 64;
-  config.tiles = 64;
-  config.devices_per_node = 4;
-
-  config.nodes = 2;
-  const double net2 =
-      model_cluster(1 << 16, 1 << 16, 64, 64, config).network_seconds;
-  config.nodes = 8;
-  const double net8 =
-      model_cluster(1 << 16, 1 << 16, 64, 64, config).network_seconds;
+  const double net2 = mp::model_cluster(raven(1 << 16, 2)).network_seconds;
+  const double net8 = mp::model_cluster(raven(1 << 16, 8)).network_seconds;
   // Binomial tree: 1 round at 2 nodes, 3 rounds at 8.
   EXPECT_NEAR(net8 / net2, 3.0, 0.01);
 }
 
 TEST(ClusterModel, InterconnectBandwidthMatters) {
-  ClusterConfig fast;
-  fast.window = 64;
-  fast.tiles = 64;
-  fast.nodes = 8;
-  ClusterConfig slow = fast;
-  slow.interconnect.bandwidth_gbs = 1.0;  // 10 GbE-class
-  const auto f = model_cluster(1 << 18, 1 << 18, 64, 64, fast);
-  const auto s = model_cluster(1 << 18, 1 << 18, 64, 64, slow);
+  mp::InterconnectSpec slow;
+  slow.bandwidth_gbs = 1.0;  // 10 GbE-class
+  const auto f = mp::model_cluster(raven(1 << 18, 8));
+  const auto s = mp::model_cluster(raven(1 << 18, 8), slow);
   EXPECT_GT(s.network_seconds, f.network_seconds * 10.0);
-  EXPECT_DOUBLE_EQ(s.compute_seconds, f.compute_seconds);
+  EXPECT_DOUBLE_EQ(s.device_seconds, f.device_seconds);
 }
 
 TEST(Cluster, ValidatesConfiguration) {
@@ -665,4 +655,4 @@ TEST(ElasticCoordinator, ValidatesNodeCount) {
 }
 
 }  // namespace
-}  // namespace mpsim::cluster
+}  // namespace mpsim

@@ -262,6 +262,25 @@ TEST(Cli, WellFormedNumericFlagsStillParse) {
   EXPECT_EQ(args.get_int32("absent", 7), 7);
 }
 
+TEST(Cli, SizeFlagsRejectNegativesInsteadOfWrapping) {
+  // Regression: counts were read as std::size_t(get_int(...)), so
+  // "--window=-5" became 18446744073709551611.
+  const char* argv[] = {"prog", "--window=-5", "--motifs=0",
+                        "--top=9223372036854775807", "--bad=1x"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.get_size("motifs", 3), 0u);
+  EXPECT_EQ(args.get_size("top", 0), 9223372036854775807u);
+  EXPECT_EQ(args.get_size("absent", 64), 64u);
+  EXPECT_THROW(args.get_size("bad", 0), ConfigError);
+  try {
+    args.get_size("window", 64);
+    ADD_FAILURE() << "--window=-5 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--window=-5"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, ParseFlagHelpersValidateDirectly) {
   EXPECT_EQ(parse_int_flag("tiles", "16"), 16);
   EXPECT_DOUBLE_EQ(parse_double_flag("slack", "2.5"), 2.5);

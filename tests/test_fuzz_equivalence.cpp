@@ -8,10 +8,10 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "mp/brute_force.hpp"
 #include "mp/cpu_reference.hpp"
-#include "mp/mass.hpp"
 #include "mp/matrix_profile.hpp"
+#include "oracles/brute_force.hpp"
+#include "oracles/mass.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::mp {

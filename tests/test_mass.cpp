@@ -1,14 +1,16 @@
-// Tests for the FFT, MASS, and the STAMP-style oracle built on them —
-// the algorithmically independent third validation path.
+// Tests for the test-only oracles: the z-normalisation helpers, the FFT,
+// MASS, and the STAMP-style oracle built on them — the algorithmically
+// independent third validation path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
 #include "common/rng.hpp"
-#include "mp/brute_force.hpp"
-#include "mp/mass.hpp"
 #include "mp/matrix_profile.hpp"
+#include "oracles/brute_force.hpp"
+#include "oracles/mass.hpp"
+#include "oracles/znorm.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::mp {
@@ -125,6 +127,46 @@ TEST(Stamp, MatchesStreamingEngineAndBruteForce) {
     // scan) agree on the profile.
     EXPECT_NEAR(stamp.profile[e], stomp.profile[e], 1e-6) << e;
     EXPECT_NEAR(stamp.profile[e], oracle.profile[e], 1e-6) << e;
+  }
+}
+
+TEST(Znorm, SlidingStatsMatchDirect) {
+  const std::vector<double> x{1, 2, 3, 4, 5, 4, 3, 2};
+  const auto stats = sliding_stats(x, 4);
+  ASSERT_EQ(stats.mean.size(), 5u);
+  EXPECT_DOUBLE_EQ(stats.mean[0], 2.5);
+  EXPECT_DOUBLE_EQ(stats.mean[4], 3.5);
+  // norm of {1,2,3,4} around 2.5: sqrt(2.25+0.25+0.25+2.25) = sqrt(5).
+  EXPECT_DOUBLE_EQ(stats.norm[0], std::sqrt(5.0));
+}
+
+TEST(Znorm, SegmentNormalisation) {
+  const std::vector<double> x{10, 20, 30, 40};
+  const auto z = znormalize_segment(x, 0, 4);
+  double sum = 0.0, ssq = 0.0;
+  for (double v : z) {
+    sum += v;
+    ssq += v * v;
+  }
+  EXPECT_NEAR(sum, 0.0, 1e-12);
+  EXPECT_NEAR(ssq, 1.0, 1e-12);
+
+  const std::vector<double> flat{5, 5, 5, 5};
+  const auto zf = znormalize_segment(flat, 0, 4);
+  for (double v : zf) EXPECT_DOUBLE_EQ(v, 0.0);
+
+  EXPECT_THROW(znormalize_segment(x, 2, 4), Error);
+}
+
+TEST(Znorm, ScaleAndOffsetInvariance) {
+  // Two affinely related segments z-normalise identically.
+  const std::vector<double> a{1.0, 3.0, 2.0, 5.0, 4.0, 1.5};
+  std::vector<double> b(a.size());
+  for (std::size_t t = 0; t < a.size(); ++t) b[t] = 7.0 * a[t] - 100.0;
+  const auto za = znormalize_segment(a, 0, a.size());
+  const auto zb = znormalize_segment(b, 0, b.size());
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    EXPECT_NEAR(za[t], zb[t], 1e-12);
   }
 }
 

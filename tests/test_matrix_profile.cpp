@@ -10,9 +10,9 @@
 #include <limits>
 #include <string>
 
-#include "mp/brute_force.hpp"
 #include "mp/cpu_reference.hpp"
 #include "mp/matrix_profile.hpp"
+#include "oracles/brute_force.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::mp {
@@ -241,6 +241,11 @@ TEST(MatrixProfile, ValidatesConfiguration) {
                  ConfigError);
     *field = 0;
   }
+  // ... and so was a negative exclusion radius.
+  config.exclusion = -1;
+  EXPECT_THROW(compute_matrix_profile(data.reference, data.query, config),
+               ConfigError);
+  config.exclusion = 0;
   EXPECT_NO_THROW(compute_matrix_profile(data.reference, data.query, config));
 }
 

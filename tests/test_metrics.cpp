@@ -62,17 +62,6 @@ TEST(EmbeddedMotifRecall, UnmatchedIndexCountsAsMiss) {
   EXPECT_DOUBLE_EQ(embedded_motif_recall(index, 64, injections, 16, 1.0), 0.0);
 }
 
-TEST(RelaxedRecall, PerPositionTolerance) {
-  std::vector<std::int64_t> index(128, -1);
-  index[10] = 50;
-  index[20] = 71;
-  const std::vector<std::size_t> q{10, 20};
-  const std::vector<std::size_t> expected{50, 60};
-  EXPECT_DOUBLE_EQ(relaxed_recall(index, 128, q, expected, 100, 0.0), 0.5);
-  EXPECT_DOUBLE_EQ(relaxed_recall(index, 128, q, expected, 100, 0.2), 1.0);
-  EXPECT_THROW(relaxed_recall(index, 128, q, {50}, 100, 0.0), Error);
-}
-
 TEST(SegmentLabels, ReadsCentreSample) {
   std::vector<int> samples(20, 0);
   for (std::size_t t = 10; t < 20; ++t) samples[t] = 3;

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "gpusim/perf_model.hpp"
 #include "gpusim/spec.hpp"
+#include "gpusim/utilization.hpp"
 
 namespace mpsim::gpusim {
 namespace {
@@ -113,7 +114,9 @@ TEST(Roofline, DramUtilizationForStreamingKernel) {
   KernelCost c;
   c.bytes_read = 8LL << 30;
   c.bytes_written = 4LL << 30;
-  const double util = modeled_dram_utilization(spec, c);
+  KernelLedger ledger;
+  ledger.record("stream", c, modeled_seconds(spec, c));
+  const double util = utilization(ledger, spec).at(0).dram_fraction;
   // A purely streaming kernel sustains ~bw_efficiency of peak.
   EXPECT_GT(util, 0.6);
   EXPECT_LE(util, spec.bw_efficiency + 0.01);

@@ -569,6 +569,24 @@ TEST(ServeServer, OversizedFleetIsAnErrorAndTheDaemonStaysUp) {
   std::filesystem::remove(ref_path);
 }
 
+TEST(ServeServer, ExecutorCountIsCheckedBeforeAnyThreadStarts) {
+  for (const std::size_t executors : {std::size_t(0), std::size_t(65)}) {
+    ServerOptions options;
+    options.unix_socket = temp_file("mpsim_serve_executors.sock");
+    std::filesystem::remove(options.unix_socket);
+    options.executors = executors;
+    Server server(options);
+    try {
+      server.start();
+      ADD_FAILURE() << executors << " executors were accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--executors"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(options.unix_socket));
+  }
+}
+
 TEST(ServeServer, RejectsQueriesOnceQueueIsFull) {
   clear_shutdown();
   ServerOptions options;

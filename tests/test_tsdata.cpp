@@ -1,6 +1,6 @@
 // Tests for the time-series container, pattern primitives and all four
 // dataset generators (synthetic stress test, HPC telemetry, genome,
-// turbine), plus CSV I/O and the z-normalisation utilities.
+// turbine), plus CSV I/O.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +15,9 @@
 #include "tsdata/hpc_telemetry.hpp"
 #include "tsdata/io.hpp"
 #include "tsdata/patterns.hpp"
-#include "tsdata/repair.hpp"
 #include "tsdata/synthetic.hpp"
 #include "tsdata/time_series.hpp"
 #include "tsdata/turbine.hpp"
-#include "tsdata/znorm.hpp"
 
 namespace mpsim {
 namespace {
@@ -352,51 +350,6 @@ TEST(Turbine, DifferentTurbinesDiffer) {
   EXPECT_NE(t1.series.raw(), t2.series.raw());
 }
 
-TEST(Repair, InterpolatesNonFiniteRuns) {
-  TimeSeries ts(8, 2);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  // dim 0: 0 1 NaN NaN 4 5 inf 7  -> linear fills
-  const double v0[] = {0, 1, nan, nan, 4, 5, inf, 7};
-  // dim 1: NaN 2 3 4 5 6 7 NaN   -> edge extrapolation
-  const double v1[] = {nan, 2, 3, 4, 5, 6, 7, nan};
-  for (std::size_t t = 0; t < 8; ++t) {
-    ts.at(t, 0) = v0[t];
-    ts.at(t, 1) = v1[t];
-  }
-  const std::size_t fixed = repair_non_finite(ts);
-  EXPECT_EQ(fixed, 5u);
-  EXPECT_DOUBLE_EQ(ts.at(2, 0), 2.0);
-  EXPECT_DOUBLE_EQ(ts.at(3, 0), 3.0);
-  EXPECT_DOUBLE_EQ(ts.at(6, 0), 6.0);
-  EXPECT_DOUBLE_EQ(ts.at(0, 1), 2.0);  // left edge copies neighbour
-  EXPECT_DOUBLE_EQ(ts.at(7, 1), 7.0);  // right edge copies neighbour
-  for (std::size_t k = 0; k < 2; ++k) {
-    for (std::size_t t = 0; t < 8; ++t) {
-      EXPECT_TRUE(std::isfinite(ts.at(t, k)));
-    }
-  }
-}
-
-TEST(Repair, AllNonFiniteDimensionZeroFills) {
-  TimeSeries ts(4, 1);
-  for (std::size_t t = 0; t < 4; ++t) {
-    ts.at(t, 0) = std::numeric_limits<double>::quiet_NaN();
-  }
-  EXPECT_EQ(repair_non_finite(ts), 4u);
-  for (std::size_t t = 0; t < 4; ++t) EXPECT_DOUBLE_EQ(ts.at(t, 0), 0.0);
-}
-
-TEST(Repair, CleanSeriesUntouched) {
-  TimeSeries ts(6, 2);
-  for (std::size_t k = 0; k < 2; ++k) {
-    for (std::size_t t = 0; t < 6; ++t) ts.at(t, k) = double(t + k);
-  }
-  const TimeSeries before = ts;
-  EXPECT_EQ(repair_non_finite(ts), 0u);
-  EXPECT_EQ(ts.raw(), before.raw());
-}
-
 TEST(CsvIo, RoundTrip) {
   TimeSeries ts(16, 3);
   for (std::size_t k = 0; k < 3; ++k) {
@@ -510,47 +463,6 @@ TEST(CsvIo, HeaderOnlyFileIsAnError) {
   }
   EXPECT_THROW(read_csv(path), Error);
   std::remove(path.c_str());
-}
-
-
-TEST(Znorm, SlidingStatsMatchDirect) {
-  const std::vector<double> x{1, 2, 3, 4, 5, 4, 3, 2};
-  const auto stats = sliding_stats(x, 4);
-  ASSERT_EQ(stats.mean.size(), 5u);
-  EXPECT_DOUBLE_EQ(stats.mean[0], 2.5);
-  EXPECT_DOUBLE_EQ(stats.mean[4], 3.5);
-  // norm of {1,2,3,4} around 2.5: sqrt(2.25+0.25+0.25+2.25) = sqrt(5).
-  EXPECT_DOUBLE_EQ(stats.norm[0], std::sqrt(5.0));
-}
-
-TEST(Znorm, SegmentNormalisation) {
-  const std::vector<double> x{10, 20, 30, 40};
-  const auto z = znormalize_segment(x, 0, 4);
-  double sum = 0.0, ssq = 0.0;
-  for (double v : z) {
-    sum += v;
-    ssq += v * v;
-  }
-  EXPECT_NEAR(sum, 0.0, 1e-12);
-  EXPECT_NEAR(ssq, 1.0, 1e-12);
-
-  const std::vector<double> flat{5, 5, 5, 5};
-  const auto zf = znormalize_segment(flat, 0, 4);
-  for (double v : zf) EXPECT_DOUBLE_EQ(v, 0.0);
-
-  EXPECT_THROW(znormalize_segment(x, 2, 4), Error);
-}
-
-TEST(Znorm, ScaleAndOffsetInvariance) {
-  // Two affinely related segments z-normalise identically.
-  const std::vector<double> a{1.0, 3.0, 2.0, 5.0, 4.0, 1.5};
-  std::vector<double> b(a.size());
-  for (std::size_t t = 0; t < a.size(); ++t) b[t] = 7.0 * a[t] - 100.0;
-  const auto za = znormalize_segment(a, 0, a.size());
-  const auto zb = znormalize_segment(b, 0, b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_NEAR(za[t], zb[t], 1e-12);
-  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 // is detected automatically).  With --self-join the reference file is
 // joined against itself (exclusion defaults to window/2).
 // The output CSV has 2*d columns: profile_k, index_k for each dimension.
-#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -22,14 +21,12 @@
 #include "common/table.hpp"
 #include "gpusim/faults.hpp"
 #include "mp/analysis.hpp"
-#include "mp/chains.hpp"
 #include "mp/simd/dispatch.hpp"
 #include "mp/tuning.hpp"
 #include "mp/matrix_profile.hpp"
 #include "serve/protocol.hpp"
 #include "serve/render.hpp"
 #include "tsdata/io.hpp"
-#include "tsdata/repair.hpp"
 
 namespace {
 
@@ -39,7 +36,7 @@ int run(int argc, char** argv) {
   CliArgs args(argc, argv);
   args.check_known({"reference", "query", "window", "mode", "tiles",
                     "devices", "machine", "self-join", "exclusion", "output",
-                    "motifs", "discords", "repair", "auto-tiles", "chains",
+                    "motifs", "discords", "auto-tiles",
                     "faults", "escalate-precision",
                     "metrics-out", "trace-out", "row-path", "simd",
                     "prefilter", "prefilter-budget",
@@ -55,9 +52,8 @@ int run(int argc, char** argv) {
         "--window=M\n"
         "                 [--mode=FP64] [--tiles=1] [--devices=1]\n"
         "                 [--machine=A100] [--self-join] [--exclusion=R]\n"
-        "                 [--output=profile.csv] [--motifs=K] "
-        "[--discords=K] [--repair]\n"
-        "                 [--auto-tiles] [--chains]\n"
+        "                 [--output=profile.csv] [--motifs=K]\n"
+        "                 [--discords=K] [--auto-tiles]\n"
         "                 [--faults=SPEC] [--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
         "                 [--row-path=auto|cooperative]\n"
@@ -112,24 +108,15 @@ int run(int argc, char** argv) {
     MetricsRegistry::global().set_enabled(true);
   }
 
-  TimeSeries reference = read_csv(args.get_string("reference", ""));
+  const TimeSeries reference = read_csv(args.get_string("reference", ""));
   const bool self_join = args.get_bool("self-join", false);
   if (!self_join && !args.has("query")) {
     throw ConfigError("--query is required unless --self-join is given");
   }
-  if (!self_join && args.get_bool("chains", false)) {
-    throw ConfigError("--chains requires --self-join");
-  }
-  TimeSeries query =
+  const TimeSeries query =
       self_join ? reference : read_csv(args.get_string("query", ""));
-  if (args.get_bool("repair", false)) {
-    const std::size_t fixed =
-        repair_non_finite(reference) + (self_join ? 0 : repair_non_finite(query));
-    if (fixed > 0) {
-      std::printf("repaired %zu non-finite samples by interpolation\n",
-                  fixed);
-    }
-  }
+  const std::size_t k_motifs = args.get_size("motifs", 3);
+  const std::size_t k_discords = args.get_size("discords", 0);
 
   // Shared with the serve daemon's query verb (byte-diff contract).
   mp::MatrixProfileConfig config = serve::config_from_args(args, self_join);
@@ -156,15 +143,15 @@ int run(int argc, char** argv) {
   config.steal = steal == "on";
   config.resilience.watchdog = args.get_bool("watchdog", false);
   // The byte count must fit: a shift past size_t wraps to a bogus cap.
-  const std::int64_t memory_mb = args.get_int("device-memory-mb", 0);
-  constexpr std::uint64_t kMaxMemoryMb =
+  const std::size_t memory_mb = args.get_size("device-memory-mb", 0);
+  constexpr std::size_t kMaxMemoryMb =
       std::numeric_limits<std::size_t>::max() >> 20;
-  if (memory_mb < 0 || std::uint64_t(memory_mb) > kMaxMemoryMb) {
+  if (memory_mb > kMaxMemoryMb) {
     throw ConfigError("--device-memory-mb must be in [0, " +
                       std::to_string(kMaxMemoryMb) + "], got " +
                       std::to_string(memory_mb));
   }
-  config.device_memory_bytes = std::size_t(memory_mb) << 20;
+  config.device_memory_bytes = memory_mb << 20;
   gpusim::FaultInjector injector;
   if (args.has("faults")) {
     injector.configure(args.get_string("faults", ""));
@@ -266,7 +253,6 @@ int run(int argc, char** argv) {
 
   flush_observability();
 
-  const auto k_motifs = std::size_t(args.get_int("motifs", 3));
   if (k_motifs > 0) {
     Table table({"rank", "query segment", "matches reference", "distance"});
     const auto motifs =
@@ -280,22 +266,6 @@ int run(int argc, char** argv) {
     std::printf("\ntop motifs (1-dimensional profile):\n%s",
                 table.to_string().c_str());
   }
-  if (args.get_bool("chains", false)) {
-    const auto lr = mp::compute_left_right_profiles(reference, config.window,
-                                                    config.exclusion);
-    const auto chain = mp::longest_chain(lr, 0);
-    if (chain.size() < 2) {
-      std::printf("\nno time-series chain found\n");
-    } else {
-      std::printf("\nlongest time-series chain (%zu links):", chain.size());
-      for (const auto node : chain) {
-        std::printf(" %lld", (long long)node);
-      }
-      std::printf("\n");
-    }
-  }
-
-  const auto k_discords = std::size_t(args.get_int("discords", 0));
   if (k_discords > 0) {
     Table table({"rank", "query segment", "distance"});
     const auto discords =

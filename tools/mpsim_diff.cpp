@@ -60,6 +60,7 @@ int run(int argc, char** argv) {
     return args.has("baseline") && args.has("test") ? 0 : 2;
   }
 
+  const std::size_t top = args.get_size("top", 5);
   const auto baseline = read_profile_csv(args.get_string("baseline", ""));
   const auto test = read_profile_csv(args.get_string("test", ""));
   if (baseline.segments != test.segments || baseline.dims != test.dims) {
@@ -102,7 +103,6 @@ int run(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
 
   // Worst per-segment deviations on the 1-dimensional plane.
-  const auto top = std::size_t(args.get_int("top", 5));
   std::vector<std::size_t> order(baseline.segments);
   for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

@@ -65,8 +65,8 @@ int run(int argc, char** argv) {
   serve::ServerOptions options;
   options.unix_socket = args.get_string("socket", "");
   options.tcp_port = args.has("port") ? args.get_int32("port", 0) : -1;
-  options.executors = std::size_t(args.get_int("executors", 2));
-  options.max_queue = std::size_t(args.get_int("max-queue", 64));
+  options.executors = args.get_size("executors", 2);
+  options.max_queue = args.get_size("max-queue", 64);
   // >1 routes every query through the elastic multi-node coordinator —
   // byte-identical responses, a wider simulated fleet.
   options.nodes = args.get_int32("nodes", 1);
